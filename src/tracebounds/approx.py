@@ -4,18 +4,24 @@ The inverse-square-root and inverse constructions follow the same recipe:
 a truncated series in y = x/kappa - 1 (binomial series for the square
 root, geometric series for the inverse), each monomial y^t replaced by a
 compressed Chebyshev approximant, and the sum rescaled back to [1, kappa].
+The compression is the x^s construction of Sachdeva & Vishnoi, *Faster
+Algorithms via Approximation Theory* (2014), Thm 3.3: keep the Chebyshev
+coefficients of y^t up to degree ~sqrt(t log(1/delta)).  The exact
+coefficients of y^t come from those of y^(t-1) by one multiplication by y
+(y T_0 = T_1, y T_j = (T_(j-1) + T_(j+1)) / 2), so the whole series is one
+pass of halvings and sums of positive numbers.
 Every returned polynomial carries a grid-certified sup-norm error; a
 certificate failure raises instead of returning a bad polynomial.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.stats import binom as _binom
 
 from .chebyshev import ChebPoly, cheb_grid
 from .errors import CertificateError
@@ -60,6 +66,33 @@ class ApproxTarget:
         return lambda x, s=self.s: x ** s
 
 
+def _times_y(c: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of y * sum_j c_j T_j(y)."""
+    # y T_j = (T_(j-1) + T_(j+1)) / 2 for j >= 1 is one 3-tap convolution;
+    # y T_0 = T_1 takes the full weight, so c_0 is added a second time.
+    out = np.convolve(c, (0.5, 0.0, 0.5))[1:]
+    out[1] += 0.5 * c[0]
+    return out
+
+
+def _power_expansions(n: int):
+    """Yield the Chebyshev coefficients of y^t on [-1, 1] for t = 1..n.
+
+    Entry j of y^t is 2^(1-t) C(t, (t-j)/2) (halved at j = 0), which
+    Hoeffding bounds by 2 exp(-j^2 / (2t)).  Entries with j > 40 sqrt(t)
+    are therefore below 2 e^-800 and round to 0.0 in float64; they are
+    dropped, which keeps the work per power at O(sqrt(t)) once t > 1600.
+    """
+    c = np.ones(1)
+    for t in range(1, n + 1):
+        c = _times_y(c)[: int(40.0 * math.sqrt(t)) + 5]
+        yield c
+
+
+def _compressed_degree(s: int, delta: float) -> int:
+    return min(s, math.ceil(math.sqrt(2.0 * s * math.log(2.0 / delta))))
+
+
 def monomial_cheb_approx(s: int, delta: float) -> ChebPoly:
     """Low-degree Chebyshev compression of x^s on [-1, 1].
 
@@ -71,17 +104,12 @@ def monomial_cheb_approx(s: int, delta: float) -> ChebPoly:
         raise ValueError("s must be a positive integer")
     if not 0 < delta < 1:
         raise ValueError("need 0 < delta < 1")
-    cap = math.ceil(math.sqrt(2.0 * s * math.log(2.0 / delta)))
-    deg = min(s, cap)
-    # Exact expansion: x^s = sum over j = s mod 2 of w_j 2^{1-s} C(s,(s-j)/2) T_j,
-    # with the j = 0 weight halved.  binom.pmf keeps this stable for large s.
-    js = np.arange(s % 2, deg + 1, 2)
-    coeffs = np.zeros(deg + 1)
-    pmf = _binom.pmf((s - js) // 2, s, 0.5)
-    coeffs[js] = 2.0 * pmf
-    if s % 2 == 0:
-        coeffs[0] /= 2.0
-    return ChebPoly((-1.0, 1.0), coeffs)
+    # The expansion x^s = sum_j w_j 2^(1-s) C(s, (s-j)/2) T_j over j = s mod 2
+    # (w_0 = 1/2, else 1) is built by s multiplications by x; every step
+    # halves and adds positive numbers, so no binomial is ever formed.
+    for c in _power_expansions(s):
+        pass
+    return ChebPoly((-1.0, 1.0), c[: _compressed_degree(s, delta) + 1])
 
 
 def taylor_truncation_length(kappa: float, delta_half: float) -> int:
@@ -113,20 +141,33 @@ def sup_error(p: ChebPoly, target: ApproxTarget, grid_size: int) -> float:
     minimum = max(1024, 10 * p.degree())
     if grid_size < minimum:
         raise ValueError(f"grid_size must be >= {minimum}")
-    xs = cheb_grid(p.interval, grid_size)
+    return _grid_sup_error(p.interval, p.coeffs.tobytes(), target, grid_size)
+
+
+# poly build asks the certificate gate's question again, on the same grid,
+# right after the gate; one remembered answer spares that second pass.  The
+# key is the polynomial's value, so a hit returns what a new pass would.
+@functools.lru_cache(maxsize=1)
+def _grid_sup_error(interval, coeff_bytes: bytes, target: ApproxTarget,
+                    grid_size: int) -> float:
+    p = ChebPoly(interval, np.frombuffer(coeff_bytes))
+    xs = cheb_grid(interval, grid_size)
     f = target.function()
     return float(np.max(np.abs(p.evaluate(xs) - f(xs))))
 
 
 def _series_sum(coeff_of_t, sub_delta_of_t, length: int) -> ChebPoly:
-    """sum_t c_t p_t(y) on [-1, 1] with p_t = monomial_cheb_approx(t, ...)."""
-    acc = np.array([coeff_of_t(0)])
-    for t in range(1, length + 1):
-        p = monomial_cheb_approx(t, sub_delta_of_t(t))
-        c = coeff_of_t(t) * p.coeffs
-        if len(c) > len(acc):
-            acc = np.pad(acc, (0, len(c) - len(acc)))
-        acc[: len(c)] += c
+    """sum_t c_t p_t(y) on [-1, 1] with p_t = monomial_cheb_approx(t, ...).
+
+    One pass over the powers of y: each p_t is a prefix of the exact
+    expansion of y^t, added to the sum as soon as that expansion is built.
+    """
+    degrees = [_compressed_degree(t, sub_delta_of_t(t))
+               for t in range(1, length + 1)]
+    acc = np.zeros(max(degrees, default=0) + 1)
+    acc[0] = coeff_of_t(0)
+    for t, (deg, c) in enumerate(zip(degrees, _power_expansions(length)), start=1):
+        acc[: deg + 1] += coeff_of_t(t) * c[: deg + 1]
     return ChebPoly((-1.0, 1.0), acc)
 
 

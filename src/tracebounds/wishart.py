@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .errors import (
     BudgetExceededError,
@@ -178,6 +177,9 @@ def posterior_distribution_test(
     control omits the Y2 Y2^T correction, which shifts the trace and must
     be rejected by the same test.
     """
+    # Imported here so that no other subcommand pays for loading scipy.stats.
+    from scipy.stats import ks_2samp
+
     if not 0 <= n < d:
         raise ValueError("need 0 <= n < d")
     if trials < 1:
@@ -289,7 +291,8 @@ def inv_trace_tail_experiment(
     The per-index table records the 0.99-quantile of (1/lambda_j) j^2/d^2
     for each ascending eigenvalue index j, exhibiting the j^{-2} profile
     behind the d^{2p} trace scale.  Numerically singular draws
-    (lambda_min < 1e-300) are dropped and counted, never silently skipped.
+    (lambda_min < 1e-300) are dropped and counted, never silently skipped;
+    ConditioningError is raised when no trial is left.
     """
     if p <= 0.5:
         raise ValueError("need p > 1/2")
@@ -307,6 +310,11 @@ def inv_trace_tail_experiment(
             continue
         samples.append(float(np.sum(lam ** (-p))) / d ** (2 * p))
         inv_scaled.append(j2 / lam)
+    if not samples:
+        raise ConditioningError(
+            f"no usable trial at d={d}: {dropped} of trials={trials} draws "
+            "were numerically singular"
+        )
     samples = np.asarray(samples)
     inv_scaled = np.asarray(inv_scaled)
     quantiles = {

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as _cheb
 
 from tracebounds.approx import (
     ApproxTarget,
+    _series_sum,
     inv_poly,
     inv_sqrt_poly,
     monomial_cheb_approx,
@@ -77,6 +80,91 @@ class TestMonomialApprox:
         p = monomial_cheb_approx(s, delta)
         assert p.degree() <= min(s, math.ceil(math.sqrt(2 * s * math.log(2 / delta))))
         assert sup_error(p, ApproxTarget("monomial", s=s), 4096) <= delta
+
+
+def _exact_monomial_coeffs(s, delta):
+    """Compressed expansion of x^s from exact integer binomials.
+
+    Python's int / int true division is correctly rounded, so every entry
+    is the float nearest to 2^(1-s) C(s, (s-j)/2) (halved at j = 0).
+    """
+    deg = min(s, math.ceil(math.sqrt(2 * s * math.log(2 / delta))))
+    c = np.zeros(deg + 1)
+    for j in range(s % 2, deg + 1, 2):
+        c[j] = 2 * math.comb(s, (s - j) // 2) / 2 ** s
+    if s % 2 == 0:
+        c[0] /= 2
+    return c
+
+
+class TestMonomialExactReference:
+    @staticmethod
+    def _check(s, delta):
+        got = monomial_cheb_approx(s, delta).coeffs
+        ref = _exact_monomial_coeffs(s, delta)
+        assert got.shape == ref.shape
+        assert np.all(got[ref == 0.0] == 0.0)
+        nz = ref != 0.0
+        assert np.max(np.abs(got[nz] - ref[nz]) / ref[nz]) <= 1e-13
+
+    @pytest.mark.parametrize("delta", [0.5, 0.1, 1e-3, 1e-8, 1e-15])
+    def test_every_power_up_to_300(self, delta):
+        for s in range(1, 301):
+            self._check(s, delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=300),
+           st.floats(min_value=1e-15, max_value=0.99))
+    def test_property(self, s, delta):
+        self._check(s, delta)
+
+
+def _series_sum_reference(coeff_of_t, sub_delta_of_t, length):
+    """The per-term definition, sum_t c_t p_t with p_t the compressed
+    expansion of y^t at accuracy delta_t, each p_t from exact binomials."""
+    acc = np.array([coeff_of_t(0)])
+    for t in range(1, length + 1):
+        c = coeff_of_t(t) * _exact_monomial_coeffs(t, sub_delta_of_t(t))
+        if len(c) > len(acc):
+            acc = np.pad(acc, (0, len(c) - len(acc)))
+        acc[: len(c)] += c
+    return acc
+
+
+@pytest.mark.parametrize("kappa", [4.0, 16.0, 64.0])
+@pytest.mark.parametrize("delta", [0.1, 0.001])
+def test_series_sum_matches_per_term_definition(kappa, delta):
+    big_t = taylor_truncation_length(kappa, delta / 2)
+    binom_coeffs = [1.0]
+    for t in range(1, big_t + 1):
+        binom_coeffs.append(binom_coeffs[-1] * (-0.5 - t + 1) / t)
+    cases = [  # the two series that inv_poly and inv_sqrt_poly sum
+        (lambda t: (-1.0) ** t, lambda t: delta / (2.0 * big_t)),
+        (lambda t: binom_coeffs[t], lambda t: delta / (4.0 * t * t)),
+    ]
+    for coeff_of_t, sub_delta_of_t in cases:
+        got = _series_sum(coeff_of_t, sub_delta_of_t, big_t).coeffs
+        ref = _series_sum_reference(coeff_of_t, sub_delta_of_t, big_t)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+#: (inv_poly, inv_sqrt_poly) degrees at delta = 0.4, 0.1, 0.01, 0.001, as
+#: the per-term scipy binom.pmf construction gave them.
+PINNED_DEGREES = {
+    2.0: [(3, 3), (5, 5), (8, 8), (11, 11)],
+    16.0: [(30, 40), (39, 49), (53, 64), (66, 79)],
+    64.0: [(78, 105), (95, 123), (122, 153), (150, 183)],
+    256.0: [(190, 257), (223, 294), (278, 354), (333, 412)],
+    1024.0: [(447, 609), (513, 682), (622, 800), (730, 916)],
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(PINNED_DEGREES))
+def test_degrees_pinned(kappa):
+    got = [(inv_poly(kappa, d).degree(), inv_sqrt_poly(kappa, d).degree())
+           for d in (0.4, 0.1, 0.01, 0.001)]
+    assert got == PINNED_DEGREES[kappa]
 
 
 class TestTaylorTruncationLength:

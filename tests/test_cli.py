@@ -1,8 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tracebounds
+import tracebounds.wishart as wishart_module
+from tracebounds.approx import ApproxTarget, _grid_sup_error, sup_error
+from tracebounds.chebyshev import ChebPoly
 from tracebounds.cli import main
 from tracebounds.errors import MatrixParseError
 from tracebounds.matio import parse_matrix_file, write_raw
@@ -74,6 +82,63 @@ class TestPolyRoundTrip:
         out.write_text(json.dumps(doc))
         assert run(["poly", "error", "--poly", str(out),
                     "--out", str(tmp_path / "r.json")]) == 3
+
+
+class TestPolyBuildCertificate:
+    @pytest.mark.parametrize("grid", [1024, 4096, 4097, 8192])
+    def test_printed_error_is_a_fresh_evaluation(self, tmp_path, grid):
+        out = tmp_path / "p.json"
+        assert run(["poly", "build", "--func", "invsqrt", "--kappa", "64",
+                    "--delta", "0.01", "--grid", str(grid), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        cert = doc["certificate"]
+        poly = ChebPoly.from_dict(doc)
+        assert cert["grid_size"] == max(grid, 10 * poly.degree())
+        _grid_sup_error.cache_clear()
+        fresh = sup_error(poly, ApproxTarget("inv_sqrt", kappa=64.0, delta=0.01),
+                          cert["grid_size"])
+        assert cert["grid_sup_error"] == fresh
+
+    def test_default_grid_evaluates_once(self):
+        _grid_sup_error.cache_clear()
+        assert run(["poly", "build", "--func", "inv", "--kappa", "64",
+                    "--delta", "0.01", "--out", os.devnull]) == 0
+        info = _grid_sup_error.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+def test_scipy_stats_stays_off_the_import_path(tmp_path):
+    # scipy.stats costs about a second to import; only `wishart posterior`
+    # needs it, so no other subcommand may load it.
+    script = f"""
+import sys
+from tracebounds.cli import main
+out = {str(tmp_path / "out.txt")!r}
+assert main(["poly", "build", "--func", "inv", "--kappa", "16",
+             "--delta", "0.1", "--out", out]) == 0
+assert main(["trace", "--gen-spd", "--dim", "8", "--kappa", "4",
+             "--backend", "cheb", "--seed", "1", "--out", out]) == 0
+assert main(["wishart", "eigcdf", "--d", "4", "--trials", "20",
+             "--seed", "1", "--out", out]) == 0
+print("scipy.stats" in sys.modules)
+"""
+    src = str(Path(tracebounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_invtrace_all_trials_dropped_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(wishart_module, "sample_wishart",
+                        lambda d, rng: SymMatrix(np.zeros((d, d))))
+    assert run(["wishart", "invtrace", "--d", "3", "--trials", "5",
+                "--seed", "1"]) == 3
+    err = capsys.readouterr().err
+    assert "d=3" in err and "trials=5" in err
 
 
 class TestMatrixFiles:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from tracebounds.errors import BudgetExceededError, RankDeficiencyError
+import tracebounds.wishart as wishart_module
+from tracebounds.errors import (
+    BudgetExceededError,
+    ConditioningError,
+    RankDeficiencyError,
+)
 from tracebounds.linalg import (
     SymMatrix,
     cholesky,
@@ -171,6 +176,12 @@ class TestInvTraceTail:
     def test_p_validation(self):
         with pytest.raises(ValueError, match="p > 1/2"):
             inv_trace_tail_experiment(4, 10, 0.5, RngState(79))
+
+    def test_all_trials_dropped_raises(self, monkeypatch):
+        monkeypatch.setattr(wishart_module, "sample_wishart",
+                            lambda d, rng: SymMatrix(np.zeros((d, d))))
+        with pytest.raises(ConditioningError, match=r"d=3.*trials=5"):
+            inv_trace_tail_experiment(3, 5, 1.0, RngState(80))
 
 
 class TestQueryGame:
