@@ -9,7 +9,7 @@ from .approx import (
     sup_error,
     taylor_truncation_length,
 )
-from .chebyshev import ChebPoly, eval_cheb
+from .chebyshev import ChebPoly
 from .hutchinson import (
     ChebBackend,
     ExactBackend,
@@ -26,7 +26,6 @@ from .krylov import (
     block_krylov_basis,
     fa_times_vec_lanczos,
     lanczos,
-    poly_times_vec,
 )
 from .linalg import (
     EigenDecomposition,

@@ -83,11 +83,6 @@ class ChebPoly:
         return cls.from_dict(json.loads(text))
 
 
-def eval_cheb(p: ChebPoly, x):
-    """Functional alias for ChebPoly.evaluate."""
-    return p.evaluate(x)
-
-
 def cheb_grid(interval, n: int) -> np.ndarray:
     """n Chebyshev points (first kind) of the interval, ascending."""
     a, b = interval

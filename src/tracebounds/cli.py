@@ -15,7 +15,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 
 
@@ -98,21 +97,14 @@ def _json_report(config: dict, payload: dict) -> str:
     return json.dumps({"config": config, **payload}, indent=2) + "\n"
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("TRACEBOUNDS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _config(args, fields) -> dict:
     cfg = {"subcommand": args.command}
     if getattr(args, "subcommand", None):
         cfg["subcommand"] += " " + args.subcommand
     for f in fields:
         cfg[f] = getattr(args, f)
-    cfg["threads"] = _thread_cap()
+    # Trials run on one thread; the field keeps the documented config keys.
+    cfg["threads"] = 1
     return cfg
 
 
@@ -260,6 +252,11 @@ def cmd_wishart(args) -> int:
     _require_seed(args)
     rng = RngState(args.seed)
     sub = args.subcommand
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
+    min_d = 2 if sub == "invtrace" else 1
+    if args.d < min_d:
+        raise UsageError(f"--d must be >= {min_d}")
     if sub == "eigcdf":
         xs = [float(x) for x in args.x.split(",")]
         rows = eig_cdf_experiment(args.d, args.trials, xs, rng)

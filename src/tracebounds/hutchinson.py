@@ -1,4 +1,9 @@
-"""Hutchinson's stochastic trace estimator over pluggable f(A) z backends.
+"""Hutchinson's stochastic trace estimator over pluggable f(A) Z backends.
+
+A backend acts only through ``apply_block(a, Z) -> (W, mvps)``: g(A) Z for
+the d x k block of all probes in one call (an eigendecomposition, batched
+Lanczos in column chunks whose basis stays under about 1 MiB, or one
+Clenshaw sweep) with the MVPs it consumed.
 
 Every estimate carries its per-probe quadratic forms and an exact ledger of
 matrix-vector products consumed, the cost currency of the estimator:
@@ -15,12 +20,7 @@ import numpy as np
 
 from .approx import ApproxTarget, inv_poly, inv_sqrt_poly
 from .chebyshev import ChebPoly
-from .krylov import (
-    apply_scalar_function,
-    fa_times_vec_lanczos,
-    poly_times_block,
-    poly_times_vec,
-)
+from .krylov import apply_scalar_function, fa_times_vec_lanczos, poly_times_block
 from .linalg import SymMatrix, sym_eigen
 from .rng import RngState, rademacher
 
@@ -89,10 +89,6 @@ class ExactBackend:
     def describe(self) -> str:
         return f"exact({_func_name(self.f)})"
 
-    def apply(self, a: SymMatrix, z: np.ndarray):
-        eig = sym_eigen(a)
-        return eig.apply_function(lambda v: apply_scalar_function(self.f, v), z), 0
-
     def apply_block(self, a: SymMatrix, zblock: np.ndarray):
         eig = sym_eigen(a)
         vals = apply_scalar_function(self.f, eig.eigvals)
@@ -115,8 +111,8 @@ class LanczosBackend:
     def describe(self) -> str:
         return f"lanczos({_func_name(self.f)}, m={self.m})"
 
-    def apply(self, a: SymMatrix, z: np.ndarray):
-        return fa_times_vec_lanczos(a, z, self.m, self.f)
+    def apply_block(self, a: SymMatrix, zblock: np.ndarray):
+        return fa_times_vec_lanczos(a, zblock, self.m, self.f)
 
 
 class ChebBackend:
@@ -129,9 +125,6 @@ class ChebBackend:
     def describe(self) -> str:
         a, b = self.poly.interval
         return f"{self.label}(degree={self.poly.degree()}, interval=[{a:g},{b:g}])"
-
-    def apply(self, a: SymMatrix, z: np.ndarray):
-        return poly_times_vec(a, self.poly, z)
 
     def apply_block(self, a: SymMatrix, zblock: np.ndarray):
         return poly_times_block(a, self.poly, zblock)
@@ -156,21 +149,9 @@ def hutchinson(a: SymMatrix, backend, probes: ProbeSpec) -> TraceEstimate:
     The estimator is unbiased for tr(g(A)); when g approximates f the
     systematic part is bounded separately by bias_bound.
     """
-    d = a.dim
-    if hasattr(backend, "apply_block"):
-        # Linear backends act on all probes in one Clenshaw/eigen sweep;
-        # apply_block reports the total MVP cost for the block.
-        zblock = np.column_stack([probes.draw(s, d) for s in range(probes.count)])
-        wblock, total_mvps = backend.apply_block(a, zblock)
-        qforms = np.einsum("ij,ij->j", zblock, wblock)
-    else:
-        qforms = np.empty(probes.count)
-        total_mvps = 0
-        for s in range(probes.count):
-            z = probes.draw(s, d)
-            w, mvps = backend.apply(a, z)
-            qforms[s] = z @ w
-            total_mvps += mvps
+    zblock = np.column_stack([probes.draw(s, a.dim) for s in range(probes.count)])
+    wblock, total_mvps = backend.apply_block(a, zblock)
+    qforms = np.einsum("ij,ij->j", zblock, wblock)
     value = float(np.mean(qforms))
     stddev = float(np.std(qforms, ddof=1)) if probes.count > 1 else 0.0
     return TraceEstimate(value, qforms, int(total_mvps), backend.describe(), stddev)

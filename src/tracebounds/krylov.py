@@ -1,8 +1,11 @@
-"""Krylov subspace actions f(A) z and explicit polynomial actions p(A) z.
+"""Krylov subspace actions f(A) Z and explicit polynomial actions p(A) Z.
 
-m Lanczos steps span the same polynomial space as an explicit degree-(m-1)
-polynomial applied to the start vector, so both paths report their cost in
-the common currency of matrix-vector products (MVPs).
+Every entry point acts on a d x k block of start vectors (one Lanczos loop,
+one Clenshaw sweep); a single vector is the k = 1 case.  m Lanczos steps
+span the same polynomial space as an explicit degree-(m-1) polynomial
+applied to the start vector, so both paths report their cost in the common
+currency of matrix-vector products (MVPs).  f(A) Z by Lanczos runs in column
+chunks whose basis stays under _CHUNK_BYTES, whatever the probe count.
 """
 
 from __future__ import annotations
@@ -13,9 +16,12 @@ import numpy as np
 
 from .chebyshev import ChebPoly
 from .errors import SpectrumError
-from .linalg import SymMatrix, sym_eigen, symmetrize
+from .linalg import SymMatrix, eigh_checked, sym_eigen, symmetrize
 
 _BREAKDOWN_RTOL = 1e-12
+
+#: Bound on the Lanczos basis of one column chunk: 8 m d bytes per column.
+_CHUNK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -45,58 +51,108 @@ class LanczosFactorization:
         return t
 
 
-def _lanczos_matvec(matvec, d: int, z: np.ndarray, m: int, breakdown_tol: float):
-    """Core Lanczos loop against an opaque matvec."""
-    znorm = np.linalg.norm(z)
-    if znorm == 0.0:
-        raise ValueError("Lanczos start vector must be nonzero")
-    q = np.zeros((d, m))
-    q[:, 0] = z / znorm
-    alpha = np.zeros(m)
-    beta = np.zeros(max(m - 1, 0))
-    resid = np.zeros(d)
-    resid_norm = 0.0
-    truncated = False
-    realized = m
-    for j in range(m):
-        w = matvec(q[:, j])
-        alpha[j] = q[:, j] @ w
-        w = w - alpha[j] * q[:, j]
-        if j > 0:
-            w = w - beta[j - 1] * q[:, j - 1]
-        # Full reorthogonalization, twice, to hold the 1e-8 basis invariant.
-        for _ in range(2):
-            w = w - q[:, : j + 1] @ (q[:, : j + 1].T @ w)
-        wnorm = float(np.linalg.norm(w))
-        if j + 1 < m:
-            if wnorm <= breakdown_tol:
-                realized = j + 1
-                truncated = True
-                break
-            beta[j] = wnorm
-            q[:, j + 1] = w / wnorm
-        else:
-            resid = w
-            resid_norm = wnorm
-    q = q[:, :realized]
-    alpha = alpha[:realized]
-    beta = beta[: max(realized - 1, 0)]
-    if truncated:
-        resid_norm = 0.0
-    return LanczosFactorization(q, alpha, beta, resid_norm, truncated), znorm
+def _lanczos_block(matvec, z: np.ndarray, m: int, breakdown_tol: float):
+    """k independent Lanczos recurrences, one per column of the d x k block z.
 
-
-def lanczos(a: SymMatrix, z: np.ndarray, m: int) -> LanczosFactorization:
-    """m-step Lanczos factorization of A started at z.
-
-    Residual below 1e-12 * ||A||_max ends the iteration early; callers see
-    the realized step count via the factorization's shape.
+    Each step makes one block product matvec(Q_j) over the columns still
+    running.  A column whose residual falls to breakdown_tol stops there
+    (truncated) and is charged only its realized steps.  Returns
+    (q, alpha, beta, steps, resid_norm, znorm) with q[c, i] basis vector i
+    of column c and steps[c] < m marking truncation (resid_norm[c] = 0).
     """
+    d, k = z.shape
+    znorm = np.linalg.norm(z, axis=0)
+    if np.any(znorm == 0.0):
+        raise ValueError("Lanczos start vector must be nonzero")
+    q = np.zeros((k, m, d))
+    q[:, 0] = (z / znorm).T
+    alpha = np.zeros((k, m))
+    beta = np.zeros((k, max(m - 1, 0)))
+    steps = np.full(k, m)
+    resid_norm = np.zeros(k)
+    live = np.arange(k)
+    for j in range(m):
+        cols = slice(None) if len(live) == k else live
+        qj = q[cols, j]
+        w = matvec(qj.T).T
+        alpha[cols, j] = aj = np.einsum("ij,ij->i", qj, w)
+        w = w - aj[:, None] * qj
+        if j > 0:
+            w = w - beta[cols, j - 1, None] * q[cols, j - 1]
+        # Full reorthogonalization, twice, to hold the 1e-8 basis invariant.
+        basis = q[cols, : j + 1]
+        for _ in range(2):
+            w = w - (np.matmul(basis, w[:, :, None]).transpose(0, 2, 1) @ basis)[:, 0]
+        wnorm = np.linalg.norm(w, axis=1)
+        if j + 1 == m:
+            resid_norm[cols] = wnorm
+            break
+        stop = wnorm <= breakdown_tol
+        steps[live[stop]] = j + 1
+        go = ~stop
+        live = live[go]
+        if not len(live):
+            break
+        beta[live, j] = wnorm[go]
+        q[live, j + 1] = w[go] / wnorm[go, None]
+    return q, alpha, beta, steps, resid_norm, znorm
+
+
+def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
+    """(||z|| Q f(T) e_1 for every column z of the d x k block, total steps).
+
+    The projections T of all columns with equal step counts are eigensolved
+    as one stack under the sym_eigen residual contract.
+    """
+    d, k = z.shape
+    out = np.empty((d, k))
+    mvps = 0
+    width = max(1, _CHUNK_BYTES // (8 * m * d))
+    for c0 in range(0, k, width):
+        chunk = z[:, c0 : c0 + width]
+        q, alpha, beta, steps, _, znorm = _lanczos_block(matvec, chunk, m, breakdown_tol)
+        for s in np.unique(steps):
+            group = steps == s
+            # A single group (no breakdown) is indexed by views, not copies.
+            cols = slice(None) if group.all() else np.flatnonzero(group)
+            diag = np.arange(s)
+            t = np.zeros((np.count_nonzero(group), s, s))
+            t[:, diag, diag] = alpha[cols, :s]
+            t[:, diag[1:], diag[:-1]] = t[:, diag[:-1], diag[1:]] = beta[cols, : s - 1]
+            vals, vecs = eigh_checked(t)
+            # f(T) e_1 = V f(Lambda) V^T e_1, then Q f(T) e_1 per column.
+            core = vecs @ (apply_scalar_function(f, vals) * vecs[:, 0, :])[:, :, None]
+            y = (core.transpose(0, 2, 1) @ q[cols, :s])[:, 0]
+            out[:, c0 : c0 + width][:, cols] = (znorm[cols, None] * y).T
+        mvps += int(np.sum(steps))
+        del q  # free this chunk's basis before the next chunk allocates one
+    return out, mvps
+
+
+def _sym_args(a: SymMatrix, z: np.ndarray, m: int):
+    """(block matvec, d x k start block, 1e-12 * ||A||_max breakdown tol)."""
     if not 1 <= m <= a.dim:
         raise ValueError(f"need 1 <= m <= d, got m={m}, d={a.dim}")
-    tol = _BREAKDOWN_RTOL * max(1.0, a.max_norm())
-    fact, _ = _lanczos_matvec(a.matvec, a.dim, np.asarray(z, dtype=np.float64), m, tol)
-    return fact
+    zb = np.asarray(z, dtype=np.float64).reshape(a.dim, -1)
+    return (lambda v: a.entries @ v), zb, _BREAKDOWN_RTOL * max(1.0, a.max_norm())
+
+
+def lanczos(a: SymMatrix, z: np.ndarray, m: int):
+    """m-step Lanczos factorization of A started at z.
+
+    z is a length-d vector (one LanczosFactorization back) or a d x k block
+    (a list with one factorization per column).  Residual below
+    1e-12 * ||A||_max ends a column's iteration early; callers see the
+    realized step count via the factorization's shape.
+    """
+    matvec, zb, tol = _sym_args(a, z, m)
+    q, alpha, beta, steps, resid, _ = _lanczos_block(matvec, zb, m, tol)
+    facts = [
+        LanczosFactorization(q[c, :s].T, alpha[c, :s], beta[c, : s - 1],
+                             float(resid[c]), bool(s < m))
+        for c, s in enumerate(steps)
+    ]
+    return facts[0] if np.ndim(z) == 1 else facts
 
 
 def apply_scalar_function(f, values: np.ndarray) -> np.ndarray:
@@ -125,68 +181,36 @@ def apply_scalar_function(f, values: np.ndarray) -> np.ndarray:
 
 
 def fa_times_vec_lanczos(a: SymMatrix, z: np.ndarray, m: int, f):
-    """Approximate f(A) z by ||z|| Q f(T_m) e_1.
+    """Approximate f(A) z by ||z|| Q f(T_m) e_1, for each column of z.
 
-    Returns (vector, mvp_count) with mvp_count equal to the realized
-    number of Lanczos steps (one A-apply per step).
+    z is a length-d vector or a d x k block; the result has z's shape.
+    Returns (result, mvp_count) with mvp_count the realized Lanczos steps
+    summed over the columns (one A-apply per column per step).
     """
-    fact = lanczos(a, z, m)
-    znorm = float(np.linalg.norm(np.asarray(z, dtype=np.float64)))
-    t_eig = sym_eigen(symmetrize(fact.tridiagonal()))
-    e1 = np.zeros(fact.steps)
-    e1[0] = 1.0
-    core = t_eig.eigvecs @ (
-        apply_scalar_function(f, t_eig.eigvals) * (t_eig.eigvecs.T @ e1)
-    )
-    return znorm * (fact.basis @ core), fact.steps
+    matvec, zb, tol = _sym_args(a, z, m)
+    out, mvps = _fa_block(matvec, zb, m, f, tol)
+    return out.reshape(np.shape(z)), mvps
 
 
 def fa_times_vec_oracle(matvec, d: int, z: np.ndarray, m: int, f):
-    """Same as fa_times_vec_lanczos but against an opaque matvec.
+    """Same as fa_times_vec_lanczos but against an opaque block matvec.
 
-    Used by metered-oracle experiments where the matrix itself is hidden;
-    the breakdown tolerance falls back to an absolute 1e-12 scale.
+    Used by metered-oracle experiments where the matrix itself is hidden:
+    matvec maps a d x k' block to d x k', and the breakdown tolerance falls
+    back to an absolute 1e-12 scale.
     """
-    z = np.asarray(z, dtype=np.float64)
-    fact, znorm = _lanczos_matvec(matvec, d, z, m, _BREAKDOWN_RTOL)
-    t_eig = sym_eigen(symmetrize(fact.tridiagonal()))
-    e1 = np.zeros(fact.steps)
-    e1[0] = 1.0
-    core = t_eig.eigvecs @ (
-        apply_scalar_function(f, t_eig.eigvals) * (t_eig.eigvecs.T @ e1)
-    )
-    return znorm * (fact.basis @ core), fact.steps
-
-
-def poly_times_vec(a: SymMatrix, p: ChebPoly, z: np.ndarray):
-    """Exact polynomial action p(A) z via matrix Clenshaw.
-
-    The caller asserts spec(A) is inside p's interval; violations are
-    permitted but void any accuracy certificate.  Returns
-    (vector, mvp_count) with mvp_count = degree(p).
-    """
-    z = np.asarray(z, dtype=np.float64)
-    lo, hi = p.interval
-    c = p.coeffs
-    n = p.degree()
-    if n == 0:
-        return c[0] * z, 0
-
-    def atil(v):
-        # u(A) = (2A - (a+b) I) / (b-a), one A-apply per call
-        return (2.0 * (a.entries @ v) - (lo + hi) * v) / (hi - lo)
-
-    b1 = c[n] * z  # b_n; b_{n+1} = b_{n+2} = 0 so no apply needed
-    b2 = np.zeros_like(z)
-    for k in range(n - 1, 0, -1):
-        b1, b2 = c[k] * z + 2.0 * atil(b1) - b2, b1
-    return c[0] * z + atil(b1) - b2, n
+    zb = np.asarray(z, dtype=np.float64).reshape(d, -1)
+    out, mvps = _fa_block(matvec, zb, m, f, _BREAKDOWN_RTOL)
+    return out.reshape(np.shape(z)), mvps
 
 
 def poly_times_block(a: SymMatrix, p: ChebPoly, zblock: np.ndarray):
-    """poly_times_vec applied to a d x k block in one Clenshaw sweep.
+    """Exact polynomial action p(A) Z on a d x k block by matrix Clenshaw.
 
-    mvp_count is degree(p) per column, i.e. degree * k in total.
+    A single vector is a d x 1 block.  The caller asserts spec(A) is inside
+    p's interval; violations are permitted but void any accuracy
+    certificate.  Returns (block, mvp_count) with mvp_count = degree(p) per
+    column, i.e. degree * k in total.
     """
     zblock = np.asarray(zblock, dtype=np.float64)
     lo, hi = p.interval
@@ -197,9 +221,10 @@ def poly_times_block(a: SymMatrix, p: ChebPoly, zblock: np.ndarray):
         return c[0] * zblock, 0
 
     def atil(v):
+        # u(A) = (2A - (a+b) I) / (b-a), one A-apply per column per call
         return (2.0 * (a.entries @ v) - (lo + hi) * v) / (hi - lo)
 
-    b1 = c[n] * zblock
+    b1 = c[n] * zblock  # b_n; b_{n+1} = b_{n+2} = 0 so no apply needed
     b2 = np.zeros_like(zblock)
     for j in range(n - 1, 0, -1):
         b1, b2 = c[j] * zblock + 2.0 * atil(b1) - b2, b1

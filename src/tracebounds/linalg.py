@@ -47,9 +47,6 @@ class SymMatrix:
     def max_norm(self) -> float:
         return float(np.max(np.abs(self.entries)))
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.entries @ v
-
 
 def symmetrize(m: np.ndarray) -> SymMatrix:
     """Force exact symmetry by averaging, then wrap."""
@@ -78,16 +75,25 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     Raises EigenConvergenceError if LAPACK fails or the reconstruction
     residual exceeds the 1e-8 * ||A||_max * d contract.
     """
-    d = a.dim
+    return EigenDecomposition(*eigh_checked(a.entries))
+
+
+def eigh_checked(m: np.ndarray):
+    """(eigvals, eigvecs) of an exactly symmetric d x d array or a stack of
+    them, each held to the sym_eigen residual contract."""
+    d = m.shape[-1]
     try:
-        vals, vecs = np.linalg.eigh(a.entries)
+        vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(np.inf, f"eigensolver did not converge: {exc}")
-    residual = float(np.max(np.abs(a.entries @ vecs - vecs * vals)))
-    tol = 1e-8 * max(1e-12, a.max_norm()) * d
-    if residual > tol:
-        raise EigenConvergenceError(residual)
-    return EigenDecomposition(vals, vecs)
+    residual = m @ vecs
+    residual -= vecs * vals[..., None, :]
+    residual = np.max(np.abs(residual, out=residual), axis=(-2, -1))
+    tol = 1e-8 * np.maximum(1e-12, np.max(np.abs(m), axis=(-2, -1))) * d
+    bad = residual > tol
+    if np.any(bad):
+        raise EigenConvergenceError(float(np.max(residual[bad])))
+    return vals, vecs
 
 
 def sample_gaussian_matrix(rows: int, cols: int, rng) -> np.ndarray:

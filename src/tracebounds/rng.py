@@ -39,9 +39,6 @@ class RngState:
         seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *path))
         return np.random.Generator(np.random.Philox(seq))
 
-    def with_stream(self, stream: int) -> "RngState":
-        return RngState(self.seed, stream)
-
 
 def as_generator(rng) -> np.random.Generator:
     """Accept either an RngState or an already-built Generator."""

@@ -18,7 +18,7 @@ from .approx import (
     sup_error,
 )
 from .hutchinson import ExactBackend, ChebBackend, LanczosBackend, ProbeSpec, hutchinson
-from .krylov import fa_times_vec_lanczos, poly_times_vec
+from .krylov import fa_times_vec_lanczos, poly_times_block
 from .linalg import (
     SymMatrix,
     cholesky,
@@ -93,7 +93,7 @@ def check_mvp_ledger():
     rng = RngState(105)
     a = sample_spd_with_spectrum(12, 4.0, rng.child(0))
     p = inv_poly(4.0, 0.1)
-    _, mvps = poly_times_vec(a, p, rng.child(1).standard_normal(12))
+    _, mvps = poly_times_block(a, p, rng.child(1).standard_normal((12, 1)))
     assert mvps == p.degree()
     est = hutchinson(a, ChebBackend(p), ProbeSpec("rademacher", 7, RngState(105, 1)))
     assert est.mvp_count == 7 * p.degree()
@@ -107,11 +107,10 @@ def check_hutchinson_exhaustive():
     a = sample_spd_with_spectrum(d, 4.0, rng.child(0))
     backend = ExactBackend("inv")
     tr_exact = float(np.trace(backend.matrix(a)))
-    total = 0.0
-    for bits in range(2 ** d):
-        z = np.array([1.0 if bits >> j & 1 else -1.0 for j in range(d)])
-        w, _ = backend.apply(a, z)
-        total += z @ w
+    signs = np.array([[1.0 if bits >> j & 1 else -1.0 for bits in range(2 ** d)]
+                      for j in range(d)])
+    w, _ = backend.apply_block(a, signs)
+    total = float(np.sum(signs * w))
     assert abs(total / 2 ** d - tr_exact) <= 1e-10
 
 

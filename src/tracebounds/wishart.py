@@ -341,9 +341,12 @@ class MeteredOracle:
         return self._entries.shape[0]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.count + 1 > self.budget:
+        """W v for a length-d v (one query) or a d x k block (k queries); a
+        block that would pass the budget is refused whole, before the product."""
+        k = 1 if np.ndim(v) == 1 else np.shape(v)[1]
+        if self.count + k > self.budget:
             raise BudgetExceededError(self.budget)
-        self.count += 1
+        self.count += k
         return self._entries @ v
 
 
@@ -352,9 +355,7 @@ class ExactRecovery:
     """Query e_1..e_d, rebuild W, answer exactly.  Needs budget >= d."""
 
     def run(self, oracle: MeteredOracle, p: float, g: np.random.Generator) -> float:
-        d = oracle.dim
-        cols = [oracle.matvec(np.eye(d)[:, j]) for j in range(d)]
-        w = symmetrize(np.column_stack(cols))
+        w = symmetrize(oracle.matvec(np.eye(oracle.dim)))
         lam = sym_eigen(w).eigvals
         if lam[0] <= 0:
             raise SpectrumError(float(lam[0]))
@@ -393,12 +394,11 @@ class HutchinsonKrylov:
                 raise SpectrumError(smallest)
             return vals ** (-p)
 
-        qforms = np.empty(self.n_probes)
-        for s in range(self.n_probes):
-            z = rademacher(g, d)
-            y, _ = fa_times_vec_oracle(oracle.matvec, d, z, self.m, f)
-            qforms[s] = z @ y
-        return float(np.mean(qforms))
+        # One draw, probe s in column s: the same vectors as n_probes
+        # consecutive rademacher(g, d) draws.
+        z = rademacher(g, self.n_probes * d).reshape(self.n_probes, d).T
+        y, _ = fa_times_vec_oracle(oracle.matvec, d, z, self.m, f)
+        return float(np.mean(np.einsum("ij,ij->j", z, y)))
 
     def describe(self) -> str:
         return f"hutchinson_krylov(N_v={self.n_probes}, m={self.m})"

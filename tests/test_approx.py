@@ -16,18 +16,18 @@ from tracebounds.approx import (
     sup_error,
     taylor_truncation_length,
 )
-from tracebounds.chebyshev import ChebPoly, cheb_grid, eval_cheb
+from tracebounds.chebyshev import ChebPoly, cheb_grid
 from tracebounds.rng import RngState
 
 
 class TestChebPoly:
     def test_t3_value(self):
         p = ChebPoly((-1.0, 1.0), [0.0, 0.0, 0.0, 1.0])
-        assert eval_cheb(p, 0.5) == pytest.approx(-1.0)  # T_3 = 4x^3 - 3x
+        assert p.evaluate(0.5) == pytest.approx(-1.0)  # T_3 = 4x^3 - 3x
 
     def test_affine_map(self):
         p = ChebPoly((0.0, 2.0), [0.0, 1.0])
-        assert eval_cheb(p, 1.5) == pytest.approx(0.5)
+        assert p.evaluate(1.5) == pytest.approx(0.5)
 
     def test_matches_power_basis_oracle(self):
         g = RngState(31).generator()

@@ -132,6 +132,40 @@ print("scipy.stats" in sys.modules)
     assert proc.stdout.strip() == "False"
 
 
+def test_output_ignores_thread_environment():
+    # TRACEBOUNDS_THREADS once reached the config line; no environment
+    # variable may change an experiment's output.
+    argv = ["-m", "tracebounds.cli", "wishart", "lmax", "--d", "6",
+            "--trials", "40", "--seed", "3", "--format", "csv"]
+    src = str(Path(tracebounds.__file__).resolve().parents[1])
+    outs = []
+    for threads in (None, "4"):
+        env = dict(os.environ)
+        env.pop("TRACEBOUNDS_THREADS", None)
+        if threads is not None:
+            env["TRACEBOUNDS_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert b'"threads": 1' in outs[0].splitlines()[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigcdf", "--d", "4", "--trials", "0"],
+    ["game", "--d", "4", "--algo", "exact", "--budget", "4", "--trials", "0"],
+    ["posterior", "--d", "4", "--n", "1", "--trials", "0"],
+    ["invtrace", "--d", "1", "--trials", "5"],
+    ["lmax", "--d", "0", "--trials", "5"],
+])
+def test_wishart_argument_errors_are_usage_errors(argv, capsys):
+    assert run(["wishart", *argv, "--seed", "1"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
 def test_invtrace_all_trials_dropped_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(wishart_module, "sample_wishart",
                         lambda d, rng: SymMatrix(np.zeros((d, d))))

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracebounds import krylov
 from tracebounds.approx import ApproxTarget, inv_poly, sup_error
 from tracebounds.chebyshev import ChebPoly
 from tracebounds.errors import SpectrumError
+from tracebounds.hutchinson import ChebBackend, LanczosBackend, ProbeSpec, hutchinson
 from tracebounds.krylov import (
     block_krylov_basis,
     fa_times_vec_lanczos,
     lanczos,
     poly_times_block,
-    poly_times_vec,
 )
 from tracebounds.linalg import (
     SymMatrix,
@@ -112,6 +115,12 @@ class TestFaTimesVec:
             assert lan_err <= min(certs) * (1 + 1e-6)
 
 
+def poly_times_vec(a, p, z):
+    """p(A) z through the block Clenshaw as a d x 1 block."""
+    y, mvps = poly_times_block(a, p, z[:, None])
+    return y[:, 0], mvps
+
+
 class TestPolyTimesVec:
     def test_linear_polynomial_is_matvec(self):
         g = RngState(45).generator()
@@ -157,6 +166,76 @@ class TestPolyTimesVec:
         y, mvps = poly_times_vec(SymMatrix(np.eye(3)), p, np.ones(3))
         np.testing.assert_allclose(y, 2.5 * np.ones(3))
         assert mvps == 0
+
+
+class TestBatchedLanczos:
+    @pytest.mark.parametrize("k", [1, 3, 17])
+    def test_columns_match_solo_runs(self, k):
+        d, m = 256, 64
+        assert 17 > krylov._CHUNK_BYTES // (8 * m * d)  # k=17 spans chunks
+        g = RngState(52).generator()
+        a = sample_spd_with_spectrum(d, 16.0, g)
+        z = g.standard_normal((d, k))
+        y, mvps = fa_times_vec_lanczos(a, z, m, "inv_sqrt")
+        assert y.shape == (d, k)
+        solo_mvps = 0
+        for c in range(k):
+            yc, mc = fa_times_vec_lanczos(a, z[:, c], m, "inv_sqrt")
+            solo_mvps += mc
+            assert np.linalg.norm(y[:, c] - yc) <= 1e-12 * np.linalg.norm(yc)
+        assert mvps == solo_mvps == k * m
+
+    def test_mixed_breakdown_block(self):
+        a = SymMatrix(np.diag([1.0, 2.0, 5.0, 7.0]))
+        z = np.array([[1.0, 1.0, 0.0, 0.0],
+                      [1.0, -1.0, 1.0, 1.0],
+                      [1.0, 1.0, 1.0, 1.0]]).T
+        facts = lanczos(a, z, 4)
+        assert [f.steps for f in facts] == [2, 4, 4]
+        assert [f.truncated for f in facts] == [True, False, False]
+        y, mvps = fa_times_vec_lanczos(a, z, 4, "inv")
+        assert mvps == 10
+        for c in range(3):
+            yc, _ = fa_times_vec_lanczos(a, z[:, c], 4, "inv")
+            np.testing.assert_allclose(y[:, c], yc, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(y[:, c], z[:, c] / np.diag(a.entries),
+                                       rtol=1e-12)
+
+    def test_block_bases_stay_orthonormal(self):
+        # Without reorthogonalization the basis loses orthogonality within
+        # a few dozen steps on a spread spectrum.
+        g = RngState(54).generator()
+        a = sample_spd_with_spectrum(120, 1e4, g)
+        for fact in lanczos(a, g.standard_normal((120, 3)), 80):
+            q = fact.basis
+            assert np.max(np.abs(q.T @ q - np.eye(80))) <= 1e-8
+
+    def test_nonpositive_ritz_in_block_raises(self):
+        a = SymMatrix(np.diag([-1.0, 2.0, 3.0]))
+        z = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 0.0]]).T
+        with pytest.raises(SpectrumError):
+            fa_times_vec_lanczos(a, z, 2, "inv")
+
+    def test_block_clenshaw_matches_dense_oracle(self):
+        g = RngState(53).generator()
+        a = sample_spd_with_spectrum(20, 4.0, g)
+        backend = ChebBackend(ChebPoly((0.5, 5.0), g.standard_normal(12)))
+        z = g.standard_normal((20, 6))
+        y, mvps = backend.apply_block(a, z)
+        np.testing.assert_allclose(y, backend.matrix(a) @ z, rtol=0, atol=1e-10)
+        assert mvps == 6 * backend.poly.degree()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=24), st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=10 ** 6))
+    def test_ledger_is_probes_times_cost(self, d, probes, m, seed):
+        m = min(m, d)
+        a = sample_spd_with_spectrum(d, 8.0, RngState(seed).child(0))
+        spec = ProbeSpec("gaussian", probes, RngState(seed, 1))
+        p = inv_poly(8.0, 0.1)
+        assert hutchinson(a, ChebBackend(p), spec).mvp_count == probes * p.degree()
+        # Gaussian probes on a generic spectrum never break down before m.
+        assert hutchinson(a, LanczosBackend("inv", m), spec).mvp_count == probes * m
 
 
 class TestBlockKrylov:

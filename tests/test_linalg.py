@@ -4,10 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
-from tracebounds.errors import NotPositiveDefiniteError, RankDeficiencyError
+from tracebounds.errors import (
+    EigenConvergenceError,
+    NotPositiveDefiniteError,
+    RankDeficiencyError,
+)
 from tracebounds.linalg import (
     SymMatrix,
     cholesky,
+    eigh_checked,
     orthonormal_complement,
     qr_columns,
     sample_gaussian_matrix,
@@ -74,6 +79,32 @@ class TestSymEigen:
             eig = sym_eigen(a)
             resid = np.max(np.abs(a.entries - eig.reconstruct()))
             assert resid <= 1e-8 * a.max_norm() * a.dim
+
+    def test_stacked_solve_matches_one_at_a_time(self):
+        g = RngState(6).generator()
+        stack = np.array([symmetrize(g.standard_normal((5, 5))).entries
+                          for _ in range(4)])
+        vals, vecs = eigh_checked(stack)
+        for i in range(4):
+            eig = sym_eigen(SymMatrix(stack[i]))
+            np.testing.assert_array_equal(vals[i], eig.eigvals)
+            np.testing.assert_array_equal(vecs[i], eig.eigvecs)
+
+    def test_stacked_solve_keeps_residual_contract(self, monkeypatch):
+        g = RngState(7).generator()
+        stack = np.array([symmetrize(g.standard_normal((5, 5))).entries
+                          for _ in range(3)])
+        real_eigh = np.linalg.eigh
+
+        def eigh_with_one_bad_pair(m):
+            vals, vecs = real_eigh(m)
+            vals = vals.copy()
+            vals[1, 0] += 1e-3  # one wrong eigenvalue in the middle matrix
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh_with_one_bad_pair)
+        with pytest.raises(EigenConvergenceError):
+            eigh_checked(stack)
 
 
 class TestSampling:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from tracebounds.krylov import fa_times_vec_oracle
+
 import tracebounds.wishart as wishart_module
 from tracebounds.errors import (
     BudgetExceededError,
@@ -12,9 +14,10 @@ from tracebounds.linalg import (
     cholesky,
     orthonormal_complement,
     qr_columns,
+    sample_spd_with_spectrum,
     sample_wishart,
 )
-from tracebounds.rng import RngState
+from tracebounds.rng import RngState, rademacher
 from tracebounds.wishart import (
     ConstantGuess,
     ExactRecovery,
@@ -184,6 +187,18 @@ class TestInvTraceTail:
             inv_trace_tail_experiment(3, 5, 1.0, RngState(80))
 
 
+def per_probe_hutchinson_krylov(oracle, p, g, n_probes, m):
+    """Reference: the loop HutchinsonKrylov.run ran before it drew all of
+    its probes at once, one rademacher draw and one Lanczos run per probe."""
+    d = oracle.dim
+    qforms = np.empty(n_probes)
+    for s in range(n_probes):
+        z = rademacher(g, d)
+        y, _ = fa_times_vec_oracle(oracle.matvec, d, z, m, lambda v: v ** (-p))
+        qforms[s] = z @ y
+    return float(np.mean(qforms))
+
+
 class TestQueryGame:
     def test_metered_oracle_enforces_budget(self):
         w = sample_wishart(4, RngState(80).generator())
@@ -193,6 +208,60 @@ class TestQueryGame:
         with pytest.raises(BudgetExceededError):
             oracle.matvec(np.ones(4))
         assert oracle.count == 2
+
+    def test_metered_oracle_charges_blocks(self):
+        w = sample_wishart(4, RngState(80).generator())
+        oracle = MeteredOracle(w, 5)
+        block = np.ones((4, 3))
+        np.testing.assert_array_equal(oracle.matvec(block), w.entries @ block)
+        assert oracle.count == 3
+        with pytest.raises(BudgetExceededError):
+            oracle.matvec(block)
+        assert oracle.count == 3  # refused before the product
+        oracle.matvec(np.ones((4, 2)))
+        assert oracle.count == 5
+
+    def test_oracle_lanczos_charges_realized_steps(self):
+        w = SymMatrix(np.diag([1.0, 2.0, 5.0, 7.0]))
+        z = np.array([[1.0, 1.0, 0.0, 0.0],
+                      [1.0, -1.0, 1.0, 1.0],
+                      [1.0, 1.0, 1.0, 1.0]]).T
+        oracle = MeteredOracle(w, 12)
+        y, steps = fa_times_vec_oracle(oracle.matvec, 4, z, 4, "inv")
+        assert steps == oracle.count == 10
+        np.testing.assert_allclose(y, z / np.diag(w.entries)[:, None], rtol=1e-12)
+
+    @pytest.mark.parametrize("d, nv, m", [(64, 8, 32), (7, 3, 5), (5, 5, 5)])
+    def test_hutchinson_krylov_matches_per_probe_loop(self, d, nv, m):
+        # spec in [1, 16]: on ill-conditioned Wishart draws f(T) = T^{-p}
+        # magnifies last-bit differences of the block product by cond(W).
+        rng = RngState(87)
+        for i in range(3):
+            w = sample_spd_with_spectrum(d, 16.0, rng.child(0, i))
+            oracle = MeteredOracle(w, nv * m)
+            got = HutchinsonKrylov(nv, m).run(oracle, 1.5, rng.child(1, i))
+            assert oracle.count == nv * m
+            ref_oracle = MeteredOracle(w, nv * m)
+            want = per_probe_hutchinson_krylov(ref_oracle, 1.5, rng.child(1, i),
+                                               nv, m)
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_game_ledger_is_nv_times_m(self):
+        res = query_game(64, 1.0, 2.0, HutchinsonKrylov(8, 32), budget=256,
+                         trials=5, rng=RngState(88))
+        assert all(r.queries_used == 256 for r in res.records)
+
+    def test_spectrum_error_trial_charges_every_probe(self, monkeypatch):
+        # Each probe's smallest Ritz value is at most its Rayleigh quotient,
+        # the mean eigenvalue -1.5 < 0; all probes' Lanczos steps are
+        # charged before the eigensolve raises.
+        lam = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, 6.0])
+        monkeypatch.setattr(wishart_module, "sample_wishart",
+                            lambda d, rng: SymMatrix(np.diag(lam)))
+        res = query_game(6, 1.0, 2.0, HutchinsonKrylov(3, 2), budget=6,
+                         trials=2, rng=RngState(89))
+        assert [r.queries_used for r in res.records] == [6, 6]
+        assert all(r.error is not None and not r.success for r in res.records)
 
     def test_exact_recovery_always_wins(self):
         res = query_game(8, 1.0, 2.0, ExactRecovery(), budget=8, trials=30,
