@@ -65,6 +65,8 @@ CSV_HEADERS = {
 }
 
 _FUNC_ALIASES = {"inv": "inv", "invsqrt": "inv_sqrt", "inv_sqrt": "inv_sqrt"}
+#: Scalar functions `trace` accepts (after aliasing) with a non-cheb backend.
+_TRACE_FUNCS = ("inv", "inv_sqrt", "identity", "exp")
 
 
 def _fmt(v) -> str:
@@ -184,9 +186,11 @@ def _load_or_generate_matrix(args):
         mat, asym = parse_matrix_file(args.matrix)
         return mat, asym
     if args.gen_spd:
-        if args.dim is None:
-            raise UsageError("--gen-spd requires --dim")
+        if args.dim is None or args.dim < 2:
+            raise UsageError("--gen-spd requires --dim >= 2")
         kappa = args.kappa if args.kappa is not None else 2.0
+        if kappa < 1:
+            raise UsageError("--gen-spd requires --kappa >= 1")
         return sample_spd_with_spectrum(
             args.dim, kappa, RngState(args.seed, stream=9)
         ), 0.0
@@ -196,8 +200,13 @@ def _load_or_generate_matrix(args):
 def cmd_trace(args) -> int:
     if args.seed is None:
         raise UsageError("--seed is required")
-    mat, asym = _load_or_generate_matrix(args)
+    if args.probes < 1:
+        raise UsageError("--probes must be >= 1")
     func = _FUNC_ALIASES.get(args.func, args.func)
+    if func not in _TRACE_FUNCS:
+        raise UsageError(
+            f"--func must be inv, invsqrt, identity or exp, got {args.func!r}")
+    mat, asym = _load_or_generate_matrix(args)
     rng = RngState(args.seed)
     probes = ProbeSpec(args.probe_kind, args.probes, rng)
 
@@ -212,8 +221,8 @@ def cmd_trace(args) -> int:
         )
         bias = bias_bound(target, mat.dim)
     elif args.backend == "lanczos":
-        if args.m is None:
-            raise UsageError("--backend lanczos requires --m")
+        if args.m is None or not 1 <= args.m <= mat.dim:
+            raise UsageError(f"--backend lanczos requires 1 <= --m <= d = {mat.dim}")
         backend = LanczosBackend(func, args.m)
     elif args.backend == "exact":
         backend = ExactBackend(func)
@@ -248,6 +257,13 @@ def _require_seed(args):
         raise UsageError("--seed is required for experiment subcommands")
 
 
+def _float_list(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}")
+
+
 def cmd_wishart(args) -> int:
     _require_seed(args)
     rng = RngState(args.seed)
@@ -258,7 +274,9 @@ def cmd_wishart(args) -> int:
     if args.d < min_d:
         raise UsageError(f"--d must be >= {min_d}")
     if sub == "eigcdf":
-        xs = [float(x) for x in args.x.split(",")]
+        xs = _float_list(args.x, "--x")
+        if not all(0 <= x <= 1 for x in xs):
+            raise UsageError("--x values must lie in [0, 1]")
         rows = eig_cdf_experiment(args.d, args.trials, xs, rng)
         cfg = _config(args, ["d", "trials", "x", "seed", "format"])
         table = [(r.x, r.count, r.probability, r.stderr) for r in rows]
@@ -271,7 +289,7 @@ def cmd_wishart(args) -> int:
             return EXIT_ASSERTION
         return EXIT_OK
     if sub == "lmax":
-        ts = [float(t) for t in args.t.split(",")]
+        ts = _float_list(args.t, "--t")
         rows = lambda_max_tail_experiment(args.d, args.trials, ts, rng)
         cfg = _config(args, ["d", "trials", "t", "seed", "format"])
         table = [
@@ -291,6 +309,8 @@ def cmd_wishart(args) -> int:
         _emit(args, cfg, CSV_HEADERS["invtrace"], table, rep.to_dict())
         return EXIT_OK
     if sub == "posterior":
+        if args.format == "csv":
+            raise UsageError("wishart posterior reports JSON only; drop --format csv")
         if not 0 <= args.n < args.d:
             raise UsageError("need 0 <= n < d")
         rep = posterior_distribution_test(args.d, args.n, args.trials, rng)
@@ -320,6 +340,8 @@ def cmd_wishart(args) -> int:
         elif args.algo == "hutch":
             if args.nv is None or args.m is None:
                 raise UsageError("--algo hutch requires --nv and --m")
+            if args.nv < 1 or args.m < 1:
+                raise UsageError("--nv and --m must be >= 1")
             algo = HutchinsonKrylov(args.nv, args.m)
         else:
             raise UsageError(f"unknown --algo {args.algo!r}")
@@ -413,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     we.add_argument("--d", type=int, required=True)
     we.add_argument("--trials", type=int, default=10000)
     we.add_argument("--x", default="0.01,0.04,0.16,0.64",
-                    help="comma-separated x values in (0, 1]")
+                    help="comma-separated x values in [0, 1]")
     _common(we)
     wl = wi_sub.add_parser("lmax", help="lambda_max exponential tail")
     wl.add_argument("--d", type=int, required=True)

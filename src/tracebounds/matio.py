@@ -39,19 +39,33 @@ def _parse_raw(lines: list[str]) -> np.ndarray:
         raise MatrixParseError("dimension must be >= 1", header_no)
     values = []
     for no, ln in rows[1:]:
-        for tok in ln.split():
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise MatrixParseError(f"bad entry {tok!r}", no)
-            if len(values) > d * d:
-                raise MatrixParseError(f"more than {d * d} entries", no)
+        toks = ln.split()
+        before = len(values)
+        try:
+            values += map(float, toks)
+        except ValueError:
+            # Report what a token-by-token read meets first: the bad token,
+            # or the entry past d*d when that comes before it.
+            k = next(k for k, tok in enumerate(toks) if not _is_float(tok))
+            if before + k <= d * d:
+                raise MatrixParseError(f"bad entry {toks[k]!r}", no)
+            raise MatrixParseError(f"more than {d * d} entries", no)
+        if len(values) > d * d:
+            raise MatrixParseError(f"more than {d * d} entries", no)
     if len(values) != d * d:
         last = rows[-1][0]
         raise MatrixParseError(
             f"expected {d * d} entries, got {len(values)}", last
         )
     return np.array(values).reshape(d, d)
+
+
+def _is_float(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
 
 
 def _parse_matrix_market(lines: list[str]) -> np.ndarray:

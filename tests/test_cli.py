@@ -108,8 +108,8 @@ class TestPolyBuildCertificate:
 
 
 def test_scipy_stats_stays_off_the_import_path(tmp_path):
-    # scipy.stats costs about a second to import; only `wishart posterior`
-    # needs it, so no other subcommand may load it.
+    # numpy is the only runtime dependency (scipy.stats alone costs about a
+    # second and 60 MB to import), so no subcommand may load any scipy module.
     script = f"""
 import sys
 from tracebounds.cli import main
@@ -120,7 +120,12 @@ assert main(["trace", "--gen-spd", "--dim", "8", "--kappa", "4",
              "--backend", "cheb", "--seed", "1", "--out", out]) == 0
 assert main(["wishart", "eigcdf", "--d", "4", "--trials", "20",
              "--seed", "1", "--out", out]) == 0
-print("scipy.stats" in sys.modules)
+assert main(["wishart", "posterior", "--d", "6", "--n", "2",
+             "--trials", "40", "--seed", "1", "--out", out]) == 0
+assert main(["wishart", "game", "--d", "6", "--algo", "hutch", "--nv", "2",
+             "--m", "3", "--budget", "6", "--trials", "3", "--seed", "1",
+             "--out", out]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     src = str(Path(tracebounds.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -129,7 +134,7 @@ print("scipy.stats" in sys.modules)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_output_ignores_thread_environment():
@@ -164,6 +169,35 @@ def test_output_ignores_thread_environment():
 def test_wishart_argument_errors_are_usage_errors(argv, capsys):
     assert run(["wishart", *argv, "--seed", "1"]) == 2
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "lanczos", "--m", "0"],
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "lanczos", "--m", "9"],
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "exact", "--probes", "0"],
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "exact", "--func", "foo"],
+    ["trace", "--gen-spd", "--dim", "1", "--backend", "exact"],
+    ["trace", "--gen-spd", "--dim", "8", "--kappa", "0.5", "--backend", "exact"],
+    ["wishart", "eigcdf", "--d", "4", "--trials", "5", "--x", "2"],
+    ["wishart", "eigcdf", "--d", "4", "--trials", "5", "--x", "abc"],
+    ["wishart", "lmax", "--d", "4", "--trials", "5", "--t", "abc"],
+    ["wishart", "game", "--d", "8", "--algo", "hutch", "--nv", "2", "--m", "0",
+     "--budget", "16", "--trials", "2"],
+    ["wishart", "game", "--d", "8", "--algo", "hutch", "--nv", "0", "--m", "2",
+     "--budget", "16", "--trials", "2"],
+])
+def test_argument_errors_are_usage_errors(argv, capsys):
+    assert run([*argv, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error:")
+    assert captured.out == ""
+
+
+def test_posterior_rejects_csv(capsys):
+    assert run(["wishart", "posterior", "--d", "6", "--n", "2", "--trials", "10",
+                "--seed", "1", "--format", "csv"]) == 2
+    captured = capsys.readouterr()
+    assert "JSON only" in captured.err and captured.out == ""
 
 
 def test_invtrace_all_trials_dropped_exits_3(monkeypatch, capsys):
@@ -201,6 +235,28 @@ class TestMatrixFiles:
         with pytest.raises(MatrixParseError) as exc:
             parse_matrix_file(f)
         assert exc.value.line is not None
+
+    def test_line_breaks_inside_rows(self, tmp_path):
+        f = tmp_path / "m.raw"
+        f.write_text("3\n1 0\n0 0 2 0 0\n\n0 3\n")
+        mat, _ = parse_matrix_file(f)
+        np.testing.assert_array_equal(mat.entries, np.diag([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("2\n1 0\n0 x\n", 3, "bad entry 'x'"),
+        ("2\n\n1 0\n\n0 1e\n", 5, "bad entry '1e'"),
+        ("2\n1 0 x 1 5\n", 2, "bad entry 'x'"),
+        ("2\n1 0\n0 1\n5\n", 4, "more than 4 entries"),
+        ("2\n1 0\n0 1 5 x\n", 3, "more than 4 entries"),
+        ("2\n1 0\n0\n", 3, "expected 4 entries, got 3"),
+    ])
+    def test_raw_errors_name_line_and_cause(self, tmp_path, text, line, message):
+        f = tmp_path / "m.raw"
+        f.write_text(text)
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix_file(f)
+        assert exc.value.line == line
+        assert message in str(exc.value)
 
     def test_write_read_round_trip(self, tmp_path):
         g = RngState(90).generator()

@@ -1,5 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from tracebounds.krylov import fa_times_vec_oracle
 
@@ -121,6 +126,64 @@ class TestPosteriorDistribution:
         d = rep.to_dict()
         assert set(d) == {"d", "n", "trials", "ks_trace", "ks_lambda_min",
                           "ks_trace_uncorrected"}
+
+
+def _assert_ks_matches_scipy(x, y):
+    """_ks_2samp equals scipy's exact ks_2samp bit for bit wherever scipy's
+    exact sum stays in [0, 1]; where it rounds above 1, scipy warns and
+    falls back to its asymptotic law, and the exact answer is 1.0."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ref = ks_2samp(x, y, method="exact")
+    stat, p = wishart_module._ks_2samp(x, y)
+    ref_stat, ref_p = float(ref.statistic), float(ref.pvalue)
+    assert stat.hex() == ref_stat.hex()
+    if any("Exact calculation unsuccessful" in str(w.message) for w in caught):
+        assert ref_p >= 0.9999
+        assert p == 1.0
+    else:
+        assert p.hex() == ref_p.hex()
+
+
+class TestKsTwoSample:
+    def test_every_gap_up_to_n_120(self):
+        # y = x + h - 1/2 makes the largest count gap exactly h.
+        for n in range(1, 121):
+            x = np.arange(n, dtype=np.float64)
+            for h in range(1, n + 1):
+                y = x + h - 0.5
+                assert wishart_module._ks_2samp(x, y)[0] == h / n
+                _assert_ks_matches_scipy(x, y)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=2000),
+           st.integers(min_value=0, max_value=2**32 - 1),
+           st.integers(min_value=0, max_value=40))
+    def test_random_and_tied_samples_match_scipy(self, n, seed, levels):
+        # levels == 0: continuous samples; otherwise values on `levels`
+        # integers, so both samples are full of ties.
+        g = np.random.default_rng(seed)
+        if levels:
+            x = g.integers(0, levels, n).astype(np.float64)
+            y = g.integers(0, levels, n).astype(np.float64)
+        else:
+            x = g.standard_normal(n)
+            y = g.standard_normal(n) + g.uniform(-0.5, 0.5)
+        _assert_ks_matches_scipy(x, y)
+
+    def test_identical_samples(self):
+        x = np.array([3.0, 1.0, 2.0, 2.0])
+        assert wishart_module._ks_2samp(x, x[::-1]) == (0.0, 1.0)
+        _assert_ks_matches_scipy(x, x[::-1])
+
+    def test_unequal_sizes_rejected(self):
+        with pytest.raises(ValueError, match="equal sample sizes"):
+            wishart_module._ks_2samp(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            wishart_module._ks_2samp(np.array([0.0, bad]), np.zeros(2))
 
 
 class TestEigenLaws:
