@@ -103,10 +103,26 @@ def sample_gaussian_matrix(rows: int, cols: int, rng) -> np.ndarray:
     return as_generator(rng).standard_normal((rows, cols))
 
 
+def sample_wishart_stack(d: int, rngs):
+    """k Wishart(d) draws at once: (W, G), both k x d x d, with
+    W[i] = G[i] G[i]^T / d and G[i] drawn from rngs[i].
+
+    G G^T comes out exactly symmetric (BLAS forms one triangle and mirrors
+    it), so no matrix is averaged or scanned; one comparison per stack
+    checks that this holds.
+    """
+    g = np.stack([sample_gaussian_matrix(d, d, rng) for rng in rngs])
+    w = g @ g.swapaxes(1, 2)
+    w /= d
+    if not np.array_equal(w, w.swapaxes(1, 2)):
+        raise ArithmeticError("G G^T is not exactly symmetric")
+    return w, g
+
+
 def sample_wishart(d: int, rng) -> SymMatrix:
     """Draw W = (1/d) G G^T with G a d x d standard Gaussian matrix."""
-    g = sample_gaussian_matrix(d, d, rng)
-    return symmetrize(g @ g.T / d)
+    w, _ = sample_wishart_stack(d, [rng])
+    return SymMatrix(w[0])
 
 
 def sample_spd_with_spectrum(d: int, kappa: float, rng) -> SymMatrix:
@@ -123,24 +139,59 @@ def sample_spd_with_spectrum(d: int, kappa: float, rng) -> SymMatrix:
     return symmetrize((q * lam) @ q.T)
 
 
-def cholesky(s: SymMatrix) -> np.ndarray:
-    """Lower-triangular L with L L^T = S and nonnegative diagonal.
+def cholesky(s) -> np.ndarray:
+    """Lower-triangular L with L L^T = S and positive diagonal, for a
+    SymMatrix or an exactly symmetric n x n array or stack of them.
 
-    Raises NotPositiveDefiniteError (with the 1-based pivot index) when a
-    pivot falls below 1e-12 * max(1, ||S||_max).
+    Raises NotPositiveDefiniteError (1-based pivot index j, pivot L_jj^2)
+    at the first j with L_jj^2 <= 1e-12 * max(1, ||S||_max); in a stack,
+    for the first matrix that fails.
     """
-    a = s.entries
-    d = s.dim
-    tol = 1e-12 * max(1.0, s.max_norm())
-    low = np.zeros((d, d))
-    for j in range(d):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= tol:
-            raise NotPositiveDefiniteError(j + 1, float(pivot))
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < d:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    a = s.entries if isinstance(s, SymMatrix) else np.asarray(s, dtype=np.float64)
+    stack = a.reshape(-1, *a.shape[-2:])
+    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        # LAPACK stops at the first pivot <= 0 but does not say where.
+        for m, t in zip(stack, tol):
+            _raise_small_pivot(_pivots(m)[None], t[None])
+        raise
+    pivots = np.diagonal(low, axis1=-2, axis2=-1) ** 2
+    _raise_small_pivot(pivots.reshape(len(stack), -1), tol)
     return low
+
+
+def _raise_small_pivot(pivots: np.ndarray, tol: np.ndarray):
+    """NotPositiveDefiniteError for the first row i of the k x n pivots
+    with an entry <= tol[i], at its first such entry."""
+    bad = pivots <= tol[:, None]
+    if np.any(bad):
+        i = int(np.argmax(np.any(bad, axis=1)))
+        j = int(np.argmax(bad[i]))
+        raise NotPositiveDefiniteError(j + 1, float(pivots[i, j]))
+
+
+def _pivots(m: np.ndarray) -> np.ndarray:
+    """Cholesky pivots of the n x n m up to and including the first one
+    LAPACK rejects, found by bisection over leading minors."""
+    try:
+        return np.diagonal(np.linalg.cholesky(m)) ** 2
+    except np.linalg.LinAlgError:
+        pass
+    good, bad = 0, m.shape[0]  # leading minor `good` factors, `bad` does not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.linalg.cholesky(m[:mid, :mid])
+            good = mid
+        except np.linalg.LinAlgError:
+            bad = mid
+    if good == 0:
+        return np.array([m[0, 0]])
+    low = np.linalg.cholesky(m[:good, :good])
+    col = np.linalg.solve(low, m[:good, good])
+    return np.append(np.diagonal(low) ** 2, m[good, good] - col @ col)
 
 
 def qr_columns(m: np.ndarray):

@@ -27,7 +27,12 @@ from .linalg import (
     sym_eigen,
 )
 from .rng import RngState
-from .wishart import make_transcript, posterior_decompose
+from .wishart import (
+    _posterior_samples,
+    _trial_spectra,
+    make_transcript,
+    posterior_decompose,
+)
 
 
 def check_eigen_reconstruction():
@@ -126,6 +131,31 @@ def check_posterior_identity():
         assert lmin_w <= lmin_wt + 1e-10
 
 
+def check_wishart_batched_trials():
+    # Sizes that span three trial stacks: 5 matrices of d = 40, or 8 of
+    # d = 32, fill one stack of wishart._STACK_BYTES = 64 KiB.
+    rng = RngState(108)
+    spectra = np.concatenate(list(_trial_spectra(40, 12, rng)))
+    for i, lam in enumerate(spectra):
+        w = sample_wishart(40, rng.child(i))
+        assert np.array_equal(lam, np.linalg.eigvalsh(w.entries)), f"trial {i}"
+    d, n, trials = 32, 8, 20
+    rng = RngState(109)
+    got = _posterior_samples(d, n, trials, rng)
+    scale, queries = d / (d - n), np.eye(d)[:, :n]
+    for i in range(trials):
+        w = sample_wishart(d, rng.child(0, i))
+        dec = posterior_decompose(w, make_transcript(w, queries))
+        wt = scale * dec.wtilde.entries
+        comp_t = dec.v[n:]
+        ref = sample_wishart(d - n, rng.child(1, i)).entries
+        want = (np.trace(wt), np.linalg.eigvalsh(wt)[0] * (d - n) ** 2,
+                scale * np.trace(comp_t @ w.entries @ comp_t.T),
+                np.trace(ref), np.linalg.eigvalsh(ref)[0] * (d - n) ** 2)
+        err = np.max(np.abs(got[:, i] - want) / np.abs(want))
+        assert err <= 1e-12, f"posterior trial {i}: relative error {err:g}"
+
+
 ALL_CHECKS = [
     ("eigen_reconstruction", check_eigen_reconstruction),
     ("cholesky_round_trip", check_cholesky_round_trip),
@@ -136,6 +166,7 @@ ALL_CHECKS = [
     ("mvp_ledger", check_mvp_ledger),
     ("hutchinson_exhaustive", check_hutchinson_exhaustive),
     ("posterior_identity", check_posterior_identity),
+    ("wishart_batched_trials", check_wishart_batched_trials),
 ]
 
 

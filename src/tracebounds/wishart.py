@@ -32,6 +32,7 @@ from .linalg import (
     orthonormal_complement,
     qr_columns,
     sample_wishart,
+    sample_wishart_stack,
     sym_eigen,
     symmetrize,
 )
@@ -40,6 +41,11 @@ from .rng import RngState, rademacher
 #: Reference constant for the lambda_max tail test: the bulk edge of
 #: (1/d) G G^T is 4 (Marchenko-Pastur), so tails are measured from 4(1+t).
 LAMBDA_MAX_REFERENCE = 4.0
+
+#: Bound on one stack of d x d trial matrices, 8 d^2 bytes each: the
+#: experiments run their trials in order, max(1, _STACK_BYTES // (8 d^2))
+#: at a time, on one thread.
+_STACK_BYTES = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -109,22 +115,47 @@ def revealed_blocks(t: QueryTranscript):
     cross block.  Raises ConditioningError if the revealed block is not
     numerically positive definite.
     """
-    d, n = t.dim, t.n_queries
-    if n == 0:
-        return np.eye(d), np.zeros((0, 0)), np.zeros((d, 0))
-    qc, r = qr_columns(t.queries)
+    basis = _query_basis(t.queries, t.dim)
+    y1, y2 = _response_blocks(basis, t.responses)
+    return basis[2], y1, y2
+
+
+def _query_basis(queries: np.ndarray, d: int):
+    """(Q, R, V) from the d x n queries alone: the thin QR M = Q R, and V
+    stacking Q^T over an orthonormal complement."""
+    if queries.shape[1] == 0:
+        return np.zeros((d, 0)), np.zeros((0, 0)), np.eye(d)
+    qc, r = qr_columns(queries)
     comp = orthonormal_complement(qc, d)
-    v = np.vstack([qc.T, comp.T])
-    rinv_w = np.linalg.solve(r.T, t.responses.T).T  # [w_1..w_n] R^{-1}
-    s = symmetrize(qc.T @ rinv_w)
+    return qc, r, np.vstack([qc.T, comp.T])
+
+
+def _response_blocks(basis, responses: np.ndarray):
+    """(Y1, Y2) from the d x n responses W M, or from a stack of them,
+    given the query basis (Q, R, V).  A stack raises ConditioningError for
+    its first response whose revealed block is not positive definite."""
+    qc, r, v = basis
+    n = r.shape[0]
+    if n == 0:
+        head = responses.shape[:-2]
+        return np.zeros(head + (0, 0)), np.zeros(head + (v.shape[0], 0))
+    # [w_1..w_n] R^{-1}
+    rinv_w = _t(np.linalg.solve(r.T, _t(responses)))
+    s = qc.T @ rinv_w
     try:
-        y1 = cholesky(s)
+        y1 = cholesky((s + _t(s)) / 2.0)
     except NotPositiveDefiniteError as exc:
         raise ConditioningError(
             f"revealed block not positive definite: {exc}"
         ) from exc
-    y2 = np.linalg.solve(y1, (comp.T @ rinv_w).T).T  # (comp^T [w] R^{-1}) Y1^{-T}
-    return v, y1, y2
+    # (comp^T [w] R^{-1}) Y1^{-T}
+    y2 = _t(np.linalg.solve(y1, _t(v[n:] @ rinv_w)))
+    return y1, y2
+
+
+def _t(m: np.ndarray) -> np.ndarray:
+    """Transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(m, -1, -2)
 
 
 def posterior_decompose(w: SymMatrix, t: QueryTranscript) -> PosteriorDecomposition:
@@ -181,33 +212,46 @@ def posterior_distribution_test(
     """
     if not 0 <= n < d:
         raise ValueError("need 0 <= n < d")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    dn = d - n
-    scale = d / dn
-    queries = np.eye(d)[:, :n]
-    tr_post = np.empty(trials)
-    lmin_post = np.empty(trials)
-    tr_uncorrected = np.empty(trials)
-    tr_ref = np.empty(trials)
-    lmin_ref = np.empty(trials)
-    for i in range(trials):
-        w = sample_wishart(d, rng.child(0, i))
-        dec = posterior_decompose(w, make_transcript(w, queries))
-        wt = scale * dec.wtilde.entries
-        tr_post[i] = np.trace(wt)
-        lmin_post[i] = np.linalg.eigvalsh(wt)[0] * dn * dn
-        comp_t = dec.v[n:, :]
-        tr_uncorrected[i] = scale * np.trace(comp_t @ w.entries @ comp_t.T)
-        ref = sample_wishart(dn, rng.child(1, i))
-        tr_ref[i] = np.trace(ref.entries)
-        lmin_ref[i] = np.linalg.eigvalsh(ref.entries)[0] * dn * dn
+    tr_post, lmin_post, tr_uncorrected, tr_ref, lmin_ref = _posterior_samples(
+        d, n, trials, rng)
     return PosteriorTestReport(
         d, n, trials,
         _ks_2samp(tr_post, tr_ref),
         _ks_2samp(lmin_post, lmin_ref),
         _ks_2samp(tr_uncorrected, tr_ref),
     )
+
+
+def _posterior_samples(d: int, n: int, trials: int, rng: RngState):
+    """Per-trial samples of posterior_distribution_test, in trial order:
+    tr and lambda_min (d-n)^2 of (d/(d-n)) W~, the uncorrected trace, and
+    tr and lambda_min (d-n)^2 of the fresh Wishart(d-n) reference.
+
+    Trial i draws W from rng.child(0, i) and the reference from
+    rng.child(1, i).  The query basis is built once; each stack of trials
+    then runs every step, posterior_decompose's included, as one call.
+    """
+    dn = d - n
+    scale = d / dn
+    queries = np.eye(d)[:, :n]
+    basis = _query_basis(queries, d)
+    comp_t = basis[2][n:]
+    samples = np.empty((5, trials))
+    for start, stop in _trial_stacks(d, trials):
+        w, _ = sample_wishart_stack(d, [rng.child(0, i) for i in range(start, stop)])
+        _, y2 = _response_blocks(basis, w @ queries)
+        compressed = comp_t @ w @ comp_t.T
+        wt = compressed - y2 @ _t(y2)
+        wt = scale * ((wt + _t(wt)) / 2.0)
+        ref, _ = sample_wishart_stack(dn, [rng.child(1, i) for i in range(start, stop)])
+        samples[:, start:stop] = (
+            np.trace(wt, axis1=1, axis2=2),
+            np.linalg.eigvalsh(wt)[:, 0] * dn * dn,
+            scale * np.trace(compressed, axis1=1, axis2=2),
+            np.trace(ref, axis1=1, axis2=2),
+            np.linalg.eigvalsh(ref)[:, 0] * dn * dn,
+        )
+    return samples
 
 
 def _ks_2samp(x, y) -> tuple[float, float]:
@@ -263,15 +307,40 @@ def _binomial_rows(values: np.ndarray, thresholds, transform) -> list[CdfRow]:
     return rows
 
 
+def _trial_stacks(d: int, trials: int):
+    """(start, stop) of consecutive stacks of trials, each stack of d x d
+    matrices within _STACK_BYTES."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    k = max(1, _STACK_BYTES // (8 * d * d))
+    for start in range(0, trials, k):
+        yield start, min(start + k, trials)
+
+
+def _trial_spectra(d: int, trials: int, rng: RngState):
+    """Ascending spectra of trial i's W ~ Wishart(d) from rng.child(i), as
+    one (k, d) array per stack of trials, in trial order.
+
+    eigvalsh can put lambda_min of a nearly singular draw below zero (a
+    d=64 draw with cond(G) = 1.7e8 gave -4.3e-17 for sigma_min(G)^2/d =
+    1.2e-16).  A trial with lambda_min < 1e-300 therefore takes its
+    spectrum from the singular values of G, sigma^2/d, which keep their
+    relative accuracy.
+    """
+    for start, stop in _trial_stacks(d, trials):
+        w, g = sample_wishart_stack(d, [rng.child(i) for i in range(start, stop)])
+        lam = np.linalg.eigvalsh(w)
+        for j in np.flatnonzero(lam[:, 0] < 1e-300):
+            lam[j] = np.linalg.svd(g[j], compute_uv=False)[::-1] ** 2 / d
+        yield lam
+
+
 def eig_cdf_experiment(d: int, trials: int, x_values, rng: RngState) -> list[CdfRow]:
     """Empirical Pr{lambda_min(W) <= x/d^2} with binomial standard errors."""
     xs = np.asarray(list(x_values), dtype=np.float64)
     if np.any(xs < 0) or np.any(xs > 1):
         raise ValueError("x values must lie in [0, 1]")
-    lmins = np.empty(trials)
-    for i in range(trials):
-        w = sample_wishart(d, rng.child(i))
-        lmins[i] = np.linalg.eigvalsh(w.entries)[0]
+    lmins = np.concatenate([lam[:, 0] for lam in _trial_spectra(d, trials, rng)])
     return _binomial_rows(lmins, xs, lambda v, x: v <= x / (d * d))
 
 
@@ -280,10 +349,7 @@ def lambda_max_tail_experiment(
 ) -> list[CdfRow]:
     """Empirical Pr{lambda_max(W) >= 4 (1+t)}; predicted tail 2 exp(-d t)."""
     ts = np.asarray(list(t_values), dtype=np.float64)
-    lmaxs = np.empty(trials)
-    for i in range(trials):
-        w = sample_wishart(d, rng.child(i))
-        lmaxs[i] = np.linalg.eigvalsh(w.entries)[-1]
+    lmaxs = np.concatenate([lam[:, -1] for lam in _trial_spectra(d, trials, rng)])
     return _binomial_rows(
         lmaxs, ts, lambda v, t: v >= LAMBDA_MAX_REFERENCE * (1.0 + t)
     )
@@ -320,9 +386,10 @@ def inv_trace_tail_experiment(
 
     The per-index table records the 0.99-quantile of (1/lambda_j) j^2/d^2
     for each ascending eigenvalue index j, exhibiting the j^{-2} profile
-    behind the d^{2p} trace scale.  Numerically singular draws
-    (lambda_min < 1e-300) are dropped and counted, never silently skipped;
-    ConditioningError is raised when no trial is left.
+    behind the d^{2p} trace scale.  Draws singular to working precision
+    (sigma_min(G)^2/d < 1e-300, see _trial_spectra) are dropped and
+    counted, never silently skipped; ConditioningError is raised when no
+    trial is left.
     """
     if p <= 0.5:
         raise ValueError("need p > 1/2")
@@ -330,23 +397,19 @@ def inv_trace_tail_experiment(
         raise ValueError("need d >= 2")
     samples = []
     inv_scaled = []
-    dropped = 0
     j2 = (np.arange(1, d + 1) ** 2) / (d * d)
-    for i in range(trials):
-        w = sample_wishart(d, rng.child(i))
-        lam = np.linalg.eigvalsh(w.entries)
-        if lam[0] < 1e-300:
-            dropped += 1
-            continue
-        samples.append(float(np.sum(lam ** (-p))) / d ** (2 * p))
+    for lam in _trial_spectra(d, trials, rng):
+        lam = lam[lam[:, 0] >= 1e-300]
+        samples.append(np.sum(lam ** (-p), axis=1) / d ** (2 * p))
         inv_scaled.append(j2 / lam)
-    if not samples:
+    samples = np.concatenate(samples)
+    dropped = trials - len(samples)
+    if not len(samples):
         raise ConditioningError(
             f"no usable trial at d={d}: {dropped} of trials={trials} draws "
             "were numerically singular"
         )
-    samples = np.asarray(samples)
-    inv_scaled = np.asarray(inv_scaled)
+    inv_scaled = np.concatenate(inv_scaled)
     quantiles = {
         q: float(np.quantile(samples, q)) for q in (0.5, 0.9, 0.99)
     }

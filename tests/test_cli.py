@@ -201,12 +201,22 @@ def test_posterior_rejects_csv(capsys):
 
 
 def test_invtrace_all_trials_dropped_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(wishart_module, "sample_wishart",
-                        lambda d, rng: SymMatrix(np.zeros((d, d))))
+    monkeypatch.setattr(wishart_module, "sample_wishart_stack",
+                        lambda d, rngs: (np.zeros((len(rngs), d, d)),) * 2)
     assert run(["wishart", "invtrace", "--d", "3", "--trials", "5",
                 "--seed", "1"]) == 3
     err = capsys.readouterr().err
     assert "d=3" in err and "trials=5" in err
+
+
+def test_invtrace_keeps_nearly_singular_trial(capsys):
+    # Trial 77 of this seed has eigvalsh lambda_min < 0 (cond(G) = 1.7e8);
+    # its spectrum comes from the singular values of G, so no row is lost.
+    assert run(["wishart", "invtrace", "--d", "64", "--trials", "200",
+                "--seed", "1867113236", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [int(r.split(",")[0]) for r in rows] == list(range(200))
+    assert all(float(r.split(",")[1]) > 0 for r in rows)
 
 
 class TestMatrixFiles:

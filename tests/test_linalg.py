@@ -18,6 +18,7 @@ from tracebounds.linalg import (
     sample_gaussian_matrix,
     sample_spd_with_spectrum,
     sample_wishart,
+    sample_wishart_stack,
     sym_eigen,
     symmetrize,
 )
@@ -143,11 +144,37 @@ class TestSampling:
         ]
         assert abs(np.mean(traces) - 8.0) <= 0.16  # within 2% of d
 
+    def test_wishart_stack_is_per_draw_sampler(self):
+        rngs = [RngState(15, i) for i in range(4)]
+        w, g = sample_wishart_stack(6, rngs)
+        assert w.shape == g.shape == (4, 6, 6)
+        for i, rng in enumerate(rngs):
+            np.testing.assert_array_equal(w[i], sample_wishart(6, rng).entries)
+            np.testing.assert_array_equal(
+                g[i], sample_gaussian_matrix(6, 6, rng))
+        np.testing.assert_array_equal(w, np.swapaxes(w, 1, 2))
+
     def test_spd_spectrum_pinned(self):
         a = sample_spd_with_spectrum(10, 16.0, RngState(14))
         lam = np.linalg.eigvalsh(a.entries)
         assert lam[0] == pytest.approx(1.0, abs=1e-9)
         assert lam[-1] == pytest.approx(16.0, abs=1e-8)
+
+
+def loop_cholesky(a):
+    """Reference: the column loop linalg.cholesky ran before it called
+    LAPACK; returns L, or (1-based index, pivot) of the first pivot at or
+    below 1e-12 * max(1, ||S||_max)."""
+    d = a.shape[0]
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(a))))
+    low = np.zeros((d, d))
+    for j in range(d):
+        pivot = a[j, j] - low[j, :j] @ low[j, :j]
+        if pivot <= tol:
+            return j + 1, float(pivot)
+        low[j, j] = np.sqrt(pivot)
+        low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    return low
 
 
 class TestCholesky:
@@ -174,6 +201,53 @@ class TestCholesky:
         np.testing.assert_allclose(
             cholesky(s), low, atol=1e-10 * max(1.0, s.max_norm())
         )
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    def test_failing_pivot_matches_column_loop(self, seed):
+        # S = L D L^T with one diagonal entry of D negative or zero fails at
+        # that column: LAPACK (negative) or the tolerance (zero) finds it.
+        g = RngState(seed).generator()
+        d = int(g.integers(1, 12))
+        low = np.tril(g.standard_normal((d, d)))
+        np.fill_diagonal(low, np.abs(np.diag(low)) + 0.3)
+        signs = np.ones(d)
+        j = int(g.integers(0, d))
+        signs[j] = float(g.choice([-1.0, 0.0]))
+        a = (low * signs) @ low.T
+        a = (a + a.T) / 2.0
+        index, pivot = loop_cholesky(a)
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(SymMatrix(a))
+        assert exc.value.pivot_index == index == j + 1
+        assert exc.value.pivot_value == pytest.approx(
+            pivot, abs=1e-10 * max(1.0, np.max(np.abs(a))))
+
+    def test_stack_equals_one_at_a_time(self):
+        g = RngState(24).generator()
+        low = np.tril(g.standard_normal((5, 7, 7)))
+        low[:, range(7), range(7)] = np.abs(low[:, range(7), range(7)]) + 0.3
+        stack = low @ np.swapaxes(low, 1, 2)
+        got = cholesky(stack)
+        for s, l in zip(stack, got):
+            np.testing.assert_array_equal(l, cholesky(SymMatrix(s)))
+            np.testing.assert_allclose(l, loop_cholesky(s), atol=1e-12 * np.max(s))
+
+    @pytest.mark.parametrize("order, index, pivot", [
+        ((0, 1, 2), 3, -1.0),    # LAPACK rejects matrix 1 at pivot 3
+        ((0, 2, 1), 2, 1e-13),   # below tolerance before LAPACK stops
+        ((0, 3, 1), 1, 1e-13),   # LAPACK takes matrix 3, the tolerance not
+        ((0, 3), 1, 1e-13),      # ... also when LAPACK takes the whole stack
+    ])
+    def test_stack_raises_for_first_failing_matrix(self, order, index, pivot):
+        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0]),
+                          np.diag([1.0, 1e-13, -1.0]),
+                          np.diag([1e-13, 1.0, 1.0])])[list(order)]
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(stack)
+        assert exc.value.pivot_index == index
+        assert exc.value.pivot_value == pytest.approx(pivot, rel=1e-15)
 
 
 class TestQrColumns:

@@ -21,6 +21,7 @@ from tracebounds.linalg import (
     qr_columns,
     sample_spd_with_spectrum,
     sample_wishart,
+    sample_wishart_stack,
 )
 from tracebounds.rng import RngState, rademacher
 from tracebounds.wishart import (
@@ -28,6 +29,7 @@ from tracebounds.wishart import (
     ExactRecovery,
     HutchinsonKrylov,
     MeteredOracle,
+    PosteriorTestReport,
     eig_cdf_experiment,
     inv_trace_tail_experiment,
     lambda_max_tail_experiment,
@@ -111,6 +113,29 @@ class TestPosteriorDecomposition:
             make_transcript(w, np.eye(4))
 
 
+def per_trial_posterior_samples(d, n, trials, rng):
+    """Reference: the loop posterior_distribution_test ran before it
+    stacked its trials, one posterior_decompose per trial."""
+    dn = d - n
+    scale = d / dn
+    queries = np.eye(d)[:, :n]
+    out = np.empty((5, trials))
+    for i in range(trials):
+        w = sample_wishart(d, rng.child(0, i))
+        dec = posterior_decompose(w, make_transcript(w, queries))
+        wt = scale * dec.wtilde.entries
+        comp_t = dec.v[n:, :]
+        ref = sample_wishart(dn, rng.child(1, i))
+        out[:, i] = (
+            np.trace(wt),
+            np.linalg.eigvalsh(wt)[0] * dn * dn,
+            scale * np.trace(comp_t @ w.entries @ comp_t.T),
+            np.trace(ref.entries),
+            np.linalg.eigvalsh(ref.entries)[0] * dn * dn,
+        )
+    return out
+
+
 class TestPosteriorDistribution:
     def test_posterior_matches_fresh_wishart(self):
         rep = posterior_distribution_test(12, 4, 600, RngState(67))
@@ -120,6 +145,37 @@ class TestPosteriorDistribution:
     def test_negative_control_rejected(self):
         rep = posterior_distribution_test(12, 4, 600, RngState(68))
         assert rep.ks_trace_uncorrected[1] < 0.01
+
+    @pytest.mark.parametrize("d, n, trials", [(8, 0, 300), (8, 7, 300),
+                                              (32, 8, 50)])
+    def test_stacked_samples_match_per_trial_loop(self, d, n, trials):
+        # Stacks hold 128 trials at d = 8 and 8 at d = 32.
+        got = wishart_module._posterior_samples(d, n, trials, RngState(90))
+        want = per_trial_posterior_samples(d, n, trials, RngState(90))
+        assert got.shape == want.shape == (5, trials)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+        report = posterior_distribution_test(d, n, trials, RngState(90))
+        tr_post, lmin_post, tr_unc, tr_ref, lmin_ref = want
+        assert report == PosteriorTestReport(
+            d, n, trials, wishart_module._ks_2samp(tr_post, tr_ref),
+            wishart_module._ks_2samp(lmin_post, lmin_ref),
+            wishart_module._ks_2samp(tr_unc, tr_ref))
+
+    @pytest.mark.parametrize("singular, pivot", [((5, 7), 2), ((7,), 1)])
+    def test_first_failing_trial_raises(self, monkeypatch, singular, pivot):
+        # Trial 5's revealed 2 x 2 block has equal rows (pivot 2 fails),
+        # trial 7's a zero first row (pivot 1 fails); both share the first
+        # stack of 8 at d = 32, and the lower trial index decides.
+        def rigged(d, rngs):
+            w, g = sample_wishart_stack(d, rngs)
+            if d == 32 and 5 in singular:
+                w[5, 1], w[5, :, 1] = w[5, 0], w[5, :, 0]
+            if d == 32 and 7 in singular:
+                w[7, 0], w[7, :, 0] = 0.0, 0.0
+            return w, g
+        monkeypatch.setattr(wishart_module, "sample_wishart_stack", rigged)
+        with pytest.raises(ConditioningError, match=f"pivot {pivot} = "):
+            posterior_distribution_test(32, 8, 16, RngState(91))
 
     def test_report_round_trip_keys(self):
         rep = posterior_distribution_test(6, 2, 50, RngState(69))
@@ -214,6 +270,60 @@ class TestEigenLaws:
         assert rows[-1].probability <= 0.1
 
 
+def per_trial_spectra(d, trials, rng):
+    """Reference: the loop the eigen-law experiments ran before they
+    stacked their trials, one sample_wishart and eigvalsh per trial."""
+    return np.array([np.linalg.eigvalsh(sample_wishart(d, rng.child(i)).entries)
+                     for i in range(trials)])
+
+
+def stack_trials(d):
+    return max(1, wishart_module._STACK_BYTES // (8 * d * d))
+
+
+class TestTrialSpectra:
+    @pytest.mark.parametrize("d, trials", [
+        (1, 7), (5, 333), (64, 200), (300, 3),
+        (16, stack_trials(16) - 1), (16, stack_trials(16)),
+        (16, stack_trials(16) + 1), (64, stack_trials(64) + 1),
+    ])
+    def test_equal_to_per_trial_loop(self, d, trials):
+        stacks = list(wishart_module._trial_spectra(d, trials, RngState(92)))
+        assert all(len(lam) <= stack_trials(d) for lam in stacks)
+        got = np.concatenate(stacks)
+        np.testing.assert_array_equal(got, per_trial_spectra(d, trials, RngState(92)))
+
+    def test_negative_lambda_min_taken_from_singular_values(self):
+        # Trial 77 of this seed: cond(G) = 1.7e8, and eigvalsh returns
+        # lambda_min = -4.3e-17 for sigma_min(G)^2/d = 1.2e-16.
+        d, rng = 64, RngState(1867113236)
+        got = np.concatenate(list(wishart_module._trial_spectra(d, 200, rng)))
+        want = per_trial_spectra(d, 200, rng)
+        bad = np.flatnonzero(want[:, 0] < 1e-300)
+        assert bad.tolist() == [77]
+        sigma = np.linalg.svd(rng.child(77).standard_normal((d, d)),
+                              compute_uv=False)
+        np.testing.assert_array_equal(got[77], sigma[::-1] ** 2 / d)
+        assert 1e-16 < got[77, 0] < 1.2e-16
+        keep = np.arange(200) != 77
+        np.testing.assert_array_equal(got[keep], want[keep])
+        rep = inv_trace_tail_experiment(d, 200, 1.0, rng)
+        assert rep.dropped == 0 and len(rep.samples) == 200
+        assert rep.samples[77] == np.sum(1.0 / got[77]) / d ** 2
+        assert eig_cdf_experiment(d, 200, [0.0], rng)[0].count == 0
+
+    def test_only_exactly_singular_draws_dropped(self, monkeypatch):
+        # G = 0 has sigma_min = 0 exactly; a G with rank d - 1 would get a
+        # rounding-level sigma_min of ~1e-16 and be kept.
+        def rigged(d, rngs):
+            w, g = sample_wishart_stack(d, rngs)
+            w[1], g[1] = 0.0, 0.0
+            return w, g
+        monkeypatch.setattr(wishart_module, "sample_wishart_stack", rigged)
+        rep = inv_trace_tail_experiment(3, 5, 1.0, RngState(93))
+        assert rep.dropped == 1 and len(rep.samples) == 4
+
+
 class TestInvTraceTail:
     def test_d2_algebraic_identity(self):
         # p=1, d=2: tr(W^{-1}) = tr(W)/det(W); spot-check against the
@@ -244,8 +354,8 @@ class TestInvTraceTail:
             inv_trace_tail_experiment(4, 10, 0.5, RngState(79))
 
     def test_all_trials_dropped_raises(self, monkeypatch):
-        monkeypatch.setattr(wishart_module, "sample_wishart",
-                            lambda d, rng: SymMatrix(np.zeros((d, d))))
+        monkeypatch.setattr(wishart_module, "sample_wishart_stack",
+                            lambda d, rngs: (np.zeros((len(rngs), d, d)),) * 2)
         with pytest.raises(ConditioningError, match=r"d=3.*trials=5"):
             inv_trace_tail_experiment(3, 5, 1.0, RngState(80))
 
