@@ -20,13 +20,7 @@ from .hutchinson import (
     estimate_tr_f,
     hutchinson,
 )
-from .krylov import (
-    BlockKrylovBasis,
-    LanczosFactorization,
-    block_krylov_basis,
-    fa_times_vec_lanczos,
-    lanczos,
-)
+from .krylov import fa_times_vec_lanczos
 from .linalg import (
     EigenDecomposition,
     SymMatrix,

@@ -6,7 +6,6 @@ A ChebPoly stores coefficients c_0..c_D with value
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -71,16 +70,9 @@ class ChebPoly:
     def to_dict(self) -> dict:
         return {"interval": list(self.interval), "coeffs": self.coeffs.tolist()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, obj: dict) -> "ChebPoly":
         return cls(tuple(obj["interval"]), np.asarray(obj["coeffs"], dtype=np.float64))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChebPoly":
-        return cls.from_dict(json.loads(text))
 
 
 def cheb_grid(interval, n: int) -> np.ndarray:

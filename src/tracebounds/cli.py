@@ -132,7 +132,8 @@ def cmd_poly_build(args) -> int:
     bound = target.delta / (
         math.sqrt(target.kappa) if target.kind == "inv_sqrt" else target.kappa
     )
-    grid = max(args.grid, 10 * poly.degree())
+    # --grid is raised to sup_error's minimum, max(1024, 10 * degree).
+    grid = max(args.grid, 1024, 10 * poly.degree())
     achieved = sup_error(poly, target, grid)
     doc = {
         **poly.to_dict(),
@@ -160,7 +161,7 @@ def cmd_poly_error(args) -> int:
         raise UsageError("polynomial file carries no certificate to re-check")
     target = _poly_target(cert["func"].replace("inv_sqrt", "invsqrt"),
                           cert["kappa"], cert["delta"])
-    grid = max(args.grid, 10 * poly.degree())
+    grid = max(args.grid, 1024, 10 * poly.degree())
     achieved = sup_error(poly, target, grid)
     report = {
         "degree": poly.degree(),
@@ -305,7 +306,7 @@ def cmd_wishart(args) -> int:
             raise UsageError("--p must be > 1/2")
         rep = inv_trace_tail_experiment(args.d, args.trials, args.p, rng)
         cfg = _config(args, ["d", "trials", "p", "seed", "format"])
-        table = list(enumerate(rep.samples.tolist()))
+        table = list(zip(rep.sample_trials.tolist(), rep.samples.tolist()))
         _emit(args, cfg, CSV_HEADERS["invtrace"], table, rep.to_dict())
         return EXIT_OK
     if sub == "posterior":

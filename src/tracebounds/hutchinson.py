@@ -12,7 +12,6 @@ total cost = N_v * (MVPs per probe).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -63,21 +62,6 @@ class TraceEstimate:
     def standard_error(self) -> float:
         """Sample stddev of the mean, the 1/sqrt(N_v) statistical scale."""
         return self.sample_stddev / math.sqrt(len(self.quadratic_forms))
-
-    def to_dict(self, include_quadratic_forms: bool = True) -> dict:
-        out = {
-            "value": self.value,
-            "mvp_count": self.mvp_count,
-            "backend": self.backend,
-            "sample_stddev": self.sample_stddev,
-            "n_probes": len(self.quadratic_forms),
-        }
-        if include_quadratic_forms:
-            out["quadratic_forms"] = self.quadratic_forms.tolist()
-        return out
-
-    def to_json(self, include_quadratic_forms: bool = True) -> str:
-        return json.dumps(self.to_dict(include_quadratic_forms))
 
 
 class ExactBackend:

@@ -364,9 +364,10 @@ class InvTraceReport:
     quantiles: dict          # {0.5: ..., 0.9: ..., 0.99: ...} of tr(W^-p)/d^{2p}
     per_index_q99: np.ndarray  # 0.99-quantile of (1/lambda_j) j^2/d^2, j=1..d
     samples: np.ndarray      # normalized trace samples, one per kept trial
+    sample_trials: np.ndarray  # trial index of each sample
 
-    def to_dict(self, include_samples: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "d": self.d,
             "p": self.p,
             "trials": self.trials,
@@ -374,9 +375,6 @@ class InvTraceReport:
             "quantiles": {str(k): v for k, v in self.quantiles.items()},
             "per_index_q99": self.per_index_q99.tolist(),
         }
-        if include_samples:
-            out["samples"] = self.samples.tolist()
-        return out
 
 
 def inv_trace_tail_experiment(
@@ -396,10 +394,15 @@ def inv_trace_tail_experiment(
     if d < 2:
         raise ValueError("need d >= 2")
     samples = []
+    kept = []
     inv_scaled = []
     j2 = (np.arange(1, d + 1) ** 2) / (d * d)
+    start = 0
     for lam in _trial_spectra(d, trials, rng):
-        lam = lam[lam[:, 0] >= 1e-300]
+        keep = np.flatnonzero(lam[:, 0] >= 1e-300)
+        kept.append(start + keep)
+        start += len(lam)
+        lam = lam[keep]
         samples.append(np.sum(lam ** (-p), axis=1) / d ** (2 * p))
         inv_scaled.append(j2 / lam)
     samples = np.concatenate(samples)
@@ -414,7 +417,8 @@ def inv_trace_tail_experiment(
         q: float(np.quantile(samples, q)) for q in (0.5, 0.9, 0.99)
     }
     per_index = np.quantile(inv_scaled, 0.99, axis=0)
-    return InvTraceReport(d, float(p), trials, dropped, quantiles, per_index, samples)
+    return InvTraceReport(d, float(p), trials, dropped, quantiles, per_index,
+                          samples, np.concatenate(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +539,8 @@ class GameResult:
     def success_rate(self) -> float:
         return self.success_count / self.trials
 
-    def to_dict(self, include_records: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "d": self.d,
             "p": self.p,
             "approx_factor": self.approx_factor,
@@ -546,10 +550,8 @@ class GameResult:
             "success_count": self.success_count,
             "success_rate": self.success_rate,
             "budget_violations": self.budget_violations,
+            "records": [r.to_dict() for r in self.records],
         }
-        if include_records:
-            out["records"] = [r.to_dict() for r in self.records]
-        return out
 
 
 def query_game(

@@ -14,7 +14,7 @@ from tracebounds.chebyshev import ChebPoly
 from tracebounds.cli import main
 from tracebounds.errors import MatrixParseError
 from tracebounds.matio import parse_matrix_file, write_raw
-from tracebounds.linalg import SymMatrix
+from tracebounds.linalg import SymMatrix, sample_wishart_stack
 from tracebounds.rng import RngState
 
 
@@ -98,6 +98,16 @@ class TestPolyBuildCertificate:
         fresh = sup_error(poly, ApproxTarget("inv_sqrt", kappa=64.0, delta=0.01),
                           cert["grid_size"])
         assert cert["grid_sup_error"] == fresh
+
+    def test_small_grid_raised_to_sup_error_minimum(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run(["poly", "build", "--func", "inv", "--kappa", "4",
+                    "--delta", "0.1", "--grid", "100", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["certificate"]["grid_size"] == 1024
+        rep = tmp_path / "rep.json"
+        assert run(["poly", "error", "--poly", str(out), "--grid", "100",
+                    "--out", str(rep)]) == 0
+        assert json.loads(rep.read_text())["grid_size"] == 1024
 
     def test_default_grid_evaluates_once(self):
         _grid_sup_error.cache_clear()
@@ -207,6 +217,19 @@ def test_invtrace_all_trials_dropped_exits_3(monkeypatch, capsys):
                 "--seed", "1"]) == 3
     err = capsys.readouterr().err
     assert "d=3" in err and "trials=5" in err
+
+
+def test_invtrace_csv_labels_rows_by_trial(monkeypatch, capsys):
+    # Trial 1 is dropped; the rows after it keep their own trial indices.
+    def rigged(d, rngs):
+        w, g = sample_wishart_stack(d, rngs)
+        w[1], g[1] = 0.0, 0.0
+        return w, g
+    monkeypatch.setattr(wishart_module, "sample_wishart_stack", rigged)
+    assert run(["wishart", "invtrace", "--d", "3", "--trials", "5",
+                "--seed", "93", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [int(r.split(",")[0]) for r in rows] == [0, 2, 3, 4]
 
 
 def test_invtrace_keeps_nearly_singular_trial(capsys):

@@ -8,12 +8,7 @@ from tracebounds.approx import ApproxTarget, inv_poly, sup_error
 from tracebounds.chebyshev import ChebPoly
 from tracebounds.errors import SpectrumError
 from tracebounds.hutchinson import ChebBackend, LanczosBackend, ProbeSpec, hutchinson
-from tracebounds.krylov import (
-    block_krylov_basis,
-    fa_times_vec_lanczos,
-    lanczos,
-    poly_times_block,
-)
+from tracebounds.krylov import fa_times_vec_lanczos, poly_times_block
 from tracebounds.linalg import (
     SymMatrix,
     sample_spd_with_spectrum,
@@ -23,47 +18,82 @@ from tracebounds.linalg import (
 from tracebounds.rng import RngState
 
 
+def run_lanczos(a, z, m):
+    """krylov._lanczos_block on an explicit matrix at the breakdown tolerance
+    fa_times_vec_lanczos uses; z is a length-d vector or a d x k block."""
+    matvec, zb, tol = krylov._sym_args(a, z, m)
+    return krylov._lanczos_block(matvec, zb, m, tol)
+
+
+def tridiagonal(alpha, beta, s):
+    """The s x s tridiagonal T of one column's recurrence."""
+    off = beta[: s - 1]
+    return np.diag(alpha[:s]) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def assert_lanczos_invariants(a, q, alpha, beta, s):
+    """Orthonormal basis over s steps and A Q = Q T on its first s - 1 columns
+    (the last column carries the residual r e_s^T, which is never formed)."""
+    basis = q[:s].T
+    assert np.max(np.abs(basis.T @ basis - np.eye(s))) <= 1e-8
+    resid = a.entries @ basis - basis @ tridiagonal(alpha, beta, s)
+    assert np.max(np.abs(resid[:, :-1]), initial=0.0) <= 1e-8 * a.max_norm() * a.dim
+
+
 class TestLanczos:
     def test_identity_terminates_after_one_step(self):
-        fact = lanczos(SymMatrix(np.eye(5)), np.ones(5), 1)
-        np.testing.assert_allclose(fact.alpha, [1.0])
-        assert fact.next_residual_norm == pytest.approx(0.0, abs=1e-12)
+        q, alpha, beta, steps, _ = run_lanczos(SymMatrix(np.eye(5)), np.ones(5), 3)
+        assert steps.tolist() == [1]
+        np.testing.assert_allclose(alpha[0, :1], [1.0])
 
     def test_hand_2x2(self):
         a = SymMatrix(np.diag([1.0, 2.0]))
-        fact = lanczos(a, np.array([1.0, 1.0]) / np.sqrt(2), 2)
-        ritz = np.linalg.eigvalsh(fact.tridiagonal())
+        q, alpha, beta, steps, _ = run_lanczos(a, np.array([1.0, 1.0]) / np.sqrt(2), 2)
+        ritz = np.linalg.eigvalsh(tridiagonal(alpha[0], beta[0], steps[0]))
         np.testing.assert_allclose(ritz, [1.0, 2.0], atol=1e-12)
 
     def test_full_space_ritz_equals_spectrum(self):
         g = RngState(41).generator()
         a = symmetrize(g.standard_normal((8, 8)))
-        fact = lanczos(a, g.standard_normal(8), 8)
-        ritz = np.linalg.eigvalsh(fact.tridiagonal())
+        q, alpha, beta, steps, _ = run_lanczos(a, g.standard_normal(8), 8)
+        assert steps.tolist() == [8]
+        ritz = np.linalg.eigvalsh(tridiagonal(alpha[0], beta[0], 8))
         np.testing.assert_allclose(ritz, sym_eigen(a).eigvals, atol=1e-8)
 
     def test_factorization_invariants(self):
         g = RngState(42).generator()
         a = symmetrize(g.standard_normal((10, 10)))
         z = g.standard_normal(10)
-        fact = lanczos(a, z, 6)
-        q = fact.basis
-        assert np.max(np.abs(q.T @ q - np.eye(6))) <= 1e-8
-        resid = a.entries @ q - q @ fact.tridiagonal()
-        resid[:, -1] -= resid[:, -1]  # last column carries r e_m^T
-        assert np.max(np.abs(resid[:, :-1])) <= 1e-8 * a.max_norm() * a.dim
+        q, alpha, beta, steps, znorm = run_lanczos(a, z, 6)
+        assert steps.tolist() == [6]
+        np.testing.assert_allclose(q[0, 0] * znorm[0], z, rtol=1e-15)
+        assert_lanczos_invariants(a, q[0], alpha[0], beta[0], 6)
 
     def test_zero_start_vector(self):
         with pytest.raises(ValueError, match="nonzero"):
-            lanczos(SymMatrix(np.eye(3)), np.zeros(3), 2)
+            fa_times_vec_lanczos(SymMatrix(np.eye(3)), np.zeros(3), 2, "identity")
 
     def test_early_termination_flagged(self):
         # start vector spans an invariant 2-d subspace of a block-diagonal A
         a = SymMatrix(np.diag([1.0, 2.0, 5.0, 7.0]))
         z = np.array([1.0, 1.0, 0.0, 0.0])
-        fact = lanczos(a, z, 4)
-        assert fact.truncated
-        assert fact.steps == 2
+        q, alpha, beta, steps, _ = run_lanczos(a, z, 4)
+        assert steps.tolist() == [2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=24), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=10 ** 6))
+    def test_block_recurrence_properties(self, d, k, m, seed):
+        m = min(m, d)
+        g = RngState(seed).generator()
+        a = sample_spd_with_spectrum(d, 8.0, g)
+        z = g.standard_normal((d, k))
+        q, alpha, beta, steps, _ = run_lanczos(a, z, m)
+        assert steps.shape == (k,) and np.all((1 <= steps) & (steps <= m))
+        for c in range(k):
+            assert_lanczos_invariants(a, q[c], alpha[c], beta[c], steps[c])
+        _, mvps = fa_times_vec_lanczos(a, z, m, "inv")
+        assert mvps == int(np.sum(steps))
 
 
 class TestFaTimesVec:
@@ -190,9 +220,8 @@ class TestBatchedLanczos:
         z = np.array([[1.0, 1.0, 0.0, 0.0],
                       [1.0, -1.0, 1.0, 1.0],
                       [1.0, 1.0, 1.0, 1.0]]).T
-        facts = lanczos(a, z, 4)
-        assert [f.steps for f in facts] == [2, 4, 4]
-        assert [f.truncated for f in facts] == [True, False, False]
+        steps = run_lanczos(a, z, 4)[3]
+        assert steps.tolist() == [2, 4, 4]
         y, mvps = fa_times_vec_lanczos(a, z, 4, "inv")
         assert mvps == 10
         for c in range(3):
@@ -206,9 +235,10 @@ class TestBatchedLanczos:
         # a few dozen steps on a spread spectrum.
         g = RngState(54).generator()
         a = sample_spd_with_spectrum(120, 1e4, g)
-        for fact in lanczos(a, g.standard_normal((120, 3)), 80):
-            q = fact.basis
-            assert np.max(np.abs(q.T @ q - np.eye(80))) <= 1e-8
+        q, _, _, steps, _ = run_lanczos(a, g.standard_normal((120, 3)), 80)
+        assert steps.tolist() == [80, 80, 80]
+        for basis in q:
+            assert np.max(np.abs(basis @ basis.T - np.eye(80))) <= 1e-8
 
     def test_nonpositive_ritz_in_block_raises(self):
         a = SymMatrix(np.diag([-1.0, 2.0, 3.0]))
@@ -236,35 +266,3 @@ class TestBatchedLanczos:
         assert hutchinson(a, ChebBackend(p), spec).mvp_count == probes * p.degree()
         # Gaussian probes on a generic spectrum never break down before m.
         assert hutchinson(a, LanczosBackend("inv", m), spec).mvp_count == probes * m
-
-
-class TestBlockKrylov:
-    def test_b1_matches_lanczos_span(self):
-        g = RngState(49).generator()
-        a = symmetrize(g.standard_normal((8, 8)))
-        z = g.standard_normal(8)
-        fact = lanczos(a, z, 4)
-        basis = block_krylov_basis(a, z[:, None], 4)
-        # principal angles between the two spans must vanish
-        sv = np.linalg.svd(fact.basis.T @ basis.basis, compute_uv=False)
-        np.testing.assert_allclose(sv, np.ones(4), atol=1e-8)
-
-    def test_identity_deflates_after_first_block(self):
-        g = RngState(50).generator()
-        v = g.standard_normal((6, 2))
-        basis = block_krylov_basis(SymMatrix(np.eye(6)), v, 3)
-        assert basis.basis.shape[1] == 2
-        assert basis.deflations  # AV lies in span(V) from step 1 on
-
-    def test_full_space_projection_exact(self):
-        g = RngState(51).generator()
-        a = symmetrize(g.standard_normal((8, 8)))
-        v = g.standard_normal((8, 2))
-        basis = block_krylov_basis(a, v, 4)
-        assert basis.basis.shape[1] == 8
-        approx = basis.apply_function(a, v, "identity")
-        np.testing.assert_allclose(approx, a.entries @ v, atol=1e-8)
-
-    def test_zero_block_rejected(self):
-        with pytest.raises(ValueError, match="nonzero"):
-            block_krylov_basis(SymMatrix(np.eye(4)), np.zeros((4, 1)), 2)
