@@ -53,8 +53,8 @@ class ApproxTarget:
             if self.s is None or self.s < 1:
                 raise ValueError("monomial target needs integer s >= 1")
         else:
-            if self.kappa is None or self.kappa < 2:
-                raise ValueError("need kappa >= 2")
+            if self.kappa is None or not 2 <= self.kappa < math.inf:
+                raise ValueError("need finite kappa >= 2")
             if self.delta is not None and not 0 < self.delta < 0.5:
                 raise ValueError("need 0 < delta < 1/2")
 
@@ -118,10 +118,10 @@ def taylor_truncation_length(kappa: float, delta_half: float) -> int:
     Exact scan rather than the asymptotic O(kappa log(kappa/delta))
     formula, so downstream certificates hold at small kappa.
     """
-    if kappa < 2:
-        raise ValueError("need kappa >= 2")
-    if delta_half <= 0:
-        raise ValueError("need delta_half > 0")
+    if not 2 <= kappa < math.inf:
+        raise ValueError("need finite kappa >= 2")
+    if not 0 < delta_half < math.inf:
+        raise ValueError("need finite delta_half > 0")
     ratio = 1.0 - 1.0 / kappa
     t = 0
     bound = kappa * ratio  # value at T = 0
@@ -190,8 +190,8 @@ def _rescale_to_interval(h: ChebPoly, kappa: float, scale: float) -> ChebPoly:
 
 
 def _check_inv_params(kappa: float, delta: float):
-    if kappa < 2:
-        raise ValueError("need kappa >= 2")
+    if not 2 <= kappa < math.inf:
+        raise ValueError("need finite kappa >= 2")
     if not 0 < delta < 0.5:
         raise ValueError("need 0 < delta < 1/2")
 

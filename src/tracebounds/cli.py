@@ -117,8 +117,8 @@ def _config(args, fields) -> dict:
 def _poly_target(func: str, kappa: float, delta: float) -> ApproxTarget:
     if func not in _FUNC_ALIASES:
         raise UsageError(f"--func must be inv or invsqrt, got {func!r}")
-    if kappa is None or kappa < 2:
-        raise UsageError("--kappa must be >= 2")
+    if kappa is None or not 2 <= kappa < math.inf:
+        raise UsageError("--kappa must be finite and >= 2")
     if delta is None or not 0 < delta < 0.5:
         raise UsageError("--delta must be in (0, 1/2)")
     return ApproxTarget(_FUNC_ALIASES[func], kappa=kappa, delta=delta)
@@ -260,9 +260,24 @@ def _require_seed(args):
 
 def _float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{flag} values must be finite, got {text!r}")
+    return values
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and infinities are usage
+    errors (exit 2), never a NaN row or an endless parameter scan."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def cmd_wishart(args) -> int:
@@ -291,6 +306,8 @@ def cmd_wishart(args) -> int:
         return EXIT_OK
     if sub == "lmax":
         ts = _float_list(args.t, "--t")
+        if not all(t >= 0 for t in ts):
+            raise UsageError("--t values must be >= 0")
         rows = lambda_max_tail_experiment(args.d, args.trials, ts, rng)
         cfg = _config(args, ["d", "trials", "t", "seed", "format"])
         table = [
@@ -392,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     poly_sub = poly.add_subparsers(dest="subcommand", required=True)
     pb = poly_sub.add_parser("build", help="construct a certified polynomial")
     pb.add_argument("--func", required=True, help="inv or invsqrt")
-    pb.add_argument("--kappa", type=float, required=True)
-    pb.add_argument("--delta", type=float, required=True)
+    pb.add_argument("--kappa", type=_finite_float, required=True)
+    pb.add_argument("--delta", type=_finite_float, required=True)
     pb.add_argument("--grid", type=int, default=4096)
     pb.add_argument("--out", default="-")
     pb.set_defaults(handler=cmd_poly_build)
@@ -412,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="inv, invsqrt, identity or exp")
     tr.add_argument("--backend", default="cheb",
                     choices=["exact", "lanczos", "cheb"])
-    tr.add_argument("--kappa", type=float)
-    tr.add_argument("--delta", type=float, default=0.1)
+    tr.add_argument("--kappa", type=_finite_float)
+    tr.add_argument("--delta", type=_finite_float, default=0.1)
     tr.add_argument("--m", type=int, help="Lanczos steps")
     tr.add_argument("--probes", type=int, default=64)
     tr.add_argument("--probe-kind", default="rademacher",
@@ -446,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     wt = wi_sub.add_parser("invtrace", help="tr(W^-p)/d^2p quantiles")
     wt.add_argument("--d", type=int, required=True)
     wt.add_argument("--trials", type=int, default=2000)
-    wt.add_argument("--p", type=float, default=1.0)
+    wt.add_argument("--p", type=_finite_float, default=1.0)
     _common(wt)
     wp = wi_sub.add_parser("posterior", help="posterior distribution KS test")
     wp.add_argument("--d", type=int, required=True)
@@ -455,14 +472,14 @@ def build_parser() -> argparse.ArgumentParser:
     _common(wp)
     wg = wi_sub.add_parser("game", help="metered trace-estimation game")
     wg.add_argument("--d", type=int, required=True)
-    wg.add_argument("--p", type=float, default=1.0)
-    wg.add_argument("--C", type=float, default=2.0)
+    wg.add_argument("--p", type=_finite_float, default=1.0)
+    wg.add_argument("--C", type=_finite_float, default=2.0)
     wg.add_argument("--algo", required=True, choices=["exact", "const", "hutch"])
     wg.add_argument("--budget", type=int, required=True)
     wg.add_argument("--trials", type=int, default=100)
     wg.add_argument("--nv", type=int, help="probes for --algo hutch")
     wg.add_argument("--m", type=int, help="Lanczos steps for --algo hutch")
-    wg.add_argument("--c-guess", type=float, help="constant for --algo const")
+    wg.add_argument("--c-guess", type=_finite_float, help="constant for --algo const")
     _common(wg)
 
     ve = sub.add_parser("verify", help="run the invariant suite")

@@ -103,8 +103,8 @@ def sample_gaussian_matrix(rows: int, cols: int, rng) -> np.ndarray:
     return as_generator(rng).standard_normal((rows, cols))
 
 
-def sample_wishart_stack(d: int, rngs):
-    """k Wishart(d) draws at once: (W, G), both k x d x d, with
+def sample_wishart_stack(d: int, rngs) -> np.ndarray:
+    """k Wishart(d) draws at once: the k x d x d stack W with
     W[i] = G[i] G[i]^T / d and G[i] drawn from rngs[i].
 
     G G^T comes out exactly symmetric (BLAS forms one triangle and mirrors
@@ -116,13 +116,54 @@ def sample_wishart_stack(d: int, rngs):
     w /= d
     if not np.array_equal(w, w.swapaxes(1, 2)):
         raise ArithmeticError("G G^T is not exactly symmetric")
-    return w, g
+    return w
 
 
 def sample_wishart(d: int, rng) -> SymMatrix:
     """Draw W = (1/d) G G^T with G a d x d standard Gaussian matrix."""
-    w, _ = sample_wishart_stack(d, [rng])
-    return SymMatrix(w[0])
+    return SymMatrix(sample_wishart_stack(d, [rng])[0])
+
+
+def bidiagonal_counts(a: np.ndarray, b: np.ndarray, shifts) -> np.ndarray:
+    """Number of eigenvalues of B B^T below each shift, for a stack of
+    lower bidiagonals B: k x len(shifts) counts for the k x d diagonals a
+    and k x (d-1) subdiagonals b.
+
+    B B^T - tau I = L D L^T by the stationary qd transform in the
+    differential form dstqds (Parlett & Dhillon, Linear Algebra Appl.
+    2000), run on q = a^2 and e = b^2; by Sylvester's law of inertia the
+    count is the number of negative pivots D_i.  The transform is mixed
+    relatively stable, so counts keep the high relative accuracy of the
+    bidiagonal (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 1990) also at
+    shifts near 1e-300 whose pivots are subnormal.  As in LAPACK's dstebz,
+    a pivot with |D_i| < pivmin is set to -pivmin, here with the smallest
+    pivmin there is, so that only an exact zero is moved: a zero pivot
+    counts as negative (an eigenvalue equal to the shift is counted).  The
+    ratios s_i / D_i are clamped to +-huge, so the one after a zero pivot
+    stays finite and a zero e_i still restarts the recurrence at -tau; an
+    inf/inf ratio, after e_i times a clamped ratio overflowed, is taken as
+    1, its limit, as in dlaneg.  The loop over the d pivots is the only
+    Python loop.
+    """
+    q = a * a
+    e = b * b
+    tau = np.asarray(shifts, dtype=np.float64)
+    k, d = q.shape
+    pivmin = np.finfo(np.float64).smallest_subnormal
+    huge = np.finfo(np.float64).max
+    s = np.broadcast_to(-tau, (k, tau.size))
+    count = np.zeros((k, tau.size), dtype=np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(d):
+            t = q[:, i, None] + s
+            t[t == 0.0] = -pivmin
+            count += t < 0
+            if i + 1 < d:
+                r = s / t
+                r[np.isnan(r)] = 1.0
+                np.clip(r, -huge, huge, out=r)
+                s = e[:, i, None] * r - tau
+    return count
 
 
 def sample_spd_with_spectrum(d: int, kappa: float, rng) -> SymMatrix:

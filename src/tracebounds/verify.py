@@ -21,6 +21,7 @@ from .hutchinson import ExactBackend, ChebBackend, LanczosBackend, ProbeSpec, hu
 from .krylov import fa_times_vec_lanczos, poly_times_block
 from .linalg import (
     SymMatrix,
+    bidiagonal_counts,
     cholesky,
     sample_spd_with_spectrum,
     sample_wishart,
@@ -28,8 +29,9 @@ from .linalg import (
 )
 from .rng import RngState
 from .wishart import (
+    _bidiagonal_spectra,
     _posterior_samples,
-    _trial_spectra,
+    _trial_bidiagonals,
     make_transcript,
     posterior_decompose,
 )
@@ -131,14 +133,28 @@ def check_posterior_identity():
         assert lmin_w <= lmin_wt + 1e-10
 
 
+def check_wishart_bidiagonal():
+    # 12 trials at d = 40 fill three dense sub-stacks of 64 KiB in the
+    # SVD; each spectrum is checked against eigvalsh of its own B B^T / d,
+    # and the qd counts at the midpoints between its eigenvalues against
+    # the count 0..d each midpoint separates.
+    d = 40
+    for a, b in _trial_bidiagonals(d, 12, RngState(108)):
+        spectra = _bidiagonal_spectra(a, b)
+        for i, lam in enumerate(spectra):
+            bmat = np.diag(a[i]) + np.diag(b[i], -1)
+            want = np.linalg.eigvalsh(bmat @ bmat.T / d)
+            err = np.max(np.abs(lam - want))
+            assert err <= 1e-12 * want[-1], f"trial {i}: spectrum error {err:g}"
+            mids = np.concatenate([[lam[0] / 2], (lam[1:] + lam[:-1]) / 2,
+                                   [2 * lam[-1]]])
+            counts = bidiagonal_counts(a[i:i + 1], b[i:i + 1], mids * d)[0]
+            assert np.array_equal(counts, np.arange(d + 1)), f"trial {i}: counts"
+
+
 def check_wishart_batched_trials():
-    # Sizes that span three trial stacks: 5 matrices of d = 40, or 8 of
-    # d = 32, fill one stack of wishart._STACK_BYTES = 64 KiB.
-    rng = RngState(108)
-    spectra = np.concatenate(list(_trial_spectra(40, 12, rng)))
-    for i, lam in enumerate(spectra):
-        w = sample_wishart(40, rng.child(i))
-        assert np.array_equal(lam, np.linalg.eigvalsh(w.entries)), f"trial {i}"
+    # 8 matrices of d = 32 fill one stack of wishart._STACK_BYTES = 64 KiB,
+    # so 20 trials span three stacks.
     d, n, trials = 32, 8, 20
     rng = RngState(109)
     got = _posterior_samples(d, n, trials, rng)
@@ -166,6 +182,7 @@ ALL_CHECKS = [
     ("mvp_ledger", check_mvp_ledger),
     ("hutchinson_exhaustive", check_hutchinson_exhaustive),
     ("posterior_identity", check_posterior_identity),
+    ("wishart_bidiagonal", check_wishart_bidiagonal),
     ("wishart_batched_trials", check_wishart_batched_trials),
 ]
 

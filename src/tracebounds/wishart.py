@@ -28,6 +28,7 @@ from .errors import (
 from .krylov import fa_times_vec_oracle
 from .linalg import (
     SymMatrix,
+    bidiagonal_counts,
     cholesky,
     orthonormal_complement,
     qr_columns,
@@ -42,9 +43,10 @@ from .rng import RngState, rademacher
 #: (1/d) G G^T is 4 (Marchenko-Pastur), so tails are measured from 4(1+t).
 LAMBDA_MAX_REFERENCE = 4.0
 
-#: Bound on one stack of d x d trial matrices, 8 d^2 bytes each: the
-#: experiments run their trials in order, max(1, _STACK_BYTES // (8 d^2))
-#: at a time, on one thread.
+#: Bound on one stack of trials: the experiments run their trials in
+#: order, as many at a time as fit in _STACK_BYTES (at least one), on one
+#: thread.  A trial takes 8 d^2 bytes as a dense d x d matrix and
+#: 8 (2d - 1) bytes as a bidiagonal.
 _STACK_BYTES = 2 ** 16
 
 
@@ -237,13 +239,13 @@ def _posterior_samples(d: int, n: int, trials: int, rng: RngState):
     basis = _query_basis(queries, d)
     comp_t = basis[2][n:]
     samples = np.empty((5, trials))
-    for start, stop in _trial_stacks(d, trials):
-        w, _ = sample_wishart_stack(d, [rng.child(0, i) for i in range(start, stop)])
+    for start, stop in _trial_stacks(trials, 8 * d * d):
+        w = sample_wishart_stack(d, [rng.child(0, i) for i in range(start, stop)])
         _, y2 = _response_blocks(basis, w @ queries)
         compressed = comp_t @ w @ comp_t.T
         wt = compressed - y2 @ _t(y2)
         wt = scale * ((wt + _t(wt)) / 2.0)
-        ref, _ = sample_wishart_stack(dn, [rng.child(1, i) for i in range(start, stop)])
+        ref = sample_wishart_stack(dn, [rng.child(1, i) for i in range(start, stop)])
         samples[:, start:stop] = (
             np.trace(wt, axis1=1, axis2=2),
             np.linalg.eigvalsh(wt)[:, 0] * dn * dn,
@@ -296,52 +298,84 @@ class CdfRow:
     stderr: float
 
 
-def _binomial_rows(values: np.ndarray, thresholds, transform) -> list[CdfRow]:
-    trials = len(values)
+def _binomial_rows(counts, trials: int, thresholds) -> list[CdfRow]:
+    """One row per threshold from the number of trials that hit it."""
     rows = []
-    for x in thresholds:
-        count = int(np.sum(transform(values, x)))
+    for x, count in zip(thresholds, map(int, counts)):
         p = count / trials
         se = math.sqrt(max(p * (1 - p), 1.0 / trials) / trials)
         rows.append(CdfRow(float(x), count, p, se))
     return rows
 
 
-def _trial_stacks(d: int, trials: int):
-    """(start, stop) of consecutive stacks of trials, each stack of d x d
-    matrices within _STACK_BYTES."""
+def _trial_stacks(trials: int, trial_bytes: int):
+    """(start, stop) of consecutive stacks of trials, each stack within
+    _STACK_BYTES at trial_bytes per trial."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    k = max(1, _STACK_BYTES // (8 * d * d))
+    k = max(1, _STACK_BYTES // trial_bytes)
     for start in range(0, trials, k):
         yield start, min(start + k, trials)
 
 
-def _trial_spectra(d: int, trials: int, rng: RngState):
-    """Ascending spectra of trial i's W ~ Wishart(d) from rng.child(i), as
-    one (k, d) array per stack of trials, in trial order.
+def _bidiagonal_dofs(d: int) -> np.ndarray:
+    """Degrees of freedom of one trial's 2d - 1 chi-square variates, in
+    draw order: d, d-1, ..., 1 for the diagonal of B, then d-1, ..., 1 for
+    its subdiagonal."""
+    return np.r_[np.arange(d, 0, -1), np.arange(d - 1, 0, -1)].astype(np.float64)
 
-    eigvalsh can put lambda_min of a nearly singular draw below zero (a
-    d=64 draw with cond(G) = 1.7e8 gave -4.3e-17 for sigma_min(G)^2/d =
-    1.2e-16).  A trial with lambda_min < 1e-300 therefore takes its
-    spectrum from the singular values of G, sigma^2/d, which keep their
-    relative accuracy.
+
+def _trial_bidiagonals(d: int, trials: int, rng: RngState):
+    """Lower bidiagonals B whose B B^T / d has the spectrum law of
+    Wishart(d), as (a, b) stacks in trial order: diagonals k x d and
+    subdiagonals k x (d-1), each stack within _STACK_BYTES.
+
+    a_i ~ chi_(d+1-i) and b_i ~ chi_(d-i), all independent (Dumitriu &
+    Edelman, J. Math. Phys. 2002: B = U G V with U, V orthogonal, so
+    G G^T and B B^T share their spectrum in law).  Trial i draws its
+    2d - 1 variates from rng.child(i) in one chisquare call, in the order
+    of _bidiagonal_dofs.
     """
-    for start, stop in _trial_stacks(d, trials):
-        w, g = sample_wishart_stack(d, [rng.child(i) for i in range(start, stop)])
-        lam = np.linalg.eigvalsh(w)
-        for j in np.flatnonzero(lam[:, 0] < 1e-300):
-            lam[j] = np.linalg.svd(g[j], compute_uv=False)[::-1] ** 2 / d
-        yield lam
+    dofs = _bidiagonal_dofs(d)
+    for start, stop in _trial_stacks(trials, 8 * (2 * d - 1)):
+        chi = np.sqrt(np.stack([rng.child(i).chisquare(dofs)
+                                for i in range(start, stop)]))
+        yield chi[:, :d], chi[:, d:]
+
+
+def _bidiagonal_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Ascending spectra of B B^T / d for a stack of lower bidiagonals,
+    k x d: sigma^2 / d from the singular values of the upper bidiagonal
+    B^T, which LAPACK's bidiagonal reduction leaves as it is and whose
+    singular values it computes to high relative accuracy.  The dense
+    k x d x d input is built in sub-stacks within _STACK_BYTES."""
+    k, d = a.shape
+    lam = np.empty((k, d))
+    i = np.arange(d)
+    for start, stop in _trial_stacks(k, 8 * d * d):
+        upper = np.zeros((stop - start, d, d))
+        upper[:, i, i] = a[start:stop]
+        upper[:, i[:-1], i[1:]] = b[start:stop]
+        sigma = np.linalg.svd(upper, compute_uv=False)
+        lam[start:stop] = sigma[:, ::-1] ** 2 / d
+    return lam
+
+
+def _hit_counts(d: int, trials: int, shifts, hit, rng: RngState) -> np.ndarray:
+    """Per shift, the number of trials whose count of eigenvalues of W
+    below the shift satisfies hit(count).  W = B B^T / d, so W's count
+    below x is B B^T's below x d."""
+    return sum(np.sum(hit(bidiagonal_counts(a, b, shifts * d)), axis=0)
+               for a, b in _trial_bidiagonals(d, trials, rng))
 
 
 def eig_cdf_experiment(d: int, trials: int, x_values, rng: RngState) -> list[CdfRow]:
     """Empirical Pr{lambda_min(W) <= x/d^2} with binomial standard errors."""
     xs = np.asarray(list(x_values), dtype=np.float64)
-    if np.any(xs < 0) or np.any(xs > 1):
+    if not np.all((xs >= 0) & (xs <= 1)):
         raise ValueError("x values must lie in [0, 1]")
-    lmins = np.concatenate([lam[:, 0] for lam in _trial_spectra(d, trials, rng)])
-    return _binomial_rows(lmins, xs, lambda v, x: v <= x / (d * d))
+    counts = _hit_counts(d, trials, xs / (d * d), lambda c: c >= 1, rng)
+    return _binomial_rows(counts, trials, xs)
 
 
 def lambda_max_tail_experiment(
@@ -349,10 +383,11 @@ def lambda_max_tail_experiment(
 ) -> list[CdfRow]:
     """Empirical Pr{lambda_max(W) >= 4 (1+t)}; predicted tail 2 exp(-d t)."""
     ts = np.asarray(list(t_values), dtype=np.float64)
-    lmaxs = np.concatenate([lam[:, -1] for lam in _trial_spectra(d, trials, rng)])
-    return _binomial_rows(
-        lmaxs, ts, lambda v, t: v >= LAMBDA_MAX_REFERENCE * (1.0 + t)
-    )
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise ValueError("t values must be finite and >= 0")
+    counts = _hit_counts(d, trials, LAMBDA_MAX_REFERENCE * (1.0 + ts),
+                         lambda c: c < d, rng)
+    return _binomial_rows(counts, trials, ts)
 
 
 @dataclass(frozen=True)
@@ -385,12 +420,12 @@ def inv_trace_tail_experiment(
     The per-index table records the 0.99-quantile of (1/lambda_j) j^2/d^2
     for each ascending eigenvalue index j, exhibiting the j^{-2} profile
     behind the d^{2p} trace scale.  Draws singular to working precision
-    (sigma_min(G)^2/d < 1e-300, see _trial_spectra) are dropped and
+    (lambda_min < 1e-300, see _bidiagonal_spectra) are dropped and
     counted, never silently skipped; ConditioningError is raised when no
     trial is left.
     """
-    if p <= 0.5:
-        raise ValueError("need p > 1/2")
+    if not 0.5 < p < math.inf:
+        raise ValueError("need finite p > 1/2")
     if d < 2:
         raise ValueError("need d >= 2")
     samples = []
@@ -398,7 +433,8 @@ def inv_trace_tail_experiment(
     inv_scaled = []
     j2 = (np.arange(1, d + 1) ** 2) / (d * d)
     start = 0
-    for lam in _trial_spectra(d, trials, rng):
+    for a, b in _trial_bidiagonals(d, trials, rng):
+        lam = _bidiagonal_spectra(a, b)
         keep = np.flatnonzero(lam[:, 0] >= 1e-300)
         kept.append(start + keep)
         start += len(lam)
@@ -565,10 +601,10 @@ def query_game(
     [tr(W^{-p})/C, C tr(W^{-p})] with C = approx_factor.  The true trace
     comes from a full eigendecomposition that the algorithm never sees.
     """
-    if p <= 0.5:
-        raise ValueError("need p > 1/2")
-    if approx_factor <= 1.0:
-        raise ValueError("need approximation factor C > 1")
+    if not 0.5 < p < math.inf:
+        raise ValueError("need finite p > 1/2")
+    if not 1.0 < approx_factor < math.inf:
+        raise ValueError("need finite approximation factor C > 1")
     if isinstance(algorithm, ExactRecovery) and budget < d:
         raise ValueError("exact_recovery requires budget >= d")
     if isinstance(algorithm, HutchinsonKrylov) and algorithm.n_probes * algorithm.m > budget:

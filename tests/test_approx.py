@@ -187,6 +187,24 @@ class TestTaylorTruncationLength:
                 t = taylor_truncation_length(kappa, dh)
                 assert t <= math.ceil(kappa * math.log(2 * kappa / dh)) + 1
 
+    @pytest.mark.parametrize("kappa, delta_half", [
+        (math.inf, 0.05), (math.nan, 0.05), (16.0, math.nan), (16.0, math.inf)])
+    def test_rejects_nonfinite(self, kappa, delta_half):
+        # kappa = inf makes the ratio 1 - 1/kappa exactly 1, so the scan
+        # would never end; a NaN would end it at once with T = 0.
+        with pytest.raises(ValueError, match="finite"):
+            taylor_truncation_length(kappa, delta_half)
+
+
+@pytest.mark.parametrize("kind, kappa, delta", [
+    ("inv", math.inf, 0.1), ("inv", math.nan, 0.1), ("inv_sqrt", math.inf, 0.1),
+    ("inv_sqrt", 16.0, math.nan), ("inv", 16.0, math.inf)])
+def test_approx_target_rejects_nonfinite(kind, kappa, delta):
+    with pytest.raises(ValueError):
+        ApproxTarget(kind, kappa=kappa, delta=delta)
+    with pytest.raises(ValueError):
+        (inv_poly if kind == "inv" else inv_sqrt_poly)(kappa, delta)
+
 
 class TestInvSqrtPoly:
     def test_value_at_one(self):

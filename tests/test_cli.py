@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,15 +8,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tracebounds
 import tracebounds.wishart as wishart_module
+from conftest import make_trials_singular
 from tracebounds.approx import ApproxTarget, _grid_sup_error, sup_error
 from tracebounds.chebyshev import ChebPoly
 from tracebounds.cli import main
 from tracebounds.errors import MatrixParseError
 from tracebounds.matio import parse_matrix_file, write_raw
-from tracebounds.linalg import SymMatrix, sample_wishart_stack
+from tracebounds.linalg import SymMatrix
 from tracebounds.rng import RngState
 
 
@@ -211,8 +216,7 @@ def test_posterior_rejects_csv(capsys):
 
 
 def test_invtrace_all_trials_dropped_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(wishart_module, "sample_wishart_stack",
-                        lambda d, rngs: (np.zeros((len(rngs), d, d)),) * 2)
+    make_trials_singular(monkeypatch, range(5))
     assert run(["wishart", "invtrace", "--d", "3", "--trials", "5",
                 "--seed", "1"]) == 3
     err = capsys.readouterr().err
@@ -221,11 +225,7 @@ def test_invtrace_all_trials_dropped_exits_3(monkeypatch, capsys):
 
 def test_invtrace_csv_labels_rows_by_trial(monkeypatch, capsys):
     # Trial 1 is dropped; the rows after it keep their own trial indices.
-    def rigged(d, rngs):
-        w, g = sample_wishart_stack(d, rngs)
-        w[1], g[1] = 0.0, 0.0
-        return w, g
-    monkeypatch.setattr(wishart_module, "sample_wishart_stack", rigged)
+    make_trials_singular(monkeypatch, [1])
     assert run(["wishart", "invtrace", "--d", "3", "--trials", "5",
                 "--seed", "93", "--format", "csv"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
@@ -233,8 +233,9 @@ def test_invtrace_csv_labels_rows_by_trial(monkeypatch, capsys):
 
 
 def test_invtrace_keeps_nearly_singular_trial(capsys):
-    # Trial 77 of this seed has eigvalsh lambda_min < 0 (cond(G) = 1.7e8);
-    # its spectrum comes from the singular values of G, so no row is lost.
+    # The dense sampler's trial 77 of this seed had an eigvalsh lambda_min
+    # below 0 (cond(G) = 1.7e8).  Bidiagonal singular values keep
+    # lambda_min to high relative accuracy, so no row is lost at d = 64.
     assert run(["wishart", "invtrace", "--d", "64", "--trials", "200",
                 "--seed", "1867113236", "--format", "csv"]) == 0
     rows = capsys.readouterr().out.splitlines()[2:]
@@ -357,3 +358,79 @@ class TestVerifyCommand:
     def test_verify_runs_clean(self, capsys):
         assert run(["verify"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "build", "--func", "inv", "--kappa", "inf", "--delta", "0.1"],
+    ["poly", "build", "--func", "invsqrt", "--kappa", "nan", "--delta", "0.1"],
+    ["poly", "build", "--func", "inv", "--kappa", "16", "--delta", "nan"],
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "cheb", "--kappa", "inf",
+     "--seed", "1"],
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "cheb", "--kappa", "nan",
+     "--seed", "1"],
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "cheb", "--kappa", "16",
+     "--delta", "inf", "--seed", "1"],
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "exact", "--kappa", "inf",
+     "--seed", "1"],
+    ["wishart", "eigcdf", "--d", "4", "--trials", "5", "--x", "0.1,nan",
+     "--seed", "1"],
+    ["wishart", "lmax", "--d", "4", "--trials", "5", "--t", "nan", "--seed", "1"],
+    ["wishart", "lmax", "--d", "4", "--trials", "5", "--t", "inf", "--seed", "1"],
+    ["wishart", "lmax", "--d", "4", "--trials", "5", "--t", "-3", "--seed", "1"],
+    ["wishart", "invtrace", "--d", "4", "--trials", "5", "--p", "nan",
+     "--seed", "1"],
+    ["wishart", "invtrace", "--d", "4", "--trials", "5", "--p", "inf",
+     "--seed", "1"],
+    ["wishart", "game", "--d", "4", "--algo", "exact", "--budget", "4",
+     "--trials", "2", "--p", "nan", "--seed", "1"],
+    ["wishart", "game", "--d", "4", "--algo", "exact", "--budget", "4",
+     "--trials", "2", "--C", "inf", "--seed", "1"],
+    ["wishart", "game", "--d", "4", "--algo", "const", "--c-guess", "nan",
+     "--budget", "0", "--trials", "2", "--seed", "1"],
+])
+def test_nonfinite_float_flags_exit_2(argv):
+    # In a subprocess with a timeout: --kappa inf once scanned forever.
+    src = str(Path(tracebounds.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "tracebounds.cli", *argv],
+                          env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b""
+    assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("sub", ["eigcdf", "lmax", "invtrace"])
+def test_output_bytes_do_not_depend_on_stack_size(sub, monkeypatch, capsys):
+    # 1, k and k + 1 bidiagonals of d = 8 per stack, against the default
+    # of one stack for all 40 trials (and 128 dense matrices per SVD
+    # sub-stack, against 1 at the smaller bounds).
+    argv = ["wishart", sub, "--d", "8", "--trials", "40", "--seed", "97",
+            "--format", "csv"]
+    assert run(argv) == 0
+    want = capsys.readouterr().out
+    for per_stack in (1, 7, 8):
+        monkeypatch.setattr(wishart_module, "_STACK_BYTES", per_stack * 8 * 15)
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want, per_stack
+
+
+@settings(max_examples=20, deadline=None)
+@given(sub=st.sampled_from(["eigcdf", "lmax", "invtrace", "game"]),
+       d=st.integers(min_value=2, max_value=12),
+       trials=st.integers(min_value=1, max_value=40),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_csv_bytes_repeat_in_process(sub, d, trials, seed):
+    argv = ["wishart", sub, "--d", str(d), "--trials", str(trials),
+            "--seed", str(seed), "--format", "csv"]
+    if sub == "game":
+        argv += ["--algo", "hutch", "--nv", "2", "--m", "2", "--budget", "4"]
+    outs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert run(argv) == 0
+        outs.append(buf.getvalue())
+    assert outs[0] == outs[1]
+    assert outs[0].startswith("# config = ")

@@ -14,8 +14,10 @@ from tracebounds.errors import (
     ConditioningError,
     RankDeficiencyError,
 )
+from conftest import make_trials_singular
 from tracebounds.linalg import (
     SymMatrix,
+    bidiagonal_counts,
     cholesky,
     orthonormal_complement,
     qr_columns,
@@ -113,6 +115,42 @@ class TestPosteriorDecomposition:
             make_transcript(w, np.eye(4))
 
 
+def wishart_and_transcript(d, n, seed):
+    rng = RngState(seed)
+    w = sample_wishart(d, rng.child(0))
+    return w, make_transcript(w, rng.child(1).standard_normal((d, n)))
+
+
+posterior_cases = st.integers(min_value=1, max_value=16).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(min_value=0, max_value=d - 1),
+                        st.integers(min_value=0, max_value=2**32 - 1)))
+
+
+class TestPosteriorProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(posterior_cases)
+    def test_block_identity(self, case):
+        d, n, seed = case
+        w, t = wishart_and_transcript(d, n, seed)
+        dec = posterior_decompose(w, t)
+        assert dec.block_residual(w) <= 1e-8 * w.max_norm()
+        np.testing.assert_allclose(dec.v @ dec.v.T, np.eye(d), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(posterior_cases)
+    def test_cauchy_interlacing(self, case):
+        # W~ is the Schur complement of the revealed n x n block of V W V^T,
+        # so W~^-1 is a principal block of (V W V^T)^-1 and Cauchy gives
+        # lambda_j(W) <= lambda_j(W~) <= lambda_(j+n)(W) for j = 1..d-n.
+        d, n, seed = case
+        w, t = wishart_and_transcript(d, n, seed)
+        lam_w = np.linalg.eigvalsh(w.entries)
+        lam_t = np.linalg.eigvalsh(posterior_decompose(w, t).wtilde.entries)
+        tol = 1e-10 * lam_w[-1]
+        assert np.all(lam_w[:d - n] <= lam_t + tol)
+        assert np.all(lam_t <= lam_w[n:] + tol)
+
+
 def per_trial_posterior_samples(d, n, trials, rng):
     """Reference: the loop posterior_distribution_test ran before it
     stacked its trials, one posterior_decompose per trial."""
@@ -167,12 +205,12 @@ class TestPosteriorDistribution:
         # trial 7's a zero first row (pivot 1 fails); both share the first
         # stack of 8 at d = 32, and the lower trial index decides.
         def rigged(d, rngs):
-            w, g = sample_wishart_stack(d, rngs)
+            w = sample_wishart_stack(d, rngs)
             if d == 32 and 5 in singular:
                 w[5, 1], w[5, :, 1] = w[5, 0], w[5, :, 0]
             if d == 32 and 7 in singular:
                 w[7, 0], w[7, :, 0] = 0.0, 0.0
-            return w, g
+            return w
         monkeypatch.setattr(wishart_module, "sample_wishart_stack", rigged)
         with pytest.raises(ConditioningError, match=f"pivot {pivot} = "):
             posterior_distribution_test(32, 8, 16, RngState(91))
@@ -259,8 +297,14 @@ class TestEigenLaws:
         assert probs == sorted(probs)
 
     def test_eig_cdf_rejects_bad_x(self):
-        with pytest.raises(ValueError):
-            eig_cdf_experiment(4, 10, [1.5], RngState(73))
+        for x in (1.5, -0.1, np.nan):
+            with pytest.raises(ValueError):
+                eig_cdf_experiment(4, 10, [x], RngState(73))
+
+    @pytest.mark.parametrize("t", [-3.0, np.nan, np.inf])
+    def test_lambda_max_tail_rejects_bad_t(self, t):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            lambda_max_tail_experiment(4, 10, [0.0, t], RngState(73))
 
     def test_lambda_max_tail_decreasing(self):
         rows = lambda_max_tail_experiment(8, 1500, [0.0, 0.25, 0.5, 1.0],
@@ -270,56 +314,167 @@ class TestEigenLaws:
         assert rows[-1].probability <= 0.1
 
 
-def per_trial_spectra(d, trials, rng):
-    """Reference: the loop the eigen-law experiments ran before they
-    stacked their trials, one sample_wishart and eigvalsh per trial."""
-    return np.array([np.linalg.eigvalsh(sample_wishart(d, rng.child(i)).entries)
-                     for i in range(trials)])
+def dense_spectra(d, trials, rng):
+    """Reference sampler: eigvalsh of G G^T / d for each trial's dense G,
+    in stacks of 64 trials."""
+    return np.concatenate([
+        np.linalg.eigvalsh(sample_wishart_stack(
+            d, [rng.child(i) for i in range(start, min(start + 64, trials))]))
+        for start in range(0, trials, 64)])
 
 
-def stack_trials(d):
+def bidiagonal_spectra(d, trials, rng):
+    stacks = wishart_module._trial_bidiagonals(d, trials, rng)
+    return np.concatenate([wishart_module._bidiagonal_spectra(a, b)
+                           for a, b in stacks])
+
+
+def per_trial_bidiagonal_spectra(d, trials, rng):
+    """Reference: one trial at a time, its 2d - 1 chi-square variates
+    drawn in the documented order and one SVD of its upper bidiagonal."""
+    dofs = np.r_[np.arange(d, 0, -1), np.arange(d - 1, 0, -1)].astype(float)
+    out = np.empty((trials, d))
+    for i in range(trials):
+        chi = np.sqrt(rng.child(i).chisquare(dofs))
+        upper = np.diag(chi[:d]) + np.diag(chi[d:], 1)
+        out[i] = np.linalg.svd(upper, compute_uv=False)[::-1] ** 2 / d
+    return out
+
+
+def law_statistics(lam):
+    """lambda_min, lambda_max and tr(W^-1) of each trial's spectrum."""
+    return lam[:, 0], lam[:, -1], np.sum(1.0 / lam, axis=1)
+
+
+def dense_stack_trials(d):
     return max(1, wishart_module._STACK_BYTES // (8 * d * d))
 
 
+def bidiagonal_stack_trials(d):
+    return max(1, wishart_module._STACK_BYTES // (8 * (2 * d - 1)))
+
+
+LAW_TRIALS = 2000
+
+
+@pytest.fixture(scope="module")
+def dense_laws():
+    return {d: law_statistics(dense_spectra(d, LAW_TRIALS, RngState(94)))
+            for d in (2, 8, 64)}
+
+
+def chi_d_subdiagonal(d):
+    """Negative control: every subdiagonal entry drawn as chi_d."""
+    return np.r_[np.arange(d, 0, -1), np.full(d - 1, d)].astype(float)
+
+
 class TestTrialSpectra:
+    # (16, 31..33) and (64, 3) cross the dense SVD sub-stacks (32 and 2
+    # matrices), (16, 265) and (64, 65) the bidiagonal stacks (264 and 64).
     @pytest.mark.parametrize("d, trials", [
         (1, 7), (5, 333), (64, 200), (300, 3),
-        (16, stack_trials(16) - 1), (16, stack_trials(16)),
-        (16, stack_trials(16) + 1), (64, stack_trials(64) + 1),
+        (16, dense_stack_trials(16) - 1), (16, dense_stack_trials(16)),
+        (16, dense_stack_trials(16) + 1), (64, dense_stack_trials(64) + 1),
+        (16, bidiagonal_stack_trials(16) + 1),
+        (64, bidiagonal_stack_trials(64) + 1),
     ])
     def test_equal_to_per_trial_loop(self, d, trials):
-        stacks = list(wishart_module._trial_spectra(d, trials, RngState(92)))
-        assert all(len(lam) <= stack_trials(d) for lam in stacks)
-        got = np.concatenate(stacks)
-        np.testing.assert_array_equal(got, per_trial_spectra(d, trials, RngState(92)))
+        stacks = list(wishart_module._trial_bidiagonals(d, trials, RngState(92)))
+        assert all(len(a) <= bidiagonal_stack_trials(d) for a, _ in stacks)
+        got = np.concatenate([wishart_module._bidiagonal_spectra(a, b)
+                              for a, b in stacks])
+        np.testing.assert_array_equal(
+            got, per_trial_bidiagonal_spectra(d, trials, RngState(92)))
 
-    def test_negative_lambda_min_taken_from_singular_values(self):
-        # Trial 77 of this seed: cond(G) = 1.7e8, and eigvalsh returns
-        # lambda_min = -4.3e-17 for sigma_min(G)^2/d = 1.2e-16.
-        d, rng = 64, RngState(1867113236)
-        got = np.concatenate(list(wishart_module._trial_spectra(d, 200, rng)))
-        want = per_trial_spectra(d, 200, rng)
-        bad = np.flatnonzero(want[:, 0] < 1e-300)
-        assert bad.tolist() == [77]
-        sigma = np.linalg.svd(rng.child(77).standard_normal((d, d)),
-                              compute_uv=False)
-        np.testing.assert_array_equal(got[77], sigma[::-1] ** 2 / d)
-        assert 1e-16 < got[77, 0] < 1.2e-16
-        keep = np.arange(200) != 77
-        np.testing.assert_array_equal(got[keep], want[keep])
-        rep = inv_trace_tail_experiment(d, 200, 1.0, rng)
-        assert rep.dropped == 0 and len(rep.samples) == 200
-        assert rep.samples[77] == np.sum(1.0 / got[77]) / d ** 2
-        assert eig_cdf_experiment(d, 200, [0.0], rng)[0].count == 0
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_equal_in_law_to_dense_sampler(self, d, dense_laws):
+        got = law_statistics(bidiagonal_spectra(d, LAW_TRIALS, RngState(95)))
+        for name, x, y in zip(("lambda_min", "lambda_max", "tr W^-1"),
+                              got, dense_laws[d]):
+            assert wishart_module._ks_2samp(x, y)[1] > 0.01, name
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_ks_rejects_chi_d_subdiagonal(self, d, dense_laws, monkeypatch):
+        monkeypatch.setattr(wishart_module, "_bidiagonal_dofs", chi_d_subdiagonal)
+        got = law_statistics(bidiagonal_spectra(d, LAW_TRIALS, RngState(95)))
+        for name, x, y in zip(("lambda_min", "lambda_max", "tr W^-1"),
+                              got, dense_laws[d]):
+            assert wishart_module._ks_2samp(x, y)[1] < 0.01, name
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=24),
+           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_counts_equal_svd_counts(self, d, m, seed):
+        # Entries and shifts spread over many orders of magnitude; a
+        # (trial, shift) pair within a relative 1e-8 of an eigenvalue is a
+        # tie and is skipped.
+        g = np.random.default_rng(seed)
+        a = np.exp(g.uniform(-8.0, 4.0, (5, d)))
+        b = np.exp(g.uniform(-8.0, 4.0, (5, d - 1)))
+        shifts = np.exp(g.uniform(-30.0, 10.0, m))
+        upper = np.zeros((5, d, d))
+        upper[:, np.arange(d), np.arange(d)] = a
+        upper[:, np.arange(d - 1), np.arange(1, d)] = b
+        lam = np.linalg.svd(upper, compute_uv=False) ** 2
+        gap = np.min(np.abs(lam[:, :, None] / shifts - 1.0), axis=1)
+        want = np.sum(lam[:, :, None] < shifts, axis=1)
+        got = bidiagonal_counts(a, b, shifts)
+        away = gap > 1e-8
+        np.testing.assert_array_equal(got[away], want[away])
+
+    @pytest.mark.parametrize("j", [0, 2, 4])
+    def test_zero_diagonal_entry_gives_defined_count(self, j):
+        # B with a_j = 0 is exactly singular.  At shift 0 the pivot D_j is
+        # 0 - 0; the pivmin guard counts it (lambda = 0 <= 0) where the
+        # unguarded recurrence would go on with 0/0.
+        (a, b), = wishart_module._trial_bidiagonals(5, 4, RngState(98))
+        a[:, j] = 0.0
+        lam = wishart_module._bidiagonal_spectra(a, b) * 5
+        assert np.all(lam[:, 0] == 0.0)
+        shifts = np.array([0.0, 1e-300, 0.5, 2.0, 50.0])
+        got = bidiagonal_counts(a, b, shifts)
+        assert np.all(got[:, 0] == 1)
+        np.testing.assert_array_equal(
+            got[:, 1:], np.sum(lam[:, :, None] < shifts[1:], axis=1))
+
+    @pytest.mark.parametrize("b, want", [
+        # b_1 = 0 splits B: its spectrum is {4} and that of [[1, 0], [1, 1]]
+        # times its transpose, 0.38 and 2.62.  The clamped ratio restarts
+        # the second block at -tau; unclamped, 0 * inf = NaN would go on.
+        ([0.0, 1.0], [2, 3, 3]),
+        # Spectrum 0.21, 2.17, 8.62: e_1 times the clamped ratio overflows,
+        # and the inf/inf ratio after it is taken as 1, its limit.
+        ([2.0, 1.0], [2, 2, 2]),
+    ])
+    def test_exact_zero_pivot(self, b, want):
+        # a_1^2 equals the shift 4, so D_1 = 0 exactly.
+        a = np.array([[2.0, 1.0, 1.0]])
+        got = bidiagonal_counts(a, np.array([b]), [3.9, 4.0, 4.1])
+        assert got.tolist() == [want]
+
+    def test_tiny_last_diagonal_keeps_lambda_min(self):
+        # a_d = 1e-150 puts lambda_min(B B^T) near 1e-300.  The reference
+        # is det(B B^T) = prod a_i^2 over the other eigenvalues, which are
+        # well conditioned; eigvalsh of the dense B B^T has an absolute
+        # error near eps ||B||^2 and loses lambda_min altogether.
+        d = 8
+        (a, b), = wishart_module._trial_bidiagonals(d, 1, RngState(96))
+        a[0, -1] = 1e-150
+        bmat = np.diag(a[0]) + np.diag(b[0], -1)
+        dense = np.linalg.eigvalsh(bmat @ bmat.T)
+        want = np.prod(a[0] ** 2) / np.prod(dense[1:])
+        lam = wishart_module._bidiagonal_spectra(a, b)[0] * d
+        assert abs(lam[0] - want) <= 1e-10 * want
+        assert bidiagonal_counts(a, b, [want * (1 - 1e-10),
+                                        want * (1 + 1e-10)]).tolist() == [[0, 1]]
+        assert abs(dense[0] - want) > want
 
     def test_only_exactly_singular_draws_dropped(self, monkeypatch):
-        # G = 0 has sigma_min = 0 exactly; a G with rank d - 1 would get a
-        # rounding-level sigma_min of ~1e-16 and be kept.
-        def rigged(d, rngs):
-            w, g = sample_wishart_stack(d, rngs)
-            w[1], g[1] = 0.0, 0.0
-            return w, g
-        monkeypatch.setattr(wishart_module, "sample_wishart_stack", rigged)
+        # A zero diagonal entry makes B exactly singular, and its smallest
+        # singular value comes out as exactly 0; a nearly singular B keeps
+        # its relatively accurate sigma_min and its row.
+        make_trials_singular(monkeypatch, [1])
         rep = inv_trace_tail_experiment(3, 5, 1.0, RngState(93))
         assert rep.dropped == 1 and len(rep.samples) == 4
 
@@ -327,16 +482,15 @@ class TestTrialSpectra:
 class TestInvTraceTail:
     def test_d2_algebraic_identity(self):
         # p=1, d=2: tr(W^{-1}) = tr(W)/det(W); spot-check against the
-        # eigenvalue route on the same draws.
+        # eigenvalue route on the same draws, W = B B^T / 2 with
+        # B = [[a_1, 0], [b_1, a_2]].
         rng = RngState(75)
         rep = inv_trace_tail_experiment(2, 50, 1.0, rng)
-        direct = []
-        for i in range(50):
-            w = sample_wishart(2, rng.child(i))
-            m = w.entries
-            direct.append(np.trace(m) / np.linalg.det(m) / 2 ** 2)
-        kept = [v for v in direct]
-        np.testing.assert_allclose(np.sort(rep.samples), np.sort(kept),
+        (a, b), = wishart_module._trial_bidiagonals(2, 50, rng)
+        tr = (a[:, 0] ** 2 + a[:, 1] ** 2 + b[:, 0] ** 2) / 2
+        det = (a[:, 0] * a[:, 1]) ** 2 / 4
+        direct = tr / det / 2 ** 2
+        np.testing.assert_allclose(np.sort(rep.samples), np.sort(direct),
                                    atol=1e-10, rtol=1e-10)
 
     def test_seed_batch_stability(self):
@@ -354,8 +508,7 @@ class TestInvTraceTail:
             inv_trace_tail_experiment(4, 10, 0.5, RngState(79))
 
     def test_all_trials_dropped_raises(self, monkeypatch):
-        monkeypatch.setattr(wishart_module, "sample_wishart_stack",
-                            lambda d, rngs: (np.zeros((len(rngs), d, d)),) * 2)
+        make_trials_singular(monkeypatch, range(5))
         with pytest.raises(ConditioningError, match=r"d=3.*trials=5"):
             inv_trace_tail_experiment(3, 5, 1.0, RngState(80))
 
