@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .chebyshev import ChebPoly, cheb_grid
-from .errors import CertificateError
+from .errors import CertificateError, UsageError
 
 #: Documented constant for the degree law: degree(inv_sqrt_poly(kappa, delta))
 #: and degree(inv_poly(kappa, delta)) are bounded by C0 * sqrt(kappa) *
@@ -48,15 +48,23 @@ class ApproxTarget:
 
     def __post_init__(self):
         if self.kind not in ("inv_sqrt", "inv", "monomial"):
-            raise ValueError(f"unknown target kind {self.kind!r}")
+            raise UsageError(f"unknown target kind {self.kind!r}")
         if self.kind == "monomial":
             if self.s is None or self.s < 1:
-                raise ValueError("monomial target needs integer s >= 1")
+                raise UsageError("monomial target needs integer s >= 1")
         else:
             if self.kappa is None or not 2 <= self.kappa < math.inf:
-                raise ValueError("need finite kappa >= 2")
+                raise UsageError("need finite kappa >= 2")
             if self.delta is not None and not 0 < self.delta < 0.5:
-                raise ValueError("need 0 < delta < 1/2")
+                raise UsageError("need 0 < delta < 1/2")
+
+    @property
+    def scale(self) -> float:
+        """Divisor of delta in the certified sup error: sqrt(kappa) for
+        inv_sqrt, kappa for inv.  Monomial targets have none."""
+        if self.kind == "monomial":
+            raise ValueError("monomial targets carry no certificate scale")
+        return math.sqrt(self.kappa) if self.kind == "inv_sqrt" else self.kappa
 
     def function(self):
         if self.kind == "inv_sqrt":
@@ -101,9 +109,9 @@ def monomial_cheb_approx(s: int, delta: float) -> ChebPoly:
     by the binomial tail bound, so |p(x) - x^s| <= delta on [-1, 1].
     """
     if s < 1:
-        raise ValueError("s must be a positive integer")
+        raise UsageError("s must be a positive integer")
     if not 0 < delta < 1:
-        raise ValueError("need 0 < delta < 1")
+        raise UsageError("need 0 < delta < 1")
     # The expansion x^s = sum_j w_j 2^(1-s) C(s, (s-j)/2) T_j over j = s mod 2
     # (w_0 = 1/2, else 1) is built by s multiplications by x; every step
     # halves and adds positive numbers, so no binomial is ever formed.
@@ -119,9 +127,9 @@ def taylor_truncation_length(kappa: float, delta_half: float) -> int:
     formula, so downstream certificates hold at small kappa.
     """
     if not 2 <= kappa < math.inf:
-        raise ValueError("need finite kappa >= 2")
+        raise UsageError("need finite kappa >= 2")
     if not 0 < delta_half < math.inf:
-        raise ValueError("need finite delta_half > 0")
+        raise UsageError("need finite delta_half > 0")
     ratio = 1.0 - 1.0 / kappa
     t = 0
     bound = kappa * ratio  # value at T = 0
@@ -140,7 +148,7 @@ def sup_error(p: ChebPoly, target: ApproxTarget, grid_size: int) -> float:
     """
     minimum = max(1024, 10 * p.degree())
     if grid_size < minimum:
-        raise ValueError(f"grid_size must be >= {minimum}")
+        raise UsageError(f"grid_size must be >= {minimum}")
     return _grid_sup_error(p.interval, p.coeffs.tobytes(), target, grid_size)
 
 
@@ -189,14 +197,8 @@ def _rescale_to_interval(h: ChebPoly, kappa: float, scale: float) -> ChebPoly:
     return ChebPoly((1.0, kappa), coeffs).trimmed()
 
 
-def _check_inv_params(kappa: float, delta: float):
-    if not 2 <= kappa < math.inf:
-        raise ValueError("need finite kappa >= 2")
-    if not 0 < delta < 0.5:
-        raise ValueError("need 0 < delta < 1/2")
-
-
-def _certify(p: ChebPoly, target: ApproxTarget, bound: float) -> ChebPoly:
+def _certify(p: ChebPoly, target: ApproxTarget) -> ChebPoly:
+    bound = target.delta / target.scale
     achieved = sup_error(p, target, max(4096, 10 * p.degree()))
     if achieved > bound:
         raise CertificateError(achieved, bound)
@@ -211,7 +213,7 @@ def inv_sqrt_poly(kappa: float, delta: float) -> ChebPoly:
     to accuracy delta/(4 t^2), and the sum mapped to [1, kappa] with a
     1/sqrt(kappa) scaling.
     """
-    _check_inv_params(kappa, delta)
+    target = ApproxTarget("inv_sqrt", kappa=kappa, delta=delta)
     T = taylor_truncation_length(kappa, delta / 2.0)
 
     binom_coeffs = np.empty(T + 1)
@@ -226,8 +228,7 @@ def inv_sqrt_poly(kappa: float, delta: float) -> ChebPoly:
         T,
     )
     q = _rescale_to_interval(h, kappa, 1.0 / math.sqrt(kappa))
-    target = ApproxTarget("inv_sqrt", kappa=kappa, delta=delta)
-    return _certify(q, target, delta / math.sqrt(kappa))
+    return _certify(q, target)
 
 
 def inv_poly(kappa: float, delta: float) -> ChebPoly:
@@ -237,10 +238,9 @@ def inv_poly(kappa: float, delta: float) -> ChebPoly:
     (1+y)^{-1} = sum (-1)^t y^t, per-term accuracy delta/(2T), and a
     1/kappa final scaling.
     """
-    _check_inv_params(kappa, delta)
+    target = ApproxTarget("inv", kappa=kappa, delta=delta)
     T = taylor_truncation_length(kappa, delta / 2.0)
     per_term = delta / (2.0 * T)
     h = _series_sum(lambda t: (-1.0) ** t, lambda t: per_term, T)
     r = _rescale_to_interval(h, kappa, 1.0 / kappa)
-    target = ApproxTarget("inv", kappa=kappa, delta=delta)
-    return _certify(r, target, delta / kappa)
+    return _certify(r, target)

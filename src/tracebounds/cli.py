@@ -32,7 +32,6 @@ from .hutchinson import (
     LanczosBackend,
     ProbeSpec,
     bias_bound,
-    build_target_poly,
     hutchinson,
 )
 from .linalg import sample_spd_with_spectrum
@@ -65,8 +64,6 @@ CSV_HEADERS = {
 }
 
 _FUNC_ALIASES = {"inv": "inv", "invsqrt": "inv_sqrt", "inv_sqrt": "inv_sqrt"}
-#: Scalar functions `trace` accepts (after aliasing) with a non-cheb backend.
-_TRACE_FUNCS = ("inv", "inv_sqrt", "identity", "exp")
 
 
 def _fmt(v) -> str:
@@ -117,10 +114,8 @@ def _config(args, fields) -> dict:
 def _poly_target(func: str, kappa: float, delta: float) -> ApproxTarget:
     if func not in _FUNC_ALIASES:
         raise UsageError(f"--func must be inv or invsqrt, got {func!r}")
-    if kappa is None or not 2 <= kappa < math.inf:
-        raise UsageError("--kappa must be finite and >= 2")
-    if delta is None or not 0 < delta < 0.5:
-        raise UsageError("--delta must be in (0, 1/2)")
+    if delta is None:
+        raise UsageError("a delta is required")
     return ApproxTarget(_FUNC_ALIASES[func], kappa=kappa, delta=delta)
 
 
@@ -129,9 +124,7 @@ def cmd_poly_build(args) -> int:
     poly = (inv_sqrt_poly if target.kind == "inv_sqrt" else inv_poly)(
         target.kappa, target.delta
     )
-    bound = target.delta / (
-        math.sqrt(target.kappa) if target.kind == "inv_sqrt" else target.kappa
-    )
+    bound = target.delta / target.scale
     # --grid is raised to sup_error's minimum, max(1024, 10 * degree).
     grid = max(args.grid, 1024, 10 * poly.degree())
     achieved = sup_error(poly, target, grid)
@@ -187,11 +180,9 @@ def _load_or_generate_matrix(args):
         mat, asym = parse_matrix_file(args.matrix)
         return mat, asym
     if args.gen_spd:
-        if args.dim is None or args.dim < 2:
-            raise UsageError("--gen-spd requires --dim >= 2")
+        if args.dim is None:
+            raise UsageError("--gen-spd requires --dim")
         kappa = args.kappa if args.kappa is not None else 2.0
-        if kappa < 1:
-            raise UsageError("--gen-spd requires --kappa >= 1")
         return sample_spd_with_spectrum(
             args.dim, kappa, RngState(args.seed, stream=9)
         ), 0.0
@@ -201,29 +192,20 @@ def _load_or_generate_matrix(args):
 def cmd_trace(args) -> int:
     if args.seed is None:
         raise UsageError("--seed is required")
-    if args.probes < 1:
-        raise UsageError("--probes must be >= 1")
+    probes = ProbeSpec(args.probe_kind, args.probes, RngState(args.seed))
     func = _FUNC_ALIASES.get(args.func, args.func)
-    if func not in _TRACE_FUNCS:
-        raise UsageError(
-            f"--func must be inv, invsqrt, identity or exp, got {args.func!r}")
     mat, asym = _load_or_generate_matrix(args)
-    rng = RngState(args.seed)
-    probes = ProbeSpec(args.probe_kind, args.probes, rng)
 
     bias = None
     if args.backend == "cheb":
         if args.kappa is None:
             raise UsageError("--backend cheb requires --kappa")
         target = _poly_target(args.func, args.kappa, args.delta)
-        poly = build_target_poly(target)
-        backend = ChebBackend(
-            poly, label=f"cheb[{target.kind}, kappa={args.kappa:g}, delta={args.delta:g}]"
-        )
+        backend = ChebBackend.for_target(target)
         bias = bias_bound(target, mat.dim)
     elif args.backend == "lanczos":
-        if args.m is None or not 1 <= args.m <= mat.dim:
-            raise UsageError(f"--backend lanczos requires 1 <= --m <= d = {mat.dim}")
+        if args.m is None:
+            raise UsageError("--backend lanczos requires --m")
         backend = LanczosBackend(func, args.m)
     elif args.backend == "exact":
         backend = ExactBackend(func)
@@ -260,12 +242,9 @@ def _require_seed(args):
 
 def _float_list(text: str, flag: str) -> list[float]:
     try:
-        values = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise UsageError(f"{flag} must be comma-separated numbers, got {text!r}")
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"{flag} values must be finite, got {text!r}")
-    return values
 
 
 def _finite_float(text: str) -> float:
@@ -284,15 +263,8 @@ def cmd_wishart(args) -> int:
     _require_seed(args)
     rng = RngState(args.seed)
     sub = args.subcommand
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    min_d = 2 if sub == "invtrace" else 1
-    if args.d < min_d:
-        raise UsageError(f"--d must be >= {min_d}")
     if sub == "eigcdf":
         xs = _float_list(args.x, "--x")
-        if not all(0 <= x <= 1 for x in xs):
-            raise UsageError("--x values must lie in [0, 1]")
         rows = eig_cdf_experiment(args.d, args.trials, xs, rng)
         cfg = _config(args, ["d", "trials", "x", "seed", "format"])
         table = [(r.x, r.count, r.probability, r.stderr) for r in rows]
@@ -306,8 +278,6 @@ def cmd_wishart(args) -> int:
         return EXIT_OK
     if sub == "lmax":
         ts = _float_list(args.t, "--t")
-        if not all(t >= 0 for t in ts):
-            raise UsageError("--t values must be >= 0")
         rows = lambda_max_tail_experiment(args.d, args.trials, ts, rng)
         cfg = _config(args, ["d", "trials", "t", "seed", "format"])
         table = [
@@ -319,8 +289,6 @@ def cmd_wishart(args) -> int:
                         for r in rows]})
         return EXIT_OK
     if sub == "invtrace":
-        if args.p <= 0.5:
-            raise UsageError("--p must be > 1/2")
         rep = inv_trace_tail_experiment(args.d, args.trials, args.p, rng)
         cfg = _config(args, ["d", "trials", "p", "seed", "format"])
         table = list(zip(rep.sample_trials.tolist(), rep.samples.tolist()))
@@ -329,8 +297,6 @@ def cmd_wishart(args) -> int:
     if sub == "posterior":
         if args.format == "csv":
             raise UsageError("wishart posterior reports JSON only; drop --format csv")
-        if not 0 <= args.n < args.d:
-            raise UsageError("need 0 <= n < d")
         rep = posterior_distribution_test(args.d, args.n, args.trials, rng)
         cfg = _config(args, ["d", "n", "trials", "seed", "format"])
         _write_text(args.out, _json_report(cfg, rep.to_dict()))
@@ -345,10 +311,6 @@ def cmd_wishart(args) -> int:
             return EXIT_ASSERTION
         return EXIT_OK
     if sub == "game":
-        if args.C <= 1.0:
-            raise UsageError("--C must be > 1")
-        if args.p <= 0.5:
-            raise UsageError("--p must be > 1/2")
         if args.algo == "exact":
             algo = ExactRecovery()
         elif args.algo == "const":
@@ -358,16 +320,11 @@ def cmd_wishart(args) -> int:
         elif args.algo == "hutch":
             if args.nv is None or args.m is None:
                 raise UsageError("--algo hutch requires --nv and --m")
-            if args.nv < 1 or args.m < 1:
-                raise UsageError("--nv and --m must be >= 1")
             algo = HutchinsonKrylov(args.nv, args.m)
         else:
             raise UsageError(f"unknown --algo {args.algo!r}")
-        try:
-            result = query_game(args.d, args.p, args.C, algo, args.budget,
-                                args.trials, rng)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+        result = query_game(args.d, args.p, args.C, algo, args.budget,
+                            args.trials, rng)
         cfg = _config(args, ["d", "p", "C", "algo", "budget", "trials", "nv",
                              "m", "c_guess", "seed", "format"])
         table = [

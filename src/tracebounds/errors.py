@@ -80,5 +80,5 @@ class MatrixParseError(TraceBoundsError):
         super().__init__(f"line {line}: {message}")
 
 
-class UsageError(TraceBoundsError):
-    """Invalid CLI arguments (exit code 2)."""
+class UsageError(TraceBoundsError, ValueError):
+    """An argument outside its documented range; the CLI exits 2."""

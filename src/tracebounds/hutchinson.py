@@ -12,6 +12,7 @@ total cost = N_v * (MVPs per probe).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,7 @@ import numpy as np
 
 from .approx import ApproxTarget, inv_poly, inv_sqrt_poly
 from .chebyshev import ChebPoly
+from .errors import UsageError
 from .krylov import apply_scalar_function, fa_times_vec_lanczos, poly_times_block
 from .linalg import SymMatrix, sym_eigen
 from .rng import RngState, rademacher
@@ -28,8 +30,8 @@ from .rng import RngState, rademacher
 class ProbeSpec:
     """Probe distribution, count and RNG for a Hutchinson run.
 
-    Probe s draws from rng.child(s), so results are order-independent and
-    probes may be evaluated in parallel.
+    Probe s draws from rng.child(s), so the probes do not depend on the
+    order in which they are drawn.
     """
 
     kind: str
@@ -38,9 +40,9 @@ class ProbeSpec:
 
     def __post_init__(self):
         if self.kind not in ("rademacher", "gaussian"):
-            raise ValueError(f"unknown probe kind {self.kind!r}")
+            raise UsageError(f"unknown probe kind {self.kind!r}")
         if self.count < 1:
-            raise ValueError("count must be >= 1")
+            raise UsageError("probe count must be >= 1")
 
     def draw(self, s: int, dim: int) -> np.ndarray:
         g = self.rng.child(s)
@@ -74,15 +76,12 @@ class ExactBackend:
         return f"exact({_func_name(self.f)})"
 
     def apply_block(self, a: SymMatrix, zblock: np.ndarray):
-        eig = sym_eigen(a)
-        vals = apply_scalar_function(self.f, eig.eigvals)
-        return eig.eigvecs @ (vals[:, None] * (eig.eigvecs.T @ zblock)), 0
+        g = functools.partial(apply_scalar_function, self.f)
+        return sym_eigen(a).apply_function(g, zblock), 0
 
     def matrix(self, a: SymMatrix) -> np.ndarray:
         """Dense g(A), the exact-trace oracle for tests."""
-        eig = sym_eigen(a)
-        vals = apply_scalar_function(self.f, eig.eigvals)
-        return (eig.eigvecs * vals) @ eig.eigvecs.T
+        return self.apply_block(a, np.eye(a.dim))[0]
 
 
 class LanczosBackend:
@@ -106,6 +105,13 @@ class ChebBackend:
         self.poly = poly
         self.label = label
 
+    @classmethod
+    def for_target(cls, target: ApproxTarget) -> "ChebBackend":
+        """The certified polynomial of an inv or inv_sqrt target, labelled
+        with its kind, kappa and delta."""
+        return cls(build_target_poly(target), label=(
+            f"cheb[{target.kind}, kappa={target.kappa:g}, delta={target.delta:g}]"))
+
     def describe(self) -> str:
         a, b = self.poly.interval
         return f"{self.label}(degree={self.poly.degree()}, interval=[{a:g},{b:g}])"
@@ -114,16 +120,12 @@ class ChebBackend:
         return poly_times_block(a, self.poly, zblock)
 
     def matrix(self, a: SymMatrix) -> np.ndarray:
-        eig = sym_eigen(a)
-        vals = self.poly.evaluate(eig.eigvals)
-        return (eig.eigvecs * vals) @ eig.eigvecs.T
+        return sym_eigen(a).apply_function(self.poly.evaluate, np.eye(a.dim))
 
 
 def _func_name(f) -> str:
     if callable(f):
         return getattr(f, "__name__", "callable")
-    if isinstance(f, tuple):
-        return f"{f[0]}({f[1]})"
     return str(f)
 
 
@@ -144,17 +146,14 @@ def hutchinson(a: SymMatrix, backend, probes: ProbeSpec) -> TraceEstimate:
 def bias_bound(target: ApproxTarget, d: int) -> float:
     """Certified bound on |tr(p(A)) - tr(f(A))| for spectrum in [1, kappa].
 
-    Sums the scalar certificate over d eigenvalues: d * delta / sqrt(kappa)
-    for inv_sqrt, d * delta / kappa for inv.  Monomial targets have no
-    per-eigenvalue bound in the trace context and are rejected.
+    Sums the scalar certificate over d eigenvalues: d * delta / scale,
+    with scale = sqrt(kappa) for inv_sqrt and kappa for inv.  Monomial
+    targets have no per-eigenvalue bound in the trace context and are
+    rejected.
     """
-    if target.kind == "monomial":
-        raise ValueError("no trace bias bound is defined for monomial targets")
     if target.delta is None:
         raise ValueError("target must carry a delta")
-    if target.kind == "inv_sqrt":
-        return d * target.delta / math.sqrt(target.kappa)
-    return d * target.delta / target.kappa
+    return d * target.delta / target.scale
 
 
 def build_target_poly(target: ApproxTarget) -> ChebPoly:
@@ -174,8 +173,5 @@ def estimate_tr_f(
     The caller asserts spec(A) is inside [1, target.kappa].  mvp_count is
     exactly n_probes * degree(p).
     """
-    poly = build_target_poly(target)
-    label = f"cheb[{target.kind}, kappa={target.kappa:g}, delta={target.delta:g}]"
-    backend = ChebBackend(poly, label=label)
     probes = ProbeSpec(probe_kind, n_probes, rng)
-    return hutchinson(a, backend, probes)
+    return hutchinson(a, ChebBackend.for_target(target), probes)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chebyshev import ChebPoly
-from .errors import SpectrumError
+from .errors import SpectrumError, UsageError
 from .linalg import SymMatrix, eigh_checked
 # bench/tracing.py wraps krylov.sym_eigen by name; keep it importable here.
 from .linalg import sym_eigen  # noqa: F401
@@ -109,7 +109,7 @@ def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
 def _sym_args(a: SymMatrix, z: np.ndarray, m: int):
     """(block matvec, d x k start block, 1e-12 * ||A||_max breakdown tol)."""
     if not 1 <= m <= a.dim:
-        raise ValueError(f"need 1 <= m <= d, got m={m}, d={a.dim}")
+        raise UsageError(f"need 1 <= m <= d, got m={m}, d={a.dim}")
     zb = np.asarray(z, dtype=np.float64).reshape(a.dim, -1)
     return (lambda v: a.entries @ v), zb, _BREAKDOWN_RTOL * max(1.0, a.max_norm())
 
@@ -117,14 +117,12 @@ def _sym_args(a: SymMatrix, z: np.ndarray, m: int):
 def apply_scalar_function(f, values: np.ndarray) -> np.ndarray:
     """Apply a scalar function tag (or callable) to an eigenvalue array.
 
-    Tags: "identity", "inv", "inv_sqrt", "exp", ("monomial", s).  The
-    inverse tags require strictly positive input and raise SpectrumError
-    naming the offending value otherwise.
+    Tags: "identity", "inv", "inv_sqrt", "exp".  The inverse tags require
+    strictly positive input and raise SpectrumError naming the offending
+    value otherwise.
     """
     if callable(f):
         return f(values)
-    if isinstance(f, tuple) and f[0] == "monomial":
-        return values ** int(f[1])
     if f == "identity":
         return values.copy()
     if f == "exp":
@@ -136,7 +134,8 @@ def apply_scalar_function(f, values: np.ndarray) -> np.ndarray:
                 smallest, f"nonpositive Ritz/eigen value {smallest:g} for f={f}"
             )
         return 1.0 / values if f == "inv" else values ** -0.5
-    raise ValueError(f"unknown scalar function tag {f!r}")
+    raise UsageError(
+        f"unknown function {f!r}: use inv, inv_sqrt, identity or exp")
 
 
 def fa_times_vec_lanczos(a: SymMatrix, z: np.ndarray, m: int, f):

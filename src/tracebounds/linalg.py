@@ -8,6 +8,7 @@ x/d^2 scale, and E tr(W) = d.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ from .errors import (
     EigenConvergenceError,
     NotPositiveDefiniteError,
     RankDeficiencyError,
+    UsageError,
 )
 from .rng import as_generator
 
@@ -64,9 +66,13 @@ class EigenDecomposition:
     def reconstruct(self) -> np.ndarray:
         return (self.eigvecs * self.eigvals) @ self.eigvecs.T
 
-    def apply_function(self, f, v: np.ndarray) -> np.ndarray:
-        """f(A) v through the decomposition."""
-        return self.eigvecs @ (f(self.eigvals) * (self.eigvecs.T @ v))
+    def apply_function(self, f, x: np.ndarray) -> np.ndarray:
+        """f(A) x through the decomposition, for a length-d vector or a
+        d x k block x: V (f(Lambda) (V^T x))."""
+        g = f(self.eigvals)
+        if np.ndim(x) == 2:
+            g = g[:, None]
+        return self.eigvecs @ (g * (self.eigvecs.T @ x))
 
 
 def sym_eigen(a: SymMatrix) -> EigenDecomposition:
@@ -99,7 +105,7 @@ def eigh_checked(m: np.ndarray):
 def sample_gaussian_matrix(rows: int, cols: int, rng) -> np.ndarray:
     """rows x cols matrix of i.i.d. N(0,1) entries."""
     if rows < 1 or cols < 1:
-        raise ValueError("rows and cols must be >= 1")
+        raise UsageError("rows and cols must be >= 1")
     return as_generator(rng).standard_normal((rows, cols))
 
 
@@ -172,7 +178,9 @@ def sample_spd_with_spectrum(d: int, kappa: float, rng) -> SymMatrix:
     Endpoints are pinned so the declared interval is tight.
     """
     if d < 2:
-        raise ValueError("need d >= 2 to pin both spectrum endpoints")
+        raise UsageError("need d >= 2 to pin both spectrum endpoints")
+    if not 1 <= kappa < math.inf:
+        raise UsageError("need finite kappa >= 1")
     g = as_generator(rng)
     q, _ = np.linalg.qr(g.standard_normal((d, d)))
     lam = np.exp(g.uniform(0.0, np.log(kappa), size=d))

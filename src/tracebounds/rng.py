@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UsageError
+
 
 @dataclass(frozen=True)
 class RngState:
@@ -24,7 +26,7 @@ class RngState:
 
     def __post_init__(self):
         if self.seed < 0 or self.stream < 0:
-            raise ValueError("seed and stream must be nonnegative")
+            raise UsageError("seed and stream must be nonnegative")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""

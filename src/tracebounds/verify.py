@@ -6,18 +6,22 @@ library error) on failure; the CLI prints one PASS/FAIL line per check.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .approx import (
     ApproxTarget,
     inv_poly,
-    inv_sqrt_poly,
     monomial_cheb_approx,
     sup_error,
 )
-from .hutchinson import ExactBackend, ChebBackend, LanczosBackend, ProbeSpec, hutchinson
+from .hutchinson import (
+    ChebBackend,
+    ExactBackend,
+    LanczosBackend,
+    ProbeSpec,
+    build_target_poly,
+    hutchinson,
+)
 from .krylov import fa_times_vec_lanczos, poly_times_block
 from .linalg import (
     SymMatrix,
@@ -77,12 +81,10 @@ def check_monomial_certificates():
 def check_inverse_certificates():
     for kappa in (2.0, 16.0):
         for delta in (0.4, 0.01):
-            q = inv_sqrt_poly(kappa, delta)
-            err = sup_error(q, ApproxTarget("inv_sqrt", kappa=kappa, delta=delta), 4096)
-            assert err <= delta / math.sqrt(kappa)
-            r = inv_poly(kappa, delta)
-            err = sup_error(r, ApproxTarget("inv", kappa=kappa, delta=delta), 4096)
-            assert err <= delta / kappa
+            for kind in ("inv_sqrt", "inv"):
+                target = ApproxTarget(kind, kappa=kappa, delta=delta)
+                err = sup_error(build_target_poly(target), target, 4096)
+                assert err <= target.delta / target.scale
 
 
 def check_lanczos_saturation():

@@ -24,6 +24,7 @@ from .errors import (
     ConditioningError,
     NotPositiveDefiniteError,
     SpectrumError,
+    UsageError,
 )
 from .krylov import fa_times_vec_oracle
 from .linalg import (
@@ -213,7 +214,7 @@ def posterior_distribution_test(
     trial count.
     """
     if not 0 <= n < d:
-        raise ValueError("need 0 <= n < d")
+        raise UsageError("need 0 <= n < d")
     tr_post, lmin_post, tr_uncorrected, tr_ref, lmin_ref = _posterior_samples(
         d, n, trials, rng)
     return PosteriorTestReport(
@@ -238,8 +239,9 @@ def _posterior_samples(d: int, n: int, trials: int, rng: RngState):
     queries = np.eye(d)[:, :n]
     basis = _query_basis(queries, d)
     comp_t = basis[2][n:]
+    stacks = _trial_stacks(trials, 8 * d * d)
     samples = np.empty((5, trials))
-    for start, stop in _trial_stacks(trials, 8 * d * d):
+    for start, stop in stacks:
         w = sample_wishart_stack(d, [rng.child(0, i) for i in range(start, stop)])
         _, y2 = _response_blocks(basis, w @ queries)
         compressed = comp_t @ w @ comp_t.T
@@ -310,12 +312,12 @@ def _binomial_rows(counts, trials: int, thresholds) -> list[CdfRow]:
 
 def _trial_stacks(trials: int, trial_bytes: int):
     """(start, stop) of consecutive stacks of trials, each stack within
-    _STACK_BYTES at trial_bytes per trial."""
+    _STACK_BYTES at trial_bytes per trial.  trials is checked on the
+    call, not on the first step."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise UsageError("trials must be >= 1")
     k = max(1, _STACK_BYTES // trial_bytes)
-    for start in range(0, trials, k):
-        yield start, min(start + k, trials)
+    return ((start, min(start + k, trials)) for start in range(0, trials, k))
 
 
 def _bidiagonal_dofs(d: int) -> np.ndarray:
@@ -336,6 +338,8 @@ def _trial_bidiagonals(d: int, trials: int, rng: RngState):
     2d - 1 variates from rng.child(i) in one chisquare call, in the order
     of _bidiagonal_dofs.
     """
+    if d < 1:
+        raise UsageError("need d >= 1")
     dofs = _bidiagonal_dofs(d)
     for start, stop in _trial_stacks(trials, 8 * (2 * d - 1)):
         chi = np.sqrt(np.stack([rng.child(i).chisquare(dofs)
@@ -361,11 +365,12 @@ def _bidiagonal_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return lam
 
 
-def _hit_counts(d: int, trials: int, shifts, hit, rng: RngState) -> np.ndarray:
-    """Per shift, the number of trials whose count of eigenvalues of W
-    below the shift satisfies hit(count).  W = B B^T / d, so W's count
-    below x is B B^T's below x d."""
-    return sum(np.sum(hit(bidiagonal_counts(a, b, shifts * d)), axis=0)
+def _hit_counts(d: int, trials: int, values, per, hit, rng: RngState) -> np.ndarray:
+    """Per shift x = values / per, the number of trials whose count of
+    eigenvalues of W below x satisfies hit(count).  W = B B^T / d, so W's
+    count below x is B B^T's below x d.  The shifts are formed once the
+    first stack has passed _trial_bidiagonals' check of d."""
+    return sum(np.sum(hit(bidiagonal_counts(a, b, values / per * d)), axis=0)
                for a, b in _trial_bidiagonals(d, trials, rng))
 
 
@@ -373,8 +378,8 @@ def eig_cdf_experiment(d: int, trials: int, x_values, rng: RngState) -> list[Cdf
     """Empirical Pr{lambda_min(W) <= x/d^2} with binomial standard errors."""
     xs = np.asarray(list(x_values), dtype=np.float64)
     if not np.all((xs >= 0) & (xs <= 1)):
-        raise ValueError("x values must lie in [0, 1]")
-    counts = _hit_counts(d, trials, xs / (d * d), lambda c: c >= 1, rng)
+        raise UsageError("x values must lie in [0, 1]")
+    counts = _hit_counts(d, trials, xs, d * d, lambda c: c >= 1, rng)
     return _binomial_rows(counts, trials, xs)
 
 
@@ -384,8 +389,8 @@ def lambda_max_tail_experiment(
     """Empirical Pr{lambda_max(W) >= 4 (1+t)}; predicted tail 2 exp(-d t)."""
     ts = np.asarray(list(t_values), dtype=np.float64)
     if not np.all(np.isfinite(ts) & (ts >= 0)):
-        raise ValueError("t values must be finite and >= 0")
-    counts = _hit_counts(d, trials, LAMBDA_MAX_REFERENCE * (1.0 + ts),
+        raise UsageError("t values must be finite and >= 0")
+    counts = _hit_counts(d, trials, LAMBDA_MAX_REFERENCE * (1.0 + ts), 1,
                          lambda c: c < d, rng)
     return _binomial_rows(counts, trials, ts)
 
@@ -425,9 +430,9 @@ def inv_trace_tail_experiment(
     trial is left.
     """
     if not 0.5 < p < math.inf:
-        raise ValueError("need finite p > 1/2")
+        raise UsageError("need finite p > 1/2")
     if d < 2:
-        raise ValueError("need d >= 2")
+        raise UsageError("need d >= 2")
     samples = []
     kept = []
     inv_scaled = []
@@ -518,6 +523,10 @@ class HutchinsonKrylov:
     n_probes: int
     m: int
 
+    def __post_init__(self):
+        if self.n_probes < 1 or self.m < 1:
+            raise UsageError("need n_probes >= 1 and m >= 1")
+
     def run(self, oracle: MeteredOracle, p: float, g: np.random.Generator) -> float:
         d = oracle.dim
 
@@ -601,14 +610,16 @@ def query_game(
     [tr(W^{-p})/C, C tr(W^{-p})] with C = approx_factor.  The true trace
     comes from a full eigendecomposition that the algorithm never sees.
     """
+    if d < 1 or trials < 1:
+        raise UsageError("need d >= 1 and trials >= 1")
     if not 0.5 < p < math.inf:
-        raise ValueError("need finite p > 1/2")
+        raise UsageError("need finite p > 1/2")
     if not 1.0 < approx_factor < math.inf:
-        raise ValueError("need finite approximation factor C > 1")
+        raise UsageError("need finite approximation factor C > 1")
     if isinstance(algorithm, ExactRecovery) and budget < d:
-        raise ValueError("exact_recovery requires budget >= d")
+        raise UsageError("exact_recovery requires budget >= d")
     if isinstance(algorithm, HutchinsonKrylov) and algorithm.n_probes * algorithm.m > budget:
-        raise ValueError("hutchinson_krylov needs n_probes * m <= budget")
+        raise UsageError("hutchinson_krylov needs n_probes * m <= budget")
     records = []
     successes = 0
     violations = 0

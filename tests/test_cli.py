@@ -200,9 +200,20 @@ def test_wishart_argument_errors_are_usage_errors(argv, capsys):
      "--budget", "16", "--trials", "2"],
     ["wishart", "game", "--d", "8", "--algo", "hutch", "--nv", "0", "--m", "2",
      "--budget", "16", "--trials", "2"],
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "lanczos", "--m", "4",
+     "--func", "foo"],
+    ["poly", "build", "--func", "inv", "--kappa", "4", "--delta", "0.6"],
+    ["wishart", "invtrace", "--d", "4", "--trials", "5", "--p", "0.5"],
+    ["wishart", "game", "--d", "4", "--algo", "exact", "--budget", "4",
+     "--trials", "2", "--C", "1"],
+    ["wishart", "eigcdf", "--d", "4", "--trials", "5", "--x", "-0.1"],
+    ["wishart", "game", "--algo", "exact", "--d", "4", "--budget", "3",
+     "--trials", "2"],
 ])
 def test_argument_errors_are_usage_errors(argv, capsys):
-    assert run([*argv, "--seed", "1"]) == 2
+    # poly build takes no --seed.
+    seed = [] if argv[0] == "poly" else ["--seed", "1"]
+    assert run([*argv, *seed]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("usage error:")
     assert captured.out == ""

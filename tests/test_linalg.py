@@ -8,6 +8,7 @@ from tracebounds.errors import (
     EigenConvergenceError,
     NotPositiveDefiniteError,
     RankDeficiencyError,
+    UsageError,
 )
 from tracebounds.linalg import (
     SymMatrix,
@@ -108,6 +109,16 @@ class TestSymEigen:
             eigh_checked(stack)
 
 
+    @pytest.mark.parametrize("k", [6, 3])
+    def test_apply_function_to_block_matches_solve(self, k):
+        # f(A) X = A^{-1} X for a d x d and a d x 3 block, column by column.
+        a = sample_spd_with_spectrum(6, 8.0, RngState(1))
+        x = RngState(2).generator().standard_normal((6, k))
+        got = sym_eigen(a).apply_function(lambda v: 1.0 / v, x)
+        np.testing.assert_allclose(got, np.linalg.solve(a.entries, x),
+                                   rtol=0, atol=1e-12)
+
+
 class TestSampling:
     def test_gaussian_deterministic(self):
         x = sample_gaussian_matrix(1, 1, RngState(77))
@@ -159,6 +170,15 @@ class TestSampling:
         lam = np.linalg.eigvalsh(a.entries)
         assert lam[0] == pytest.approx(1.0, abs=1e-9)
         assert lam[-1] == pytest.approx(16.0, abs=1e-8)
+
+    @pytest.mark.parametrize("kappa", [0.5, np.inf])
+    def test_spd_rejects_kappa_out_of_range(self, kappa):
+        with pytest.raises(UsageError, match="kappa >= 1"):
+            sample_spd_with_spectrum(6, kappa, RngState(14))
+
+    def test_negative_seed_is_usage_error(self):
+        with pytest.raises(UsageError, match="nonnegative"):
+            RngState(-1)
 
 
 def loop_cholesky(a):

@@ -13,6 +13,7 @@ from tracebounds.errors import (
     BudgetExceededError,
     ConditioningError,
     RankDeficiencyError,
+    UsageError,
 )
 from conftest import make_trials_singular
 from tracebounds.linalg import (
@@ -305,6 +306,15 @@ class TestEigenLaws:
     def test_lambda_max_tail_rejects_bad_t(self, t):
         with pytest.raises(ValueError, match="finite and >= 0"):
             lambda_max_tail_experiment(4, 10, [0.0, t], RngState(73))
+
+    @pytest.mark.parametrize("experiment", [eig_cdf_experiment,
+                                            lambda_max_tail_experiment])
+    def test_d0_is_usage_error(self, experiment):
+        # Checked before any threshold is scaled by 1/d^2: no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match="d >= 1"):
+                experiment(0, 10, [0.1], RngState(73))
 
     def test_lambda_max_tail_decreasing(self):
         rows = lambda_max_tail_experiment(8, 1500, [0.0, 0.25, 0.5, 1.0],
@@ -626,3 +636,14 @@ class TestQueryGame:
         with pytest.raises(ValueError, match="budget >= d"):
             query_game(4, 1.0, 2.0, ExactRecovery(), budget=3, trials=1,
                        rng=RngState(86))
+
+    @pytest.mark.parametrize("d, trials", [(4, 0), (0, 1)])
+    def test_empty_game_is_usage_error(self, d, trials):
+        with pytest.raises(UsageError, match="d >= 1 and trials >= 1"):
+            query_game(d, 1.0, 2.0, ConstantGuess(1.0), budget=4,
+                       trials=trials, rng=RngState(87))
+
+    @pytest.mark.parametrize("nv, m", [(0, 2), (2, 0)])
+    def test_hutchinson_krylov_needs_a_probe_and_a_step(self, nv, m):
+        with pytest.raises(UsageError, match="n_probes >= 1 and m >= 1"):
+            HutchinsonKrylov(nv, m)
