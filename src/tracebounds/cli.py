@@ -17,12 +17,13 @@ import json
 import math
 import sys
 
+import numpy as np
 
 from .approx import ApproxTarget, inv_poly, inv_sqrt_poly, sup_error
 from .chebyshev import ChebPoly
 from .errors import (
     CertificateError,
-    MatrixParseError,
+    ParseError,
     TraceBoundsError,
     UsageError,
 )
@@ -145,13 +146,43 @@ def cmd_poly_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_poly_error(args) -> int:
-    with open(args.poly, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    poly = ChebPoly.from_dict(doc)
+def _read_poly_file(path: str):
+    """(ChebPoly, certificate dict) from a ``poly build`` file.  A file that
+    is not JSON, whose polynomial fields do not make a finite ChebPoly, or
+    whose certificate fields have the wrong type raises ParseError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"{path}: not JSON: {exc}")
+    if not isinstance(doc, dict) or not {"interval", "coeffs"} <= doc.keys():
+        raise ParseError(f"{path}: a polynomial needs interval and coeffs")
+    try:
+        poly = ChebPoly.from_dict(doc)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: bad polynomial: {exc}")
+    if not (np.isfinite(poly.interval).all() and np.isfinite(poly.coeffs).all()):
+        raise ParseError(f"{path}: bad polynomial: a NaN or infinite number")
     cert = doc.get("certificate")
     if cert is None:
         raise UsageError("polynomial file carries no certificate to re-check")
+    if not isinstance(cert, dict) or not isinstance(cert.get("func"), str):
+        raise ParseError(f"{path}: certificate.func must be a string")
+    for key in ("kappa", "delta", "bound"):
+        value = cert.get(key)
+        if not (_finite_number(value) or key == "delta" and value is None):
+            raise ParseError(
+                f"{path}: certificate.{key} must be a finite number, got {value!r}")
+    return poly, cert
+
+
+def _finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def cmd_poly_error(args) -> int:
+    poly, cert = _read_poly_file(args.poly)
     target = _poly_target(cert["func"].replace("inv_sqrt", "invsqrt"),
                           cert["kappa"], cert["delta"])
     grid = max(args.grid, 1024, 10 * poly.degree())
@@ -461,7 +492,7 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    except (OSError, MatrixParseError) as exc:
+    except (OSError, ParseError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except TraceBoundsError as exc:

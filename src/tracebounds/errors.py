@@ -72,7 +72,11 @@ class BudgetExceededError(TraceBoundsError):
         super().__init__(f"query budget of {budget} exceeded")
 
 
-class MatrixParseError(TraceBoundsError):
+class ParseError(TraceBoundsError):
+    """An input file could not be parsed; the CLI exits 4."""
+
+
+class MatrixParseError(ParseError):
     """Matrix file could not be parsed; carries the offending line number."""
 
     def __init__(self, message, line):

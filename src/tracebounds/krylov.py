@@ -3,11 +3,12 @@
 Every entry point acts on a d x k block of start vectors; a single vector
 is the k = 1 case.  There is one Lanczos loop, _lanczos_block, behind both
 fa_times_vec_lanczos (explicit matrix) and fa_times_vec_oracle (opaque
-metered matvec), and one Clenshaw sweep, poly_times_block.  m Lanczos steps
-span the same polynomial space as an explicit degree-(m-1) polynomial
-applied to the start vector, so both paths report their cost in the common
-currency of matrix-vector products (MVPs).  f(A) Z by Lanczos runs in column
-chunks whose basis stays under _CHUNK_BYTES, whatever the probe count.
+metered matvecs, each owning a run of columns, such as one per trial of a
+stack), and one Clenshaw sweep, poly_times_block.  m Lanczos steps span the
+same polynomial space as an explicit degree-(m-1) polynomial applied to the
+start vector, so both paths report their cost in the common currency of
+matrix-vector products (MVPs).  f(A) Z by Lanczos runs in column chunks
+whose basis stays under _CHUNK_BYTES, whatever the probe count.
 """
 
 from __future__ import annotations
@@ -26,18 +27,21 @@ _BREAKDOWN_RTOL = 1e-12
 _CHUNK_BYTES = 2 ** 20
 
 
-def _lanczos_block(matvec, z: np.ndarray, m: int, breakdown_tol: float):
+def _lanczos_block(matvecs, owner, z: np.ndarray, m: int, breakdown_tol: float):
     """k independent Lanczos recurrences, one per column of the d x k block z.
 
-    Each step makes one block product matvec(Q_j) over the columns still
-    running.  A column whose residual falls to breakdown_tol stops there
-    (truncated) and is charged only its realized steps.  Returns
-    (q, alpha, beta, steps, znorm): q[c, i] is basis vector i of column c,
-    alpha[c] and beta[c] hold the diagonal and off-diagonal of its
-    tridiagonal T, steps[c] < m marks truncation, and znorm[c] is ||z_c||.
-    Only the first steps[c] entries of q[c] and alpha[c] (steps[c] - 1 of
-    beta[c]) are meaningful.  The last step stops once alpha[:, m-1] is
-    known: no residual is formed, since no caller reads it.
+    Column c runs against matvecs[owner[c]].  owner is nondecreasing, so
+    each matvec serves one contiguous run of columns; a None matvec marks
+    columns that are not run (steps 0).  Each step makes one block product
+    per matvec over its columns still running.  A column whose residual
+    falls to breakdown_tol stops there (truncated) and is charged only its
+    realized steps.  Returns (q, alpha, beta, steps, znorm): q[c, i] is
+    basis vector i of column c, alpha[c] and beta[c] hold the diagonal and
+    off-diagonal of its tridiagonal T, steps[c] < m marks truncation, and
+    znorm[c] is ||z_c||.  Only the first steps[c] entries of q[c] and
+    alpha[c] (steps[c] - 1 of beta[c]) are meaningful.  The last step stops
+    once alpha[:, m-1] is known: no residual is formed, since no caller
+    reads it.
     """
     d, k = z.shape
     znorm = np.linalg.norm(z, axis=0)
@@ -47,12 +51,21 @@ def _lanczos_block(matvec, z: np.ndarray, m: int, breakdown_tol: float):
     q[:, 0] = (z / znorm).T
     alpha = np.zeros((k, m))
     beta = np.zeros((k, max(m - 1, 0)))
-    steps = np.full(k, m)
-    live = np.arange(k)
+    running = np.array([mv is not None for mv in matvecs])[owner]
+    steps = np.where(running, m, 0)
+    live = np.flatnonzero(running)
     for j in range(m):
+        if not len(live):
+            break
         cols = slice(None) if len(live) == k else live
         qj = q[cols, j]
-        w = matvec(qj.T).T
+        runs = _runs(owner[live])
+        w = [matvecs[g](qj[lo:hi].T) for g, lo, hi in runs]
+        w = (w[0] if len(w) == 1 else np.concatenate(w, axis=1)).T
+        if len(runs) == len(live) > 1:
+            # Rows in the layout of a one-column run alone: the sums over a
+            # row below round by the row's memory layout.
+            w = np.ascontiguousarray(w)
         alpha[cols, j] = aj = np.einsum("ij,ij->i", qj, w)
         if j + 1 == m:
             break
@@ -68,42 +81,70 @@ def _lanczos_block(matvec, z: np.ndarray, m: int, breakdown_tol: float):
         steps[live[stop]] = j + 1
         go = ~stop
         live = live[go]
-        if not len(live):
-            break
         beta[live, j] = wnorm[go]
         q[live, j + 1] = w[go] / wnorm[go, None]
     return q, alpha, beta, steps, znorm
 
 
-def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
-    """(||z|| Q f(T) e_1 for every column z of the d x k block, total steps).
+def _runs(own: np.ndarray):
+    """(value, lo, hi) for each run own[lo:hi] of equal entries of the
+    nondecreasing integer array own."""
+    if own[0] == own[-1]:
+        return [(int(own[0]), 0, len(own))]
+    lo = np.flatnonzero(own[1:] != own[:-1]) + 1
+    cut = [0, *lo.tolist(), len(own)]
+    return list(zip(own[cut[:-1]].tolist(), cut[:-1], cut[1:]))
 
-    The projections T of all columns with equal step counts are eigensolved
-    as one stack under the sym_eigen residual contract.
+
+def _fa_block(matvecs, owner, z: np.ndarray, m: int, f, breakdown_tol: float):
+    """(||z|| Q f(T) e_1 for every column z of the d x k block, total steps,
+    errors), with column c run against matvecs[owner[c]] as in _lanczos_block.
+
+    The projections T of one matvec's columns with equal step counts are
+    eigensolved as one stack under the sym_eigen residual contract, and f
+    is applied to their Ritz values.  A matvec whose Ritz values f rejects
+    with SpectrumError stops as if it ran alone: errors[g] holds that error,
+    its columns run no later chunk, and they come out NaN.  errors[g] is
+    None for a matvec whose columns all finished.
     """
     d, k = z.shape
     out = np.empty((d, k))
+    ops = list(matvecs)
+    errors = [None] * len(ops)
     mvps = 0
     width = max(1, _CHUNK_BYTES // (8 * m * d))
     for c0 in range(0, k, width):
-        chunk = z[:, c0 : c0 + width]
-        q, alpha, beta, steps, znorm = _lanczos_block(matvec, chunk, m, breakdown_tol)
-        for s in np.unique(steps):
+        own = owner[c0 : c0 + width]
+        q, alpha, beta, steps, znorm = _lanczos_block(
+            ops, own, z[:, c0 : c0 + width], m, breakdown_tol)
+        for s in np.unique(steps[steps > 0]):
             group = steps == s
             # A single group (no breakdown) is indexed by views, not copies.
             cols = slice(None) if group.all() else np.flatnonzero(group)
             diag = np.arange(s)
-            t = np.zeros((np.count_nonzero(group), s, s))
-            t[:, diag, diag] = alpha[cols, :s]
-            t[:, diag[1:], diag[:-1]] = t[:, diag[:-1], diag[1:]] = beta[cols, : s - 1]
-            vals, vecs = eigh_checked(t)
-            # f(T) e_1 = V f(Lambda) V^T e_1, then Q f(T) e_1 per column.
-            core = vecs @ (apply_scalar_function(f, vals) * vecs[:, 0, :])[:, :, None]
-            y = (core.transpose(0, 2, 1) @ q[cols, :s])[:, 0]
-            out[:, c0 : c0 + width][:, cols] = (znorm[cols, None] * y).T
+            for g, lo, hi in _runs(own[cols]):
+                if ops[g] is None:
+                    continue
+                rows = slice(lo, hi) if group.all() else cols[lo:hi]
+                t = np.zeros((hi - lo, s, s))
+                t[:, diag, diag] = alpha[rows, :s]
+                t[:, diag[1:], diag[:-1]] = t[:, diag[:-1], diag[1:]] = beta[rows, : s - 1]
+                vals, vecs = eigh_checked(t)
+                try:
+                    fvals = apply_scalar_function(f, vals)
+                except SpectrumError as exc:
+                    errors[g], ops[g] = exc, None
+                    continue
+                # f(T) e_1 = V f(Lambda) V^T e_1, then Q f(T) e_1 per column.
+                core = vecs @ (fvals * vecs[:, 0, :])[:, :, None]
+                y = (core.transpose(0, 2, 1) @ q[rows, :s])[:, 0]
+                out[:, c0 : c0 + width][:, rows] = (znorm[rows, None] * y).T
         mvps += int(np.sum(steps))
         del q  # free this chunk's basis before the next chunk allocates one
-    return out, mvps
+    failed = [g for g, error in enumerate(errors) if error is not None]
+    if failed:
+        out[:, np.isin(owner, failed)] = np.nan
+    return out, mvps, errors
 
 
 def _sym_args(a: SymMatrix, z: np.ndarray, m: int):
@@ -146,20 +187,33 @@ def fa_times_vec_lanczos(a: SymMatrix, z: np.ndarray, m: int, f):
     summed over the columns (one A-apply per column per step).
     """
     matvec, zb, tol = _sym_args(a, z, m)
-    out, mvps = _fa_block(matvec, zb, m, f, tol)
+    out, mvps, (error,) = _fa_block([matvec], np.zeros(zb.shape[1], dtype=np.intp),
+                                    zb, m, f, tol)
+    if error is not None:
+        raise error
     return out.reshape(np.shape(z)), mvps
 
 
-def fa_times_vec_oracle(matvec, d: int, z: np.ndarray, m: int, f):
-    """Same as fa_times_vec_lanczos but against an opaque block matvec.
+def fa_times_vec_oracle(matvecs, d: int, z: np.ndarray, m: int, f):
+    """Same as fa_times_vec_lanczos but against opaque block matvecs, one
+    per contiguous run of k / len(matvecs) columns of the d x k block z.
 
-    Used by metered-oracle experiments where the matrix itself is hidden:
-    matvec maps a d x k' block to d x k', and the breakdown tolerance falls
-    back to an absolute 1e-12 scale.
+    Used by metered-oracle experiments where the matrices themselves are
+    hidden: each matvec maps a d x k' block to d x k', and the breakdown
+    tolerance falls back to an absolute 1e-12 scale.  Each step makes one
+    block product per matvec, so a stack of trials, one matvec each, shares
+    every step.  Returns (result, mvp_count, errors): errors[g] is None, or
+    the SpectrumError that stopped matvec g's columns (see _fa_block), which
+    then read NaN.
     """
     zb = np.asarray(z, dtype=np.float64).reshape(d, -1)
-    out, mvps = _fa_block(matvec, zb, m, f, _BREAKDOWN_RTOL)
-    return out.reshape(np.shape(z)), mvps
+    width, rem = divmod(zb.shape[1], len(matvecs))
+    if rem:
+        raise ValueError(f"{zb.shape[1]} columns do not split over "
+                         f"{len(matvecs)} matvecs")
+    owner = np.repeat(np.arange(len(matvecs)), width)
+    out, mvps, errors = _fa_block(matvecs, owner, zb, m, f, _BREAKDOWN_RTOL)
+    return out.reshape(np.shape(z)), mvps, errors
 
 
 def poly_times_block(a: SymMatrix, p: ChebPoly, zblock: np.ndarray):

@@ -1,11 +1,14 @@
 """Matrix file ingestion: MatrixMarket symmetric coordinate and raw dense.
 
 Raw format: first line the dimension d, then d*d whitespace-separated
-row-major floats (line breaks anywhere).  Both readers enforce symmetry by
-averaging (M + M^T)/2 and report the maximum asymmetry found.
+row-major floats (line breaks anywhere).  Both readers reject a NaN or
+infinite entry, naming its line, enforce symmetry by averaging
+(M + M^T)/2 and report the maximum asymmetry found.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,13 +46,19 @@ def _parse_raw(lines: list[str]) -> np.ndarray:
         before = len(values)
         try:
             values += map(float, toks)
+            ok = math.isfinite(sum(values[before:]))
         except ValueError:
-            # Report what a token-by-token read meets first: the bad token,
-            # or the entry past d*d when that comes before it.
-            k = next(k for k, tok in enumerate(toks) if not _is_float(tok))
-            if before + k <= d * d:
-                raise MatrixParseError(f"bad entry {toks[k]!r}", no)
-            raise MatrixParseError(f"more than {d * d} entries", no)
+            ok = False
+        if not ok:
+            # Report what a token-by-token read meets first: a bad or
+            # non-finite token, or the entry past d*d when that comes before
+            # it.  A sum that overflowed on finite entries is no error.
+            bad = [(k, why) for k, why in enumerate(map(_bad_entry, toks)) if why]
+            if bad:
+                k, why = bad[0]
+                if before + k < d * d:
+                    raise MatrixParseError(f"{why} entry {toks[k]!r}", no)
+                raise MatrixParseError(f"more than {d * d} entries", no)
         if len(values) > d * d:
             raise MatrixParseError(f"more than {d * d} entries", no)
     if len(values) != d * d:
@@ -60,12 +69,13 @@ def _parse_raw(lines: list[str]) -> np.ndarray:
     return np.array(values).reshape(d, d)
 
 
-def _is_float(tok: str) -> bool:
+def _bad_entry(tok: str):
+    """None if tok is a finite float, else why it is no entry: "bad" or
+    "non-finite"."""
     try:
-        float(tok)
+        return None if math.isfinite(float(tok)) else "non-finite"
     except ValueError:
-        return False
-    return True
+        return "bad"
 
 
 def _parse_matrix_market(lines: list[str]) -> np.ndarray:
@@ -105,6 +115,8 @@ def _parse_matrix_market(lines: list[str]) -> np.ndarray:
             val = float(parts[2])
         except ValueError:
             raise MatrixParseError(f"bad entry line {ln.strip()!r}", off)
+        if not math.isfinite(val):
+            raise MatrixParseError(f"non-finite entry {parts[2]!r}", off)
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise MatrixParseError(f"index ({i},{j}) out of range", off)
         m[i - 1, j - 1] = val

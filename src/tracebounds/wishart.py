@@ -31,13 +31,15 @@ from .linalg import (
     SymMatrix,
     bidiagonal_counts,
     cholesky,
+    eigh_checked,
     orthonormal_complement,
     qr_columns,
-    sample_wishart,
     sample_wishart_stack,
-    sym_eigen,
     symmetrize,
 )
+# bench/tracing.py wraps wishart.sample_wishart and wishart.sym_eigen by
+# name; keep them importable here.
+from .linalg import sample_wishart, sym_eigen  # noqa: F401
 from .rng import RngState, rademacher
 
 #: Reference constant for the lambda_max tail test: the bulk edge of
@@ -49,6 +51,11 @@ LAMBDA_MAX_REFERENCE = 4.0
 #: thread.  A trial takes 8 d^2 bytes as a dense d x d matrix and
 #: 8 (2d - 1) bytes as a bidiagonal.
 _STACK_BYTES = 2 ** 16
+
+#: Bound on one stack of query-game trials, which share each Lanczos step:
+#: a trial counts its largest array, the d x d W or the Lanczos basis of
+#: 8 n_probes m d bytes (128 KiB at d = 64, n_probes = 8, m = 32).
+_GAME_STACK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -310,13 +317,13 @@ def _binomial_rows(counts, trials: int, thresholds) -> list[CdfRow]:
     return rows
 
 
-def _trial_stacks(trials: int, trial_bytes: int):
+def _trial_stacks(trials: int, trial_bytes: int, stack_bytes: int = _STACK_BYTES):
     """(start, stop) of consecutive stacks of trials, each stack within
-    _STACK_BYTES at trial_bytes per trial.  trials is checked on the
-    call, not on the first step."""
+    stack_bytes at trial_bytes per trial.  trials is checked on the call,
+    not on the first step."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    k = max(1, _STACK_BYTES // trial_bytes)
+    k = max(1, stack_bytes // trial_bytes)
     return ((start, min(start + k, trials)) for start in range(0, trials, k))
 
 
@@ -492,12 +499,12 @@ class MeteredOracle:
 class ExactRecovery:
     """Query e_1..e_d, rebuild W, answer exactly.  Needs budget >= d."""
 
-    def run(self, oracle: MeteredOracle, p: float, g: np.random.Generator) -> float:
-        w = symmetrize(oracle.matvec(np.eye(oracle.dim)))
-        lam = sym_eigen(w).eigvals
-        if lam[0] <= 0:
-            raise SpectrumError(float(lam[0]))
-        return float(np.sum(lam ** (-p)))
+    def run_stack(self, oracles, p: float, rngs) -> list:
+        eye = np.eye(oracles[0].dim)
+        w = np.stack([oracle.matvec(eye) for oracle in oracles])
+        lam, _ = eigh_checked((w + _t(w)) / 2.0)
+        return [SpectrumError(float(v[0])) if v[0] <= 0 else float(np.sum(v ** (-p)))
+                for v in lam]
 
     def describe(self) -> str:
         return "exact_recovery"
@@ -509,8 +516,8 @@ class ConstantGuess:
 
     value: float
 
-    def run(self, oracle: MeteredOracle, p: float, g: np.random.Generator) -> float:
-        return self.value
+    def run_stack(self, oracles, p: float, rngs) -> list:
+        return [self.value] * len(oracles)
 
     def describe(self) -> str:
         return f"constant_guess({self.value:g})"
@@ -527,8 +534,11 @@ class HutchinsonKrylov:
         if self.n_probes < 1 or self.m < 1:
             raise UsageError("need n_probes >= 1 and m >= 1")
 
-    def run(self, oracle: MeteredOracle, p: float, g: np.random.Generator) -> float:
-        d = oracle.dim
+    def run_stack(self, oracles, p: float, rngs) -> list:
+        """One Lanczos run over every trial's probes: trial t's n_probes
+        columns go to oracles[t] at each step."""
+        d = oracles[0].dim
+        nv = self.n_probes
 
         def f(vals):
             smallest = float(np.min(vals))
@@ -536,11 +546,20 @@ class HutchinsonKrylov:
                 raise SpectrumError(smallest)
             return vals ** (-p)
 
-        # One draw, probe s in column s: the same vectors as n_probes
+        # Trial t owns columns t nv .. (t+1) nv - 1, from one draw of its
+        # stream with probe s in column s: the same vectors as n_probes
         # consecutive rademacher(g, d) draws.
-        z = rademacher(g, self.n_probes * d).reshape(self.n_probes, d).T
-        y, _ = fa_times_vec_oracle(oracle.matvec, d, z, self.m, f)
-        return float(np.mean(np.einsum("ij,ij->j", z, y)))
+        z = np.concatenate([rademacher(g, nv * d).reshape(nv, d) for g in rngs]).T
+        y, _, errors = fa_times_vec_oracle(
+            [oracle.matvec for oracle in oracles], d, z, self.m, f)
+        out = []
+        for t, error in enumerate(errors):
+            # z's and a copy of y's columns lie as in a run of trial t alone,
+            # so the sums over them round the same way.
+            cols = slice(t * nv, (t + 1) * nv)
+            qforms = np.einsum("ij,ij->j", z[:, cols], y[:, cols].copy())
+            out.append(float(np.mean(qforms)) if error is None else error)
+        return out
 
     def describe(self) -> str:
         return f"hutchinson_krylov(N_v={self.n_probes}, m={self.m})"
@@ -609,6 +628,12 @@ def query_game(
     most ``budget`` times, and score success iff the estimate lands in
     [tr(W^{-p})/C, C tr(W^{-p})] with C = approx_factor.  The true trace
     comes from a full eigendecomposition that the algorithm never sees.
+
+    Trials run in stacks within _GAME_STACK_BYTES.  Trial i draws W from
+    rng.child(0, i) and gives rng.child(1, i) to the algorithm, whose
+    run_stack(oracles, p, rngs) answers a whole stack: one MeteredOracle
+    and one generator per trial in, and per trial an estimate, or the
+    SpectrumError or BudgetExceededError that ended that trial, out.
     """
     if d < 1 or trials < 1:
         raise UsageError("need d >= 1 and trials >= 1")
@@ -616,39 +641,32 @@ def query_game(
         raise UsageError("need finite p > 1/2")
     if not 1.0 < approx_factor < math.inf:
         raise UsageError("need finite approximation factor C > 1")
+    if budget < 0:
+        raise UsageError("need budget >= 0")
     if isinstance(algorithm, ExactRecovery) and budget < d:
         raise UsageError("exact_recovery requires budget >= d")
-    if isinstance(algorithm, HutchinsonKrylov) and algorithm.n_probes * algorithm.m > budget:
-        raise UsageError("hutchinson_krylov needs n_probes * m <= budget")
+    width = d
+    if isinstance(algorithm, HutchinsonKrylov):
+        if algorithm.n_probes * algorithm.m > budget:
+            raise UsageError("hutchinson_krylov needs n_probes * m <= budget")
+        width = max(d, algorithm.n_probes * algorithm.m)
     records = []
-    successes = 0
-    violations = 0
-    for i in range(trials):
-        w = sample_wishart(d, rng.child(0, i))
-        lam = sym_eigen(w).eigvals
-        true_tr = float(np.sum(np.maximum(lam, 1e-300) ** (-p)))
-        oracle = MeteredOracle(w, budget)
-        error = None
-        violation = False
-        estimate = math.nan
-        try:
-            estimate = algorithm.run(oracle, p, rng.child(1, i))
-        except BudgetExceededError:
-            violation = True
-            violations += 1
-        except SpectrumError as exc:
-            error = str(exc)
-        success = (
-            not violation
-            and error is None
-            and true_tr / approx_factor <= estimate <= approx_factor * true_tr
-        )
-        if success:
-            successes += 1
-        records.append(
-            TrialRecord(i, estimate, true_tr, oracle.count, success, violation, error)
-        )
+    for start, stop in _trial_stacks(trials, 8 * d * width, _GAME_STACK_BYTES):
+        ids = range(start, stop)
+        w = sample_wishart_stack(d, [rng.child(0, i) for i in ids])
+        lam, _ = eigh_checked(w)
+        oracles = [MeteredOracle(SymMatrix(wi), budget) for wi in w]
+        outcomes = algorithm.run_stack(oracles, p, [rng.child(1, i) for i in ids])
+        for i, lam_i, oracle, outcome in zip(ids, lam, oracles, outcomes):
+            true_tr = float(np.sum(np.maximum(lam_i, 1e-300) ** (-p)))
+            violation = isinstance(outcome, BudgetExceededError)
+            error = str(outcome) if isinstance(outcome, SpectrumError) else None
+            estimate = math.nan if violation or error is not None else outcome
+            success = true_tr / approx_factor <= estimate <= approx_factor * true_tr
+            records.append(TrialRecord(i, estimate, true_tr, oracle.count, success,
+                                       violation, error))
     return GameResult(
-        d, float(p), float(approx_factor), budget, trials,
-        algorithm.describe(), successes, violations, records,
+        d, float(p), float(approx_factor), budget, trials, algorithm.describe(),
+        sum(r.success for r in records), sum(r.budget_violation for r in records),
+        records,
     )

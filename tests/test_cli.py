@@ -89,6 +89,33 @@ class TestPolyRoundTrip:
                     "--out", str(tmp_path / "r.json")]) == 3
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(interval=[4.0, 1.0]), "need a < b"),
+    (lambda doc: doc["certificate"].update(kappa="abc"),
+     "certificate.kappa must be a finite number, got 'abc'"),
+    (None, "not JSON"),
+    (lambda doc: doc.pop("coeffs"), "a polynomial needs interval and coeffs"),
+    (lambda doc: doc["coeffs"].__setitem__(1, float("nan")),
+     "a NaN or infinite number"),
+])
+def test_malformed_poly_file_exits_4(tmp_path, capsys, edit, message):
+    out = tmp_path / "p.json"
+    assert run(["poly", "build", "--func", "inv", "--kappa", "4",
+                "--delta", "0.1", "--out", str(out)]) == 0
+    if edit is None:
+        out.write_text(out.read_text()[:-5])  # cut off inside the JSON
+    else:
+        doc = json.loads(out.read_text())
+        edit(doc)
+        out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["poly", "error", "--poly", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("i/o error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 class TestPolyBuildCertificate:
     @pytest.mark.parametrize("grid", [1024, 4096, 4097, 8192])
     def test_printed_error_is_a_fresh_evaluation(self, tmp_path, grid):
@@ -209,6 +236,8 @@ def test_wishart_argument_errors_are_usage_errors(argv, capsys):
     ["wishart", "eigcdf", "--d", "4", "--trials", "5", "--x", "-0.1"],
     ["wishart", "game", "--algo", "exact", "--d", "4", "--budget", "3",
      "--trials", "2"],
+    ["wishart", "game", "--d", "4", "--algo", "const", "--c-guess", "1",
+     "--budget", "-5", "--trials", "2"],
 ])
 def test_argument_errors_are_usage_errors(argv, capsys):
     # poly build takes no --seed.
@@ -274,6 +303,34 @@ class TestMatrixFiles:
         mat, _ = parse_matrix_file(f)
         np.testing.assert_allclose(mat.entries, [[2.0, 1.0], [1.0, 3.0]])
 
+    def test_matrix_market_rejects_non_finite_entry(self, tmp_path):
+        f = tmp_path / "m.mtx"
+        f.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "2 2 2\n"
+            "1 1 2.0\n"
+            "2 2 inf\n"
+        )
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix_file(f)
+        assert exc.value.line == 4
+        assert "non-finite entry 'inf'" in str(exc.value)
+
+    def test_finite_entries_whose_sum_overflows_parse(self, tmp_path):
+        f = tmp_path / "m.raw"
+        f.write_text("2\n5e307 5e307 5e307 5e307\n")
+        mat, _ = parse_matrix_file(f)
+        np.testing.assert_array_equal(mat.entries, np.full((2, 2), 5e307))
+
+    def test_non_finite_entry_exits_4(self, tmp_path, capsys):
+        f = tmp_path / "m.raw"
+        f.write_text("2\n1 nan\nnan 1\n")
+        assert run(["trace", "--matrix", str(f), "--backend", "exact",
+                    "--probes", "4", "--seed", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "i/o error: line 2: non-finite entry 'nan'\n"
+
     def test_truncated_raw_reports_line(self, tmp_path):
         f = tmp_path / "m.raw"
         f.write_text("3\n1 0 0\n0 1 0\n")
@@ -294,6 +351,11 @@ class TestMatrixFiles:
         ("2\n1 0\n0 1\n5\n", 4, "more than 4 entries"),
         ("2\n1 0\n0 1 5 x\n", 3, "more than 4 entries"),
         ("2\n1 0\n0\n", 3, "expected 4 entries, got 3"),
+        ("2\n1 0\n0 nan\n", 3, "non-finite entry 'nan'"),
+        ("2\n1 -inf\n0 1\n", 2, "non-finite entry '-inf'"),
+        ("2\n1 NaN x 1\n", 2, "non-finite entry 'NaN'"),
+        ("2\n1 0\n0 1 inf\n", 3, "more than 4 entries"),
+        ("2\n1 0\n0 1 x\n", 3, "more than 4 entries"),
     ])
     def test_raw_errors_name_line_and_cause(self, tmp_path, text, line, message):
         f = tmp_path / "m.raw"

@@ -22,7 +22,8 @@ def run_lanczos(a, z, m):
     """krylov._lanczos_block on an explicit matrix at the breakdown tolerance
     fa_times_vec_lanczos uses; z is a length-d vector or a d x k block."""
     matvec, zb, tol = krylov._sym_args(a, z, m)
-    return krylov._lanczos_block(matvec, zb, m, tol)
+    owner = np.zeros(zb.shape[1], dtype=np.intp)  # one matvec for every column
+    return krylov._lanczos_block([matvec], owner, zb, m, tol)
 
 
 def tridiagonal(alpha, beta, s):

@@ -1,3 +1,5 @@
+import json
+import math
 import warnings
 
 import numpy as np
@@ -8,11 +10,13 @@ from scipy.stats import ks_2samp
 
 from tracebounds.krylov import fa_times_vec_oracle
 
+import tracebounds.krylov as krylov_module
 import tracebounds.wishart as wishart_module
 from tracebounds.errors import (
     BudgetExceededError,
     ConditioningError,
     RankDeficiencyError,
+    SpectrumError,
     UsageError,
 )
 from conftest import make_trials_singular
@@ -25,6 +29,8 @@ from tracebounds.linalg import (
     sample_spd_with_spectrum,
     sample_wishart,
     sample_wishart_stack,
+    sym_eigen,
+    symmetrize,
 )
 from tracebounds.rng import RngState, rademacher
 from tracebounds.wishart import (
@@ -33,6 +39,7 @@ from tracebounds.wishart import (
     HutchinsonKrylov,
     MeteredOracle,
     PosteriorTestReport,
+    TrialRecord,
     eig_cdf_experiment,
     inv_trace_tail_experiment,
     lambda_max_tail_experiment,
@@ -524,15 +531,81 @@ class TestInvTraceTail:
 
 
 def per_probe_hutchinson_krylov(oracle, p, g, n_probes, m):
-    """Reference: the loop HutchinsonKrylov.run ran before it drew all of
-    its probes at once, one rademacher draw and one Lanczos run per probe."""
+    """Reference: HutchinsonKrylov on one trial with one rademacher draw
+    and one Lanczos run per probe, where it draws all probes at once."""
     d = oracle.dim
     qforms = np.empty(n_probes)
     for s in range(n_probes):
         z = rademacher(g, d)
-        y, _ = fa_times_vec_oracle(oracle.matvec, d, z, m, lambda v: v ** (-p))
+        y, _, _ = fa_times_vec_oracle([oracle.matvec], d, z, m, lambda v: v ** (-p))
         qforms[s] = z @ y
     return float(np.mean(qforms))
+
+
+def one_trial_at_a_time_game(d, p, c, algorithm, budget, trials, rng):
+    """Reference: the game played one trial at a time, with one W, one
+    eigensolve and one algorithm run per trial.  Returns the records."""
+    records = []
+    for i in range(trials):
+        w = SymMatrix(wishart_module.sample_wishart_stack(d, [rng.child(0, i)])[0])
+        lam = sym_eigen(w).eigvals
+        true_tr = float(np.sum(np.maximum(lam, 1e-300) ** (-p)))
+        oracle = MeteredOracle(w, budget)
+        error, estimate = None, math.nan
+        try:
+            estimate = solo_run(algorithm, oracle, p, rng.child(1, i))
+        except SpectrumError as exc:
+            error = str(exc)
+        success = error is None and true_tr / c <= estimate <= c * true_tr
+        records.append(TrialRecord(i, estimate, true_tr, oracle.count, success,
+                                   False, error))
+    return records
+
+
+def solo_run(algorithm, oracle, p, g):
+    """Reference: one trial of ExactRecovery or HutchinsonKrylov alone."""
+    d = oracle.dim
+    if isinstance(algorithm, ExactRecovery):
+        lam = sym_eigen(symmetrize(oracle.matvec(np.eye(d)))).eigvals
+        if lam[0] <= 0:
+            raise SpectrumError(float(lam[0]))
+        return float(np.sum(lam ** (-p)))
+
+    def f(vals):
+        smallest = float(np.min(vals))
+        if smallest <= 0:
+            raise SpectrumError(smallest)
+        return vals ** (-p)
+
+    nv = algorithm.n_probes
+    z = rademacher(g, nv * d).reshape(nv, d).T
+    y, _, (error,) = fa_times_vec_oracle([oracle.matvec], d, z, algorithm.m, f)
+    if error is not None:
+        raise error
+    return float(np.mean(np.einsum("ij,ij->j", z, y)))
+
+
+def record_bytes(records):
+    """Each record as JSON text, so NaN estimates compare equal and every
+    float compares by its exact repr."""
+    return [json.dumps(r.to_dict()) for r in records]
+
+
+def patch_trials(monkeypatch, matrices):
+    """Let the next game draw matrices[i] in place of trial i's W; the game
+    calls sample_wishart_stack on its trials in order."""
+    real = sample_wishart_stack
+    seen = [0]
+
+    def stack(d, rngs):
+        w = real(d, rngs)
+        for t in range(len(rngs)):
+            if seen[0] + t in matrices:
+                w[t] = matrices[seen[0] + t]
+        seen[0] += len(rngs)
+        return w
+
+    monkeypatch.setattr(wishart_module, "sample_wishart_stack", stack)
 
 
 class TestQueryGame:
@@ -563,9 +636,29 @@ class TestQueryGame:
                       [1.0, -1.0, 1.0, 1.0],
                       [1.0, 1.0, 1.0, 1.0]]).T
         oracle = MeteredOracle(w, 12)
-        y, steps = fa_times_vec_oracle(oracle.matvec, 4, z, 4, "inv")
+        y, steps, errors = fa_times_vec_oracle([oracle.matvec], 4, z, 4, "inv")
         assert steps == oracle.count == 10
+        assert errors == [None]
         np.testing.assert_allclose(y, z / np.diag(w.entries)[:, None], rtol=1e-12)
+
+    def test_oracle_lanczos_group_error_stops_its_later_chunks(self, monkeypatch):
+        # Two columns per chunk: chunks (a0, a1), (a2, b0), (b1, b2).  f
+        # rejects a's Ritz values in the first chunk, so a2 never runs, as
+        # when a runs alone; b's columns come out as in a run of b alone, up
+        # to rounding: b0 runs in a chunk of its own.
+        d, m = 6, 3
+        monkeypatch.setattr(krylov_module, "_CHUNK_BYTES", 2 * 8 * m * d)
+        spd = sample_spd_with_spectrum(d, 16.0, RngState(96))
+        a = MeteredOracle(SymMatrix(np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, 6.0])), 9)
+        b = MeteredOracle(spd, 9)
+        z = rademacher(RngState(97).generator(), 6 * d).reshape(6, d).T
+        y, steps, errors = fa_times_vec_oracle([a.matvec, b.matvec], d, z, m, "inv")
+        assert (a.count, b.count, steps) == (2 * m, 3 * m, 5 * m)
+        assert isinstance(errors[0], SpectrumError) and errors[1] is None
+        assert np.isnan(y[:, :3]).all()
+        want, _, _ = fa_times_vec_oracle([lambda v: spd.entries @ v], d, z[:, 3:],
+                                         m, "inv")
+        np.testing.assert_allclose(y[:, 3:], want, rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("d, nv, m", [(64, 8, 32), (7, 3, 5), (5, 5, 5)])
     def test_hutchinson_krylov_matches_per_probe_loop(self, d, nv, m):
@@ -575,7 +668,7 @@ class TestQueryGame:
         for i in range(3):
             w = sample_spd_with_spectrum(d, 16.0, rng.child(0, i))
             oracle = MeteredOracle(w, nv * m)
-            got = HutchinsonKrylov(nv, m).run(oracle, 1.5, rng.child(1, i))
+            got, = HutchinsonKrylov(nv, m).run_stack([oracle], 1.5, [rng.child(1, i)])
             assert oracle.count == nv * m
             ref_oracle = MeteredOracle(w, nv * m)
             want = per_probe_hutchinson_krylov(ref_oracle, 1.5, rng.child(1, i),
@@ -592,12 +685,75 @@ class TestQueryGame:
         # the mean eigenvalue -1.5 < 0; all probes' Lanczos steps are
         # charged before the eigensolve raises.
         lam = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, 6.0])
-        monkeypatch.setattr(wishart_module, "sample_wishart",
-                            lambda d, rng: SymMatrix(np.diag(lam)))
+        monkeypatch.setattr(wishart_module, "sample_wishart_stack",
+                            lambda d, rngs: np.stack([np.diag(lam)] * len(rngs)))
         res = query_game(6, 1.0, 2.0, HutchinsonKrylov(3, 2), budget=6,
                          trials=2, rng=RngState(89))
         assert [r.queries_used for r in res.records] == [6, 6]
         assert all(r.error is not None and not r.success for r in res.records)
+
+    @pytest.mark.parametrize("algorithm, d, budget", [
+        (HutchinsonKrylov(8, 32), 64, 256),
+        (HutchinsonKrylov(1, 32), 64, 32),
+        (ExactRecovery(), 64, 64),
+    ])
+    @pytest.mark.parametrize("stacks, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                               (2, 1)])
+    def test_stacked_game_matches_one_trial_at_a_time(self, algorithm, d, budget,
+                                                     stacks, extra):
+        # stacks * k + extra trials: 1, k - 1, k, k + 1 and 2k + 1 around
+        # the stack size k (4 for 8 probes, 16 for 1 probe and for exact).
+        # A single probe takes other memory layouts than a block of them.
+        width = d
+        if isinstance(algorithm, HutchinsonKrylov):
+            width = max(d, algorithm.n_probes * algorithm.m)
+        k = wishart_module._GAME_STACK_BYTES // (8 * d * width)
+        trials = stacks * k + extra
+        res = query_game(d, 1.0, 2.0, algorithm, budget, trials, RngState(92))
+        ref = one_trial_at_a_time_game(d, 1.0, 2.0, algorithm, budget, trials,
+                                       RngState(92))
+        assert record_bytes(res.records) == record_bytes(ref)
+        assert res.success_count == sum(r.success for r in ref)
+
+    def test_spectrum_error_stops_only_its_trial(self, monkeypatch):
+        # Trial 1 shares its stack with three Wishart trials; its W has the
+        # spectrum of test_spectrum_error_trial_charges_every_probe.
+        args = (6, 1.0, 2.0, HutchinsonKrylov(3, 2), 6, 4)
+        bad = {1: np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, 6.0])}
+        clean = query_game(*args, rng=RngState(93))
+        patch_trials(monkeypatch, bad)
+        res = query_game(*args, rng=RngState(93))
+        patch_trials(monkeypatch, bad)
+        ref = one_trial_at_a_time_game(*args, RngState(93))
+        assert record_bytes(res.records) == record_bytes(ref)
+        assert res.records[1].error.startswith("nonpositive spectral value")
+        assert res.records[1].queries_used == 6
+        assert [r.error for r in res.records] == [None, res.records[1].error, None, None]
+        keep = [0, 2, 3]
+        assert (record_bytes([res.records[i] for i in keep])
+                == record_bytes([clean.records[i] for i in keep]))
+
+    def test_breakdown_charges_only_its_trial(self, monkeypatch):
+        # On W = 2 I every column breaks down after its first step.
+        args = (8, 1.0, 2.0, HutchinsonKrylov(2, 4), 8, 5)
+        twice = {2: 2.0 * np.eye(8)}
+        clean = query_game(*args, rng=RngState(94))
+        patch_trials(monkeypatch, twice)
+        res = query_game(*args, rng=RngState(94))
+        patch_trials(monkeypatch, twice)
+        ref = one_trial_at_a_time_game(*args, RngState(94))
+        assert record_bytes(res.records) == record_bytes(ref)
+        assert [r.queries_used for r in res.records] == [8, 8, 2, 8, 8]
+        assert res.records[2].true_trace == 4.0
+        assert res.records[2].estimate == pytest.approx(4.0, rel=1e-14)
+        keep = [0, 1, 3, 4]
+        assert (record_bytes([res.records[i] for i in keep])
+                == record_bytes([clean.records[i] for i in keep]))
+
+    def test_negative_budget_is_usage_error(self):
+        with pytest.raises(UsageError, match="budget >= 0"):
+            query_game(4, 1.0, 2.0, ConstantGuess(1.0), budget=-5, trials=2,
+                       rng=RngState(95))
 
     def test_exact_recovery_always_wins(self):
         res = query_game(8, 1.0, 2.0, ExactRecovery(), budget=8, trials=30,
