@@ -1,9 +1,11 @@
 """Command-line surface.
 
 Subcommands: ``poly build|error``, ``trace``, ``wishart
-eigcdf|lmax|invtrace|posterior|game`` and ``verify``.  Every experiment run
-embeds its full configuration and seed in the emitted report, and the same
-(subcommand, args, seed) always produces byte-identical output bodies.
+eigcdf|lmax|invtrace|posterior|game`` and ``verify``, each declared once in
+``build_parser`` with its own handler.  Every experiment run embeds its full
+configuration (every parsed flag but the output-only ones) and seed in the
+emitted report, and the same (subcommand, args, seed) always produces
+byte-identical output bodies.
 
 Exit codes: 0 success, 2 usage error, 3 assertion/certificate failure,
 4 I/O error.
@@ -21,33 +23,16 @@ import numpy as np
 
 from .approx import ApproxTarget, inv_poly, inv_sqrt_poly, sup_error
 from .chebyshev import ChebPoly
-from .errors import (
-    CertificateError,
-    ParseError,
-    TraceBoundsError,
-    UsageError,
-)
-from .hutchinson import (
-    ChebBackend,
-    ExactBackend,
-    LanczosBackend,
-    ProbeSpec,
-    bias_bound,
-    hutchinson,
-)
+from .errors import CertificateError, ParseError, TraceBoundsError, UsageError
+from .hutchinson import (ChebBackend, ExactBackend, LanczosBackend, ProbeSpec,
+                         bias_bound, hutchinson)
 from .linalg import sample_spd_with_spectrum
 from .matio import parse_matrix_file
 from .rng import RngState
-from .wishart import (
-    ConstantGuess,
-    ExactRecovery,
-    HutchinsonKrylov,
-    eig_cdf_experiment,
-    inv_trace_tail_experiment,
-    lambda_max_tail_experiment,
-    posterior_distribution_test,
-    query_game,
-)
+from .wishart import (ConstantGuess, ExactRecovery, HutchinsonKrylov,
+                      eig_cdf_experiment, inv_trace_tail_experiment,
+                      lambda_max_tail_experiment, posterior_distribution_test,
+                      query_game)
 from . import verify as _verify
 
 EXIT_OK = 0
@@ -97,15 +82,26 @@ def _json_report(config: dict, payload: dict) -> str:
     return json.dumps({"config": config, **payload}, indent=2) + "\n"
 
 
-def _config(args, fields) -> dict:
-    cfg = {"subcommand": args.command}
-    if getattr(args, "subcommand", None):
-        cfg["subcommand"] += " " + args.subcommand
-    for f in fields:
-        cfg[f] = getattr(args, f)
-    # Trials run on one thread; the field keeps the documented config keys.
+#: Flags that only shape the output, not the run; the config omits them.
+_OUTPUT_ONLY = {"out", "no_quadratic_forms"}
+
+
+def _config(args) -> dict:
+    """The run's record: the subcommand, every parsed flag in parser order
+    except the output-only ones, then the thread count.  Trials run on one
+    thread; the field keeps the documented config keys."""
+    flags = dict(vars(args))
+    del flags["handler"]
+    name = [flags.pop("command"), flags.pop("subcommand", None)]
+    cfg = {"subcommand": " ".join(filter(None, name))}
+    cfg.update((k, v) for k, v in flags.items() if k not in _OUTPUT_ONLY)
     cfg["threads"] = 1
     return cfg
+
+
+def _fail(message: str) -> int:
+    print(message, file=sys.stderr)
+    return EXIT_ASSERTION
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +118,9 @@ def _poly_target(func: str, kappa: float, delta: float) -> ApproxTarget:
 
 def cmd_poly_build(args) -> int:
     target = _poly_target(args.func, args.kappa, args.delta)
-    poly = (inv_sqrt_poly if target.kind == "inv_sqrt" else inv_poly)(
-        target.kappa, target.delta
-    )
-    bound = target.delta / target.scale
-    # --grid is raised to sup_error's minimum, max(1024, 10 * degree).
-    grid = max(args.grid, 1024, 10 * poly.degree())
-    achieved = sup_error(poly, target, grid)
+    build = inv_sqrt_poly if target.kind == "inv_sqrt" else inv_poly
+    poly = build(target.kappa, target.delta)
+    grid, achieved = _certify(poly, target, args.grid)
     doc = {
         **poly.to_dict(),
         "certificate": {
@@ -138,12 +130,19 @@ def cmd_poly_build(args) -> int:
             "degree": poly.degree(),
             "grid_size": grid,
             "grid_sup_error": achieved,
-            "bound": bound,
+            "bound": target.delta / target.scale,
         },
-        "config": _config(args, ["func", "kappa", "delta", "grid"]),
+        "config": _config(args),
     }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
     return EXIT_OK
+
+
+def _certify(poly: ChebPoly, target: ApproxTarget, grid: int):
+    """(grid size, grid sup error), with --grid raised to sup_error's
+    minimum, max(1024, 10 * degree)."""
+    grid = max(grid, 1024, 10 * poly.degree())
+    return grid, sup_error(poly, target, grid)
 
 
 def _read_poly_file(path: str):
@@ -183,22 +182,18 @@ def _finite_number(value) -> bool:
 
 def cmd_poly_error(args) -> int:
     poly, cert = _read_poly_file(args.poly)
-    target = _poly_target(cert["func"].replace("inv_sqrt", "invsqrt"),
-                          cert["kappa"], cert["delta"])
-    grid = max(args.grid, 1024, 10 * poly.degree())
-    achieved = sup_error(poly, target, grid)
+    target = _poly_target(cert["func"], cert["kappa"], cert["delta"])
+    grid, achieved = _certify(poly, target, args.grid)
     report = {
         "degree": poly.degree(),
         "grid_size": grid,
         "grid_sup_error": achieved,
         "bound": cert["bound"],
-        "config": _config(args, ["poly", "grid"]),
+        "config": _config(args),
     }
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
     if achieved > cert["bound"]:
-        print(f"certificate violated: {achieved:g} > {cert['bound']:g}",
-              file=sys.stderr)
-        return EXIT_ASSERTION
+        return _fail(f"certificate violated: {achieved:g} > {cert['bound']:g}")
     return EXIT_OK
 
 
@@ -208,21 +203,17 @@ def cmd_poly_error(args) -> int:
 
 def _load_or_generate_matrix(args):
     if args.matrix is not None:
-        mat, asym = parse_matrix_file(args.matrix)
-        return mat, asym
+        return parse_matrix_file(args.matrix)
     if args.gen_spd:
         if args.dim is None:
             raise UsageError("--gen-spd requires --dim")
         kappa = args.kappa if args.kappa is not None else 2.0
-        return sample_spd_with_spectrum(
-            args.dim, kappa, RngState(args.seed, stream=9)
-        ), 0.0
+        rng = RngState(args.seed, stream=9)
+        return sample_spd_with_spectrum(args.dim, kappa, rng), 0.0
     raise UsageError("provide --matrix FILE or --gen-spd")
 
 
 def cmd_trace(args) -> int:
-    if args.seed is None:
-        raise UsageError("--seed is required")
     probes = ProbeSpec(args.probe_kind, args.probes, RngState(args.seed))
     func = _FUNC_ALIASES.get(args.func, args.func)
     mat, asym = _load_or_generate_matrix(args)
@@ -238,10 +229,8 @@ def cmd_trace(args) -> int:
         if args.m is None:
             raise UsageError("--backend lanczos requires --m")
         backend = LanczosBackend(func, args.m)
-    elif args.backend == "exact":
-        backend = ExactBackend(func)
     else:
-        raise UsageError(f"unknown backend {args.backend!r}")
+        backend = ExactBackend(func)
 
     est = hutchinson(mat, backend, probes)
     payload = {
@@ -256,19 +245,12 @@ def cmd_trace(args) -> int:
     }
     if not args.no_quadratic_forms:
         payload["quadratic_forms"] = est.quadratic_forms.tolist()
-    cfg = _config(args, ["matrix", "gen_spd", "dim", "func", "backend", "kappa",
-                         "delta", "m", "probes", "probe_kind", "seed"])
-    _write_text(args.out, _json_report(cfg, payload))
+    _write_text(args.out, _json_report(_config(args), payload))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # wishart
-
-
-def _require_seed(args):
-    if args.seed is None:
-        raise UsageError("--seed is required for experiment subcommands")
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -290,93 +272,77 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def cmd_wishart(args) -> int:
-    _require_seed(args)
+def cmd_eigcdf(args) -> int:
     rng = RngState(args.seed)
-    sub = args.subcommand
-    if sub == "eigcdf":
-        xs = _float_list(args.x, "--x")
-        rows = eig_cdf_experiment(args.d, args.trials, xs, rng)
-        cfg = _config(args, ["d", "trials", "x", "seed", "format"])
-        table = [(r.x, r.count, r.probability, r.stderr) for r in rows]
-        _emit(args, cfg, CSV_HEADERS["eigcdf"], table,
-              {"rows": [r.__dict__ for r in rows]})
-        probs = [r.probability for r in rows]
-        if any(b < a for a, b in zip(probs, probs[1:])):
-            print("assertion failed: empirical CDF not monotone in x",
-                  file=sys.stderr)
-            return EXIT_ASSERTION
-        return EXIT_OK
-    if sub == "lmax":
-        ts = _float_list(args.t, "--t")
-        rows = lambda_max_tail_experiment(args.d, args.trials, ts, rng)
-        cfg = _config(args, ["d", "trials", "t", "seed", "format"])
-        table = [
-            (r.x, r.count, r.probability, r.stderr, 2.0 * math.exp(-args.d * r.x))
-            for r in rows
-        ]
-        _emit(args, cfg, CSV_HEADERS["lmax"], table,
-              {"rows": [dict(r.__dict__, bound=2.0 * math.exp(-args.d * r.x))
-                        for r in rows]})
-        return EXIT_OK
-    if sub == "invtrace":
-        rep = inv_trace_tail_experiment(args.d, args.trials, args.p, rng)
-        cfg = _config(args, ["d", "trials", "p", "seed", "format"])
-        table = list(zip(rep.sample_trials.tolist(), rep.samples.tolist()))
-        _emit(args, cfg, CSV_HEADERS["invtrace"], table, rep.to_dict())
-        return EXIT_OK
-    if sub == "posterior":
-        if args.format == "csv":
-            raise UsageError("wishart posterior reports JSON only; drop --format csv")
-        rep = posterior_distribution_test(args.d, args.n, args.trials, rng)
-        cfg = _config(args, ["d", "n", "trials", "seed", "format"])
-        _write_text(args.out, _json_report(cfg, rep.to_dict()))
-        ok = (
-            rep.ks_trace[1] > 0.01
-            and rep.ks_lambda_min[1] > 0.01
-            and rep.ks_trace_uncorrected[1] < 0.01
-        )
-        if not ok:
-            print("assertion failed: posterior KS thresholds not met",
-                  file=sys.stderr)
-            return EXIT_ASSERTION
-        return EXIT_OK
-    if sub == "game":
-        if args.algo == "exact":
-            algo = ExactRecovery()
-        elif args.algo == "const":
-            if args.c_guess is None:
-                raise UsageError("--algo const requires --c-guess")
-            algo = ConstantGuess(args.c_guess)
-        elif args.algo == "hutch":
-            if args.nv is None or args.m is None:
-                raise UsageError("--algo hutch requires --nv and --m")
-            algo = HutchinsonKrylov(args.nv, args.m)
-        else:
-            raise UsageError(f"unknown --algo {args.algo!r}")
-        result = query_game(args.d, args.p, args.C, algo, args.budget,
-                            args.trials, rng)
-        cfg = _config(args, ["d", "p", "C", "algo", "budget", "trials", "nv",
-                             "m", "c_guess", "seed", "format"])
-        table = [
-            (r.trial, r.estimate, r.true_trace, r.queries_used, r.success,
-             r.budget_violation)
-            for r in result.records
-        ]
-        _emit(args, cfg, CSV_HEADERS["game"], table, result.to_dict())
-        if result.budget_violations:
-            print(
-                f"assertion failed: {result.budget_violations} budget violations",
-                file=sys.stderr,
-            )
-            return EXIT_ASSERTION
-        return EXIT_OK
-    raise UsageError(f"unknown wishart subcommand {sub!r}")
+    rows = eig_cdf_experiment(args.d, args.trials, _float_list(args.x, "--x"), rng)
+    _emit(args, [(r.x, r.count, r.probability, r.stderr) for r in rows],
+          {"rows": [r.__dict__ for r in rows]})
+    probs = [r.probability for r in rows]
+    if any(b < a for a, b in zip(probs, probs[1:])):
+        return _fail("assertion failed: empirical CDF not monotone in x")
+    return EXIT_OK
 
 
-def _emit(args, config: dict, header: list[str], rows, json_payload: dict):
+def cmd_lmax(args) -> int:
+    rng = RngState(args.seed)
+    rows = lambda_max_tail_experiment(args.d, args.trials,
+                                      _float_list(args.t, "--t"), rng)
+    bounds = [2.0 * math.exp(-args.d * r.x) for r in rows]
+    _emit(args, [(r.x, r.count, r.probability, r.stderr, b)
+                 for r, b in zip(rows, bounds)],
+          {"rows": [dict(r.__dict__, bound=b) for r, b in zip(rows, bounds)]})
+    return EXIT_OK
+
+
+def cmd_invtrace(args) -> int:
+    rep = inv_trace_tail_experiment(args.d, args.trials, args.p,
+                                    RngState(args.seed))
+    _emit(args, zip(rep.sample_trials.tolist(), rep.samples.tolist()),
+          rep.to_dict())
+    return EXIT_OK
+
+
+def cmd_posterior(args) -> int:
+    rng = RngState(args.seed)
     if args.format == "csv":
-        _write_text(args.out, _csv_body(config, header, rows))
+        raise UsageError("wishart posterior reports JSON only; drop --format csv")
+    rep = posterior_distribution_test(args.d, args.n, args.trials, rng)
+    _emit(args, (), rep.to_dict())
+    if not (rep.ks_trace[1] > 0.01 and rep.ks_lambda_min[1] > 0.01
+            and rep.ks_trace_uncorrected[1] < 0.01):
+        return _fail("assertion failed: posterior KS thresholds not met")
+    return EXIT_OK
+
+
+def cmd_game(args) -> int:
+    rng = RngState(args.seed)
+    if args.algo == "exact":
+        algo = ExactRecovery()
+    elif args.algo == "const":
+        if args.c_guess is None:
+            raise UsageError("--algo const requires --c-guess")
+        algo = ConstantGuess(args.c_guess)
+    else:
+        if args.nv is None or args.m is None:
+            raise UsageError("--algo hutch requires --nv and --m")
+        algo = HutchinsonKrylov(args.nv, args.m)
+    result = query_game(args.d, args.p, args.C, algo, args.budget,
+                        args.trials, rng)
+    _emit(args, [(r.trial, r.estimate, r.true_trace, r.queries_used, r.success,
+                  r.budget_violation) for r in result.records],
+          result.to_dict())
+    if result.budget_violations:
+        return _fail(
+            f"assertion failed: {result.budget_violations} budget violations")
+    return EXIT_OK
+
+
+def _emit(args, rows, json_payload: dict):
+    """Write a wishart report: the config line, the subcommand's documented
+    CSV header and ``rows``, or the config and ``json_payload`` as JSON."""
+    config = _config(args)
+    if args.format == "csv":
+        _write_text(args.out, _csv_body(config, CSV_HEADERS[args.subcommand], rows))
     else:
         _write_text(args.out, _json_report(config, json_payload))
 
@@ -423,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--probes", type=int, default=64)
     tr.add_argument("--probe-kind", default="rademacher",
                     choices=["rademacher", "gaussian"])
-    tr.add_argument("--seed", type=int)
+    tr.add_argument("--seed", type=int, required=True)
     tr.add_argument("--no-quadratic-forms", action="store_true")
     tr.add_argument("--out", default="-")
     tr.set_defaults(handler=cmd_trace)
@@ -431,33 +397,33 @@ def build_parser() -> argparse.ArgumentParser:
     wi = sub.add_parser("wishart", help="Wishart laboratory experiments")
     wi_sub = wi.add_subparsers(dest="subcommand", required=True)
 
-    def _common(p):
-        p.add_argument("--seed", type=int)
+    def _common(p, handler):
+        p.add_argument("--seed", type=int, required=True)
         p.add_argument("--out", default="-")
         p.add_argument("--format", default="json", choices=["json", "csv"])
-        p.set_defaults(handler=cmd_wishart)
+        p.set_defaults(handler=handler)
 
     we = wi_sub.add_parser("eigcdf", help="lambda_min CDF at the x/d^2 scale")
     we.add_argument("--d", type=int, required=True)
     we.add_argument("--trials", type=int, default=10000)
     we.add_argument("--x", default="0.01,0.04,0.16,0.64",
                     help="comma-separated x values in [0, 1]")
-    _common(we)
+    _common(we, cmd_eigcdf)
     wl = wi_sub.add_parser("lmax", help="lambda_max exponential tail")
     wl.add_argument("--d", type=int, required=True)
     wl.add_argument("--trials", type=int, default=10000)
     wl.add_argument("--t", default="0,0.25,0.5,1")
-    _common(wl)
+    _common(wl, cmd_lmax)
     wt = wi_sub.add_parser("invtrace", help="tr(W^-p)/d^2p quantiles")
     wt.add_argument("--d", type=int, required=True)
     wt.add_argument("--trials", type=int, default=2000)
     wt.add_argument("--p", type=_finite_float, default=1.0)
-    _common(wt)
+    _common(wt, cmd_invtrace)
     wp = wi_sub.add_parser("posterior", help="posterior distribution KS test")
     wp.add_argument("--d", type=int, required=True)
     wp.add_argument("--n", type=int, required=True)
     wp.add_argument("--trials", type=int, default=2000)
-    _common(wp)
+    _common(wp, cmd_posterior)
     wg = wi_sub.add_parser("game", help="metered trace-estimation game")
     wg.add_argument("--d", type=int, required=True)
     wg.add_argument("--p", type=_finite_float, default=1.0)
@@ -468,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     wg.add_argument("--nv", type=int, help="probes for --algo hutch")
     wg.add_argument("--m", type=int, help="Lanczos steps for --algo hutch")
     wg.add_argument("--c-guess", type=_finite_float, help="constant for --algo const")
-    _common(wg)
+    _common(wg, cmd_game)
 
     ve = sub.add_parser("verify", help="run the invariant suite")
     ve.set_defaults(handler=lambda args: (

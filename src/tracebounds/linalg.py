@@ -38,7 +38,7 @@ class SymMatrix:
             raise ValueError("dimension must be >= 1")
         scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
         asym = float(np.max(np.abs(m - m.T)))
-        if asym > _SYM_RTOL * scale:
+        if not asym <= _SYM_RTOL * scale:   # a NaN fails too
             raise ValueError(f"matrix not symmetric: max asymmetry {asym:g}")
         object.__setattr__(self, "entries", m)
 
@@ -51,9 +51,11 @@ class SymMatrix:
 
 
 def symmetrize(m: np.ndarray) -> SymMatrix:
-    """Force exact symmetry by averaging, then wrap."""
+    """Force exact symmetry by averaging, then wrap.  Halving before adding
+    keeps finite entries near the float maximum finite, and gives the bits
+    of (M + M^T)/2 outside the subnormal range."""
     m = np.asarray(m, dtype=np.float64)
-    return SymMatrix((m + m.T) / 2.0)
+    return SymMatrix(m / 2.0 + m.T / 2.0)
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def eigh_checked(m: np.ndarray):
     residual -= vecs * vals[..., None, :]
     residual = np.max(np.abs(residual, out=residual), axis=(-2, -1))
     tol = 1e-8 * np.maximum(1e-12, np.max(np.abs(m), axis=(-2, -1))) * d
-    bad = residual > tol
+    bad = ~(residual <= tol)     # a NaN residual fails too
     if np.any(bad):
         raise EigenConvergenceError(float(np.max(residual[bad])))
     return vals, vecs

@@ -3,7 +3,7 @@
 Raw format: first line the dimension d, then d*d whitespace-separated
 row-major floats (line breaks anywhere).  Both readers reject a NaN or
 infinite entry, naming its line, enforce symmetry by averaging
-(M + M^T)/2 and report the maximum asymmetry found.
+M/2 + M^T/2 (linalg.symmetrize) and report the maximum asymmetry found.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import MatrixParseError
-from .linalg import SymMatrix
+from .linalg import SymMatrix, symmetrize
 
 
 def parse_matrix_file(path: str) -> tuple[SymMatrix, float]:
@@ -25,7 +25,7 @@ def parse_matrix_file(path: str) -> tuple[SymMatrix, float]:
     else:
         m = _parse_raw(lines)
     asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-    return SymMatrix((m + m.T) / 2.0), asym
+    return symmetrize(m), asym
 
 
 def _parse_raw(lines: list[str]) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tracebounds
+import tracebounds.cli as cli
 import tracebounds.wishart as wishart_module
 from conftest import make_trials_singular
 from tracebounds.approx import ApproxTarget, _grid_sup_error, sup_error
@@ -322,6 +324,18 @@ class TestMatrixFiles:
         mat, _ = parse_matrix_file(f)
         np.testing.assert_array_equal(mat.entries, np.full((2, 2), 5e307))
 
+    def test_huge_finite_entry_gives_strict_json(self, tmp_path, capsys):
+        f = tmp_path / "m.raw"
+        f.write_text("2\n1e308 0\n0 1\n")
+        assert run(["trace", "--matrix", str(f), "--backend", "exact",
+                    "--probes", "4", "--seed", "1"]) == 0
+
+        def reject(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        rep = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rep["estimate"] == pytest.approx(1.0)
+
     def test_non_finite_entry_exits_4(self, tmp_path, capsys):
         f = tmp_path / "m.raw"
         f.write_text("2\n1 nan\nnan 1\n")
@@ -397,6 +411,57 @@ class TestTrace:
         # floats survive a parse/serialize cycle bit-exactly (repr round-trip)
         doc = json.loads(out1.read_text())
         assert json.loads(json.dumps(doc)) == doc
+
+
+# The least argv that parses, per leaf subcommand.
+MINIMAL_ARGV = {
+    ("poly", "build"): ["--func", "inv", "--kappa", "4", "--delta", "0.1"],
+    ("poly", "error"): ["--poly", "p.json"],
+    ("trace",): ["--seed", "1"],
+    ("wishart", "eigcdf"): ["--d", "4", "--seed", "1"],
+    ("wishart", "lmax"): ["--d", "4", "--seed", "1"],
+    ("wishart", "invtrace"): ["--d", "4", "--seed", "1"],
+    ("wishart", "posterior"): ["--d", "4", "--n", "2", "--seed", "1"],
+    ("wishart", "game"): ["--d", "4", "--algo", "exact", "--budget", "4",
+                          "--seed", "1"],
+    ("verify",): [],
+}
+
+
+def _leaf_parsers(parser, path=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_config_records_every_flag_in_parser_order():
+    """A flag added to a subcommand lands in its config without a list to
+    edit: the keys are the subcommand, the parser's dests in order (less
+    the output-only --out and --no-quadratic-forms), then threads."""
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    assert leaves.keys() == MINIMAL_ARGV.keys()
+    for path, leaf in leaves.items():
+        args = cli.build_parser().parse_args([*path, *MINIMAL_ARGV[path]])
+        dests = [a.dest for a in leaf._actions
+                 if a.dest not in ("help", "out", "no_quadratic_forms")]
+        cfg = cli._config(args)
+        assert list(cfg) == ["subcommand", *dests, "threads"], path
+        assert cfg["subcommand"] == " ".join(path)
+        assert all(cfg[k] == getattr(args, k) for k in dests)
+        assert cfg["threads"] == 1
+
+
+@pytest.mark.parametrize("path", [path for path, argv in MINIMAL_ARGV.items()
+                                  if "--seed" in argv])
+def test_missing_seed_is_an_argparse_usage_error(path, capsys):
+    argv = MINIMAL_ARGV[path]
+    k = argv.index("--seed")
+    assert run([*path, *argv[:k], *argv[k + 2:]]) == 2
+    assert "the following arguments are required: --seed" in capsys.readouterr().err
 
 
 class TestCsvDeterminism:

@@ -38,6 +38,20 @@ class TestSymMatrix:
     def test_dim(self):
         assert SymMatrix(np.eye(4)).dim == 4
 
+    def test_rejects_nan_asymmetry(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            SymMatrix(np.array([[np.nan, 1.0], [5.0, 2.0]]))
+
+
+class TestSymmetrize:
+    def test_keeps_huge_finite_entries(self):
+        s = symmetrize(np.array([[1e308, 0.0], [0.0, 1.0]]))
+        np.testing.assert_array_equal(s.entries, [[1e308, 0.0], [0.0, 1.0]])
+
+    def test_same_bits_as_sum_then_halve(self):
+        m = RngState(3).generator().standard_normal((6, 6))
+        np.testing.assert_array_equal(symmetrize(m).entries, (m + m.T) / 2.0)
+
 
 class TestSymEigen:
     def test_identity(self):
@@ -105,6 +119,15 @@ class TestSymEigen:
             return vals, vecs
 
         monkeypatch.setattr(np.linalg, "eigh", eigh_with_one_bad_pair)
+        with pytest.raises(EigenConvergenceError):
+            eigh_checked(stack)
+
+    def test_nan_entry_fails_residual_contract(self):
+        with pytest.raises(EigenConvergenceError):
+            eigh_checked(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_nan_in_one_matrix_of_a_stack_fails(self):
+        stack = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], np.eye(2)])
         with pytest.raises(EigenConvergenceError):
             eigh_checked(stack)
 

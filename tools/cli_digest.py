@@ -1,0 +1,121 @@
+"""Fingerprint the CLI: one line per fixed invocation, giving the argv, the
+exit code and the sha256 of stdout.
+
+    python3 tools/cli_digest.py [REPO]
+
+runs the ``tracebounds`` package under ``REPO/src`` (default: this
+checkout) in process.  The invocations cover every subcommand, both
+``--format`` values and the usage-error (2), assertion (3) and I/O (4)
+exits.  They run in a fresh temporary directory and name their input files
+by relative paths, so the config lines, and hence the digests, do not depend
+on where the tool runs.  Diffing the output of two checkouts shows whether
+they print the same bytes for the same seed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+RAW = "3\n4 1 0\n1 3 0.5\n0 0.5 2\n"
+MTX = """%%MatrixMarket matrix coordinate real symmetric
+3 3 4
+1 1 4
+2 1 1
+2 2 3
+3 3 2
+"""
+# A constant polynomial whose certificate bound it cannot meet: exit 3.
+FALSE_CERT = {"interval": [1.0, 16.0], "coeffs": [0.5],
+              "certificate": {"func": "inv", "kappa": 16.0, "delta": 0.1,
+                              "bound": 1e-9}}
+
+WISHART = {
+    "eigcdf": ["--d", "8", "--trials", "50", "--x", "0.04,0.64"],
+    "lmax": ["--d", "8", "--trials", "50", "--t", "0,0.5"],
+    "invtrace": ["--d", "8", "--trials", "20", "--p", "1.5"],
+    "game": ["--d", "8", "--algo", "hutch", "--nv", "2", "--m", "4",
+             "--budget", "8", "--trials", "4"],
+}
+
+INVOCATIONS = [
+    ["poly", "build", "--func", "inv", "--kappa", "16", "--delta", "0.1"],
+    ["poly", "build", "--func", "invsqrt", "--kappa", "9", "--delta", "0.05",
+     "--grid", "512"],
+    ["poly", "build", "--func", "invsqrt", "--kappa", "16", "--delta", "0.1",
+     "--out", "p.json"],
+    ["poly", "error", "--poly", "p.json"],
+    ["poly", "error", "--poly", "p.json", "--grid", "9000"],
+    ["poly", "error", "--poly", "false.json"],
+    ["poly", "build", "--func", "exp", "--kappa", "16", "--delta", "0.1"],
+    ["trace", "--matrix", "m.txt", "--backend", "exact", "--seed", "1"],
+    ["trace", "--matrix", "m.txt", "--backend", "lanczos", "--m", "3",
+     "--func", "invsqrt", "--probes", "8", "--seed", "2"],
+    ["trace", "--matrix", "m.mtx", "--backend", "cheb", "--kappa", "8",
+     "--delta", "0.05", "--probes", "8", "--seed", "3",
+     "--no-quadratic-forms"],
+    ["trace", "--gen-spd", "--dim", "8", "--kappa", "4", "--probes", "16",
+     "--probe-kind", "gaussian", "--seed", "4"],
+    ["trace", "--matrix", "missing.txt", "--seed", "1"],
+    ["trace", "--matrix", "m.txt", "--backend", "cheb", "--seed", "1"],
+    ["trace", "--matrix", "m.txt", "--backend", "exact"],
+    *[["wishart", sub, *argv, "--seed", "5", "--format", fmt]
+      for sub, argv in WISHART.items() for fmt in ("json", "csv")],
+    ["wishart", "game", "--d", "8", "--algo", "exact", "--budget", "8",
+     "--trials", "3", "--seed", "6"],
+    ["wishart", "game", "--d", "8", "--algo", "const", "--c-guess", "9",
+     "--budget", "0", "--trials", "3", "--seed", "6", "--format", "csv"],
+    ["wishart", "game", "--d", "8", "--algo", "hutch", "--budget", "8",
+     "--seed", "6"],
+    ["wishart", "posterior", "--d", "6", "--n", "2", "--trials", "60",
+     "--seed", "7"],
+    ["wishart", "posterior", "--d", "6", "--n", "2", "--trials", "60",
+     "--seed", "7", "--format", "csv"],
+    ["wishart", "eigcdf", "--d", "8", "--trials", "50"],
+    ["wishart", "lmax", "--d", "8", "--trials", "50", "--t", "nan",
+     "--seed", "1"],
+    ["frobnicate"],
+    ["verify"],
+]
+
+
+def digest_lines(main) -> list[str]:
+    """Run every invocation through ``main`` in the current directory."""
+    lines = []
+    for argv in INVOCATIONS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        lines.append(f"{' '.join(argv)}\t{code}\t{sha}")
+    return lines
+
+
+def main() -> int:
+    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parents[1])
+    sys.path.insert(0, str(root.resolve() / "src"))
+    from tracebounds.cli import main as cli_main
+
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            Path("m.txt").write_text(RAW)
+            Path("m.mtx").write_text(MTX)
+            Path("false.json").write_text(json.dumps(FALSE_CERT))
+            lines = digest_lines(cli_main)
+        finally:
+            os.chdir(here)
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
