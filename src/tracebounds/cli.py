@@ -23,16 +23,33 @@ import numpy as np
 
 from .approx import ApproxTarget, inv_poly, inv_sqrt_poly, sup_error
 from .chebyshev import ChebPoly
-from .errors import CertificateError, ParseError, TraceBoundsError, UsageError
-from .hutchinson import (ChebBackend, ExactBackend, LanczosBackend, ProbeSpec,
-                         bias_bound, hutchinson)
+from .errors import (
+    CertificateError,
+    ParseError,
+    TraceBoundsError,
+    UsageError,
+)
+from .hutchinson import (
+    ChebBackend,
+    ExactBackend,
+    LanczosBackend,
+    ProbeSpec,
+    bias_bound,
+    hutchinson,
+)
 from .linalg import sample_spd_with_spectrum
 from .matio import parse_matrix_file
 from .rng import RngState
-from .wishart import (ConstantGuess, ExactRecovery, HutchinsonKrylov,
-                      eig_cdf_experiment, inv_trace_tail_experiment,
-                      lambda_max_tail_experiment, posterior_distribution_test,
-                      query_game)
+from .wishart import (
+    ConstantGuess,
+    ExactRecovery,
+    HutchinsonKrylov,
+    eig_cdf_experiment,
+    inv_trace_tail_experiment,
+    lambda_max_tail_experiment,
+    posterior_distribution_test,
+    query_game,
+)
 from . import verify as _verify
 
 EXIT_OK = 0
@@ -118,8 +135,9 @@ def _poly_target(func: str, kappa: float, delta: float) -> ApproxTarget:
 
 def cmd_poly_build(args) -> int:
     target = _poly_target(args.func, args.kappa, args.delta)
-    build = inv_sqrt_poly if target.kind == "inv_sqrt" else inv_poly
-    poly = build(target.kappa, target.delta)
+    poly = (inv_sqrt_poly if target.kind == "inv_sqrt" else inv_poly)(
+        target.kappa, target.delta
+    )
     grid, achieved = _certify(poly, target, args.grid)
     doc = {
         **poly.to_dict(),
@@ -208,8 +226,9 @@ def _load_or_generate_matrix(args):
         if args.dim is None:
             raise UsageError("--gen-spd requires --dim")
         kappa = args.kappa if args.kappa is not None else 2.0
-        rng = RngState(args.seed, stream=9)
-        return sample_spd_with_spectrum(args.dim, kappa, rng), 0.0
+        return sample_spd_with_spectrum(
+            args.dim, kappa, RngState(args.seed, stream=9)
+        ), 0.0
     raise UsageError("provide --matrix FILE or --gen-spd")
 
 
@@ -274,9 +293,10 @@ def _finite_float(text: str) -> float:
 
 def cmd_eigcdf(args) -> int:
     rng = RngState(args.seed)
-    rows = eig_cdf_experiment(args.d, args.trials, _float_list(args.x, "--x"), rng)
-    _emit(args, [(r.x, r.count, r.probability, r.stderr) for r in rows],
-          {"rows": [r.__dict__ for r in rows]})
+    xs = _float_list(args.x, "--x")
+    rows = eig_cdf_experiment(args.d, args.trials, xs, rng)
+    table = [(r.x, r.count, r.probability, r.stderr) for r in rows]
+    _emit(args, table, {"rows": [r.__dict__ for r in rows]})
     probs = [r.probability for r in rows]
     if any(b < a for a, b in zip(probs, probs[1:])):
         return _fail("assertion failed: empirical CDF not monotone in x")
@@ -285,20 +305,22 @@ def cmd_eigcdf(args) -> int:
 
 def cmd_lmax(args) -> int:
     rng = RngState(args.seed)
-    rows = lambda_max_tail_experiment(args.d, args.trials,
-                                      _float_list(args.t, "--t"), rng)
+    ts = _float_list(args.t, "--t")
+    rows = lambda_max_tail_experiment(args.d, args.trials, ts, rng)
     bounds = [2.0 * math.exp(-args.d * r.x) for r in rows]
-    _emit(args, [(r.x, r.count, r.probability, r.stderr, b)
-                 for r, b in zip(rows, bounds)],
+    table = [
+        (r.x, r.count, r.probability, r.stderr, b) for r, b in zip(rows, bounds)
+    ]
+    _emit(args, table,
           {"rows": [dict(r.__dict__, bound=b) for r, b in zip(rows, bounds)]})
     return EXIT_OK
 
 
 def cmd_invtrace(args) -> int:
-    rep = inv_trace_tail_experiment(args.d, args.trials, args.p,
-                                    RngState(args.seed))
-    _emit(args, zip(rep.sample_trials.tolist(), rep.samples.tolist()),
-          rep.to_dict())
+    rng = RngState(args.seed)
+    rep = inv_trace_tail_experiment(args.d, args.trials, args.p, rng)
+    table = list(zip(rep.sample_trials.tolist(), rep.samples.tolist()))
+    _emit(args, table, rep.to_dict())
     return EXIT_OK
 
 
@@ -308,8 +330,12 @@ def cmd_posterior(args) -> int:
         raise UsageError("wishart posterior reports JSON only; drop --format csv")
     rep = posterior_distribution_test(args.d, args.n, args.trials, rng)
     _emit(args, (), rep.to_dict())
-    if not (rep.ks_trace[1] > 0.01 and rep.ks_lambda_min[1] > 0.01
-            and rep.ks_trace_uncorrected[1] < 0.01):
+    ok = (
+        rep.ks_trace[1] > 0.01
+        and rep.ks_lambda_min[1] > 0.01
+        and rep.ks_trace_uncorrected[1] < 0.01
+    )
+    if not ok:
         return _fail("assertion failed: posterior KS thresholds not met")
     return EXIT_OK
 
@@ -328,9 +354,12 @@ def cmd_game(args) -> int:
         algo = HutchinsonKrylov(args.nv, args.m)
     result = query_game(args.d, args.p, args.C, algo, args.budget,
                         args.trials, rng)
-    _emit(args, [(r.trial, r.estimate, r.true_trace, r.queries_used, r.success,
-                  r.budget_violation) for r in result.records],
-          result.to_dict())
+    table = [
+        (r.trial, r.estimate, r.true_trace, r.queries_used, r.success,
+         r.budget_violation)
+        for r in result.records
+    ]
+    _emit(args, table, result.to_dict())
     if result.budget_violations:
         return _fail(
             f"assertion failed: {result.budget_violations} budget violations")

@@ -251,19 +251,27 @@ class TestCholesky:
     def test_failing_pivot_matches_column_loop(self, seed):
         # S = L D L^T with one diagonal entry of D negative or zero fails at
         # that column: LAPACK (negative) or the tolerance (zero) finds it.
-        # L is unit lower triangular with entries in {-1, 0, 1} and S is
-        # scaled by a power of four, so S and every pivot up to column j are
-        # exact in floating point: the zero pivot is 0.0 under any summation
-        # order.  With real-valued L it is rounding noise whose size grows
-        # with cond(L) and can land on either side of the tolerance.
+        # A negative entry gives a pivot of -L_jj^2 <= -0.09 from a
+        # real-valued L, so the rounded LAPACK pivot is compared with the
+        # column loop's.  A zero pivot from a real-valued L is rounding noise
+        # that the two summation orders can put on opposite sides of the
+        # tolerance, so for D_jj = 0 L is unit lower triangular in {-1, 0, 1}
+        # and S is scaled by a power of four: S and every pivot up to column j
+        # are exact, and the zero pivot is 0.0 in both factorizations.
         g = RngState(seed).generator()
         d = int(g.integers(1, 12))
-        low = np.tril(g.integers(-1, 2, size=(d, d)).astype(np.float64), -1)
-        np.fill_diagonal(low, 1.0)
+        low = np.tril(g.standard_normal((d, d)))
+        np.fill_diagonal(low, np.abs(np.diag(low)) + 0.3)
         signs = np.ones(d)
         j = int(g.integers(0, d))
         signs[j] = float(g.choice([-1.0, 0.0]))
-        a = (low * signs) @ low.T * 4.0 ** int(g.integers(-15, 16))
+        if signs[j] < 0:
+            a = (low * signs) @ low.T
+            a = (a + a.T) / 2.0
+        else:
+            low = np.tril(g.integers(-1, 2, size=(d, d)).astype(np.float64), -1)
+            np.fill_diagonal(low, 1.0)
+            a = (low * signs) @ low.T * 4.0 ** int(g.integers(-15, 16))
         index, pivot = loop_cholesky(a)
         with pytest.raises(NotPositiveDefiniteError) as exc:
             cholesky(SymMatrix(a))
