@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import asdict, astuple
 
 import numpy as np
 
@@ -127,9 +128,7 @@ def _fail(message: str) -> int:
 
 def _poly_target(func: str, kappa: float, delta: float) -> ApproxTarget:
     if func not in _FUNC_ALIASES:
-        raise UsageError(f"--func must be inv or invsqrt, got {func!r}")
-    if delta is None:
-        raise UsageError("a delta is required")
+        raise UsageError(f"func must be inv or invsqrt, got {func!r}")
     return ApproxTarget(_FUNC_ALIASES[func], kappa=kappa, delta=delta)
 
 
@@ -164,9 +163,10 @@ def _certify(poly: ChebPoly, target: ApproxTarget, grid: int):
 
 
 def _read_poly_file(path: str):
-    """(ChebPoly, certificate dict) from a ``poly build`` file.  A file that
-    is not JSON, whose polynomial fields do not make a finite ChebPoly, or
-    whose certificate fields have the wrong type raises ParseError."""
+    """(ChebPoly, ApproxTarget, certificate bound) from a ``poly build``
+    file.  A file that is not JSON, whose polynomial fields do not make a
+    finite ChebPoly, or whose certificate fields have the wrong type or
+    name a target the library rejects raises ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -187,10 +187,14 @@ def _read_poly_file(path: str):
         raise ParseError(f"{path}: certificate.func must be a string")
     for key in ("kappa", "delta", "bound"):
         value = cert.get(key)
-        if not (_finite_number(value) or key == "delta" and value is None):
+        if not _finite_number(value):
             raise ParseError(
                 f"{path}: certificate.{key} must be a finite number, got {value!r}")
-    return poly, cert
+    try:
+        target = _poly_target(cert["func"], cert["kappa"], cert["delta"])
+    except UsageError as exc:
+        raise ParseError(f"{path}: certificate: {exc}") from exc
+    return poly, target, cert["bound"]
 
 
 def _finite_number(value) -> bool:
@@ -199,19 +203,18 @@ def _finite_number(value) -> bool:
 
 
 def cmd_poly_error(args) -> int:
-    poly, cert = _read_poly_file(args.poly)
-    target = _poly_target(cert["func"], cert["kappa"], cert["delta"])
+    poly, target, bound = _read_poly_file(args.poly)
     grid, achieved = _certify(poly, target, args.grid)
     report = {
         "degree": poly.degree(),
         "grid_size": grid,
         "grid_sup_error": achieved,
-        "bound": cert["bound"],
+        "bound": bound,
         "config": _config(args),
     }
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
-    if achieved > cert["bound"]:
-        return _fail(f"certificate violated: {achieved:g} > {cert['bound']:g}")
+    if achieved > bound:
+        return _fail(f"certificate violated: {achieved:g} > {bound:g}")
     return EXIT_OK
 
 
@@ -295,8 +298,7 @@ def cmd_eigcdf(args) -> int:
     rng = RngState(args.seed)
     xs = _float_list(args.x, "--x")
     rows = eig_cdf_experiment(args.d, args.trials, xs, rng)
-    table = [(r.x, r.count, r.probability, r.stderr) for r in rows]
-    _emit(args, table, {"rows": [r.__dict__ for r in rows]})
+    _emit(args, map(astuple, rows), {"rows": list(map(asdict, rows))})
     probs = [r.probability for r in rows]
     if any(b < a for a, b in zip(probs, probs[1:])):
         return _fail("assertion failed: empirical CDF not monotone in x")
@@ -307,12 +309,7 @@ def cmd_lmax(args) -> int:
     rng = RngState(args.seed)
     ts = _float_list(args.t, "--t")
     rows = lambda_max_tail_experiment(args.d, args.trials, ts, rng)
-    bounds = [2.0 * math.exp(-args.d * r.x) for r in rows]
-    table = [
-        (r.x, r.count, r.probability, r.stderr, b) for r, b in zip(rows, bounds)
-    ]
-    _emit(args, table,
-          {"rows": [dict(r.__dict__, bound=b) for r, b in zip(rows, bounds)]})
+    _emit(args, map(astuple, rows), {"rows": list(map(asdict, rows))})
     return EXIT_OK
 
 
@@ -329,11 +326,11 @@ def cmd_posterior(args) -> int:
     if args.format == "csv":
         raise UsageError("wishart posterior reports JSON only; drop --format csv")
     rep = posterior_distribution_test(args.d, args.n, args.trials, rng)
-    _emit(args, (), rep.to_dict())
+    _emit(args, (), asdict(rep))
     ok = (
-        rep.ks_trace[1] > 0.01
-        and rep.ks_lambda_min[1] > 0.01
-        and rep.ks_trace_uncorrected[1] < 0.01
+        rep.ks_trace.p_value > 0.01
+        and rep.ks_lambda_min.p_value > 0.01
+        and rep.ks_trace_uncorrected.p_value < 0.01
     )
     if not ok:
         return _fail("assertion failed: posterior KS thresholds not met")
@@ -354,12 +351,9 @@ def cmd_game(args) -> int:
         algo = HutchinsonKrylov(args.nv, args.m)
     result = query_game(args.d, args.p, args.C, algo, args.budget,
                         args.trials, rng)
-    table = [
-        (r.trial, r.estimate, r.true_trace, r.queries_used, r.success,
-         r.budget_violation)
-        for r in result.records
-    ]
-    _emit(args, table, result.to_dict())
+    # The CSV rows leave out the last field, the error message.
+    table = [astuple(r)[:-1] for r in result.records]
+    _emit(args, table, asdict(result))
     if result.budget_violations:
         return _fail(
             f"assertion failed: {result.budget_violations} budget violations")

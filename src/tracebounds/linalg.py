@@ -195,12 +195,12 @@ def cholesky(s) -> np.ndarray:
     SymMatrix or an exactly symmetric n x n array or stack of them.
 
     Raises NotPositiveDefiniteError (1-based pivot index j, pivot L_jj^2)
-    at the first j with L_jj^2 <= 1e-12 * max(1, ||S||_max); in a stack,
-    for the first matrix that fails.
+    at the first j with L_jj^2 <= 1e-12 * max(1, ||S||_max) or NaN, where
+    the max skips NaN; in a stack, for the first matrix that fails.
     """
     a = s.entries if isinstance(s, SymMatrix) else np.asarray(s, dtype=np.float64)
     stack = a.reshape(-1, *a.shape[-2:])
-    tol = 1e-12 * np.maximum(1.0, np.max(np.abs(stack), axis=(1, 2)))
+    tol = 1e-12 * np.fmax(1.0, np.max(np.abs(stack), axis=(1, 2)))
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -215,8 +215,8 @@ def cholesky(s) -> np.ndarray:
 
 def _raise_small_pivot(pivots: np.ndarray, tol: np.ndarray):
     """NotPositiveDefiniteError for the first row i of the k x n pivots
-    with an entry <= tol[i], at its first such entry."""
-    bad = pivots <= tol[:, None]
+    with an entry <= tol[i] or NaN, at its first such entry."""
+    bad = ~(pivots > tol[:, None])    # a NaN fails too
     if np.any(bad):
         i = int(np.argmax(np.any(bad, axis=1)))
         j = int(np.argmax(bad[i]))
@@ -250,7 +250,7 @@ def qr_columns(m: np.ndarray):
 
     Returns (Q, R) with Q d x n orthonormal columns, R n x n upper
     triangular.  Raises RankDeficiencyError (1-based column) when
-    |R_kk| <= 1e-10 * max(1, ||M||_max).
+    |R_kk| <= 1e-10 * max(1, ||M||_max) or R_kk is NaN.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -264,7 +264,7 @@ def qr_columns(m: np.ndarray):
     q = q * signs
     r = r * signs[:, None]
     tol = 1e-10 * max(1.0, float(np.max(np.abs(m))))
-    small = np.abs(np.diag(r)) <= tol
+    small = ~(np.abs(np.diag(r)) > tol)    # a NaN fails too
     if np.any(small):
         raise RankDeficiencyError(int(np.argmax(small)) + 1)
     return q, r

@@ -3,7 +3,8 @@
 Raw format: first line the dimension d, then d*d whitespace-separated
 row-major floats (line breaks anywhere).  Both readers reject a NaN or
 infinite entry, naming its line, enforce symmetry by averaging
-M/2 + M^T/2 (linalg.symmetrize) and report the maximum asymmetry found.
+M/2 + M^T/2 (linalg.symmetrize) and report the maximum asymmetry found; an
+asymmetry past the largest float is an error, reported at the last line.
 """
 
 from __future__ import annotations
@@ -24,7 +25,10 @@ def parse_matrix_file(path: str) -> tuple[SymMatrix, float]:
         m = _parse_matrix_market(lines)
     else:
         m = _parse_raw(lines)
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    with np.errstate(over="ignore"):
+        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    if asym == math.inf:
+        raise MatrixParseError("asymmetry max |M - M^T| overflows", len(lines))
     return symmetrize(m), asym
 
 

@@ -15,7 +15,7 @@ against fresh Wishart(d-n) draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -182,29 +182,21 @@ def posterior_decompose(w: SymMatrix, t: QueryTranscript) -> PosteriorDecomposit
 
 
 @dataclass(frozen=True)
+class KsTest:
+    """A two-sample KS test: the statistic h/trials and its p-value."""
+
+    statistic: float
+    p_value: float
+
+
+@dataclass(frozen=True)
 class PosteriorTestReport:
     d: int
     n: int
     trials: int
-    ks_trace: tuple[float, float]        # (statistic, p-value)
-    ks_lambda_min: tuple[float, float]
-    ks_trace_uncorrected: tuple[float, float]  # negative control
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "trials": self.trials,
-            "ks_trace": {"statistic": self.ks_trace[0], "p_value": self.ks_trace[1]},
-            "ks_lambda_min": {
-                "statistic": self.ks_lambda_min[0],
-                "p_value": self.ks_lambda_min[1],
-            },
-            "ks_trace_uncorrected": {
-                "statistic": self.ks_trace_uncorrected[0],
-                "p_value": self.ks_trace_uncorrected[1],
-            },
-        }
+    ks_trace: KsTest
+    ks_lambda_min: KsTest
+    ks_trace_uncorrected: KsTest  # negative control
 
 
 def posterior_distribution_test(
@@ -226,9 +218,9 @@ def posterior_distribution_test(
         d, n, trials, rng)
     return PosteriorTestReport(
         d, n, trials,
-        _ks_2samp(tr_post, tr_ref),
-        _ks_2samp(lmin_post, lmin_ref),
-        _ks_2samp(tr_uncorrected, tr_ref),
+        KsTest(*_ks_2samp(tr_post, tr_ref)),
+        KsTest(*_ks_2samp(lmin_post, lmin_ref)),
+        KsTest(*_ks_2samp(tr_uncorrected, tr_ref)),
     )
 
 
@@ -305,6 +297,13 @@ class CdfRow:
     count: int
     probability: float
     stderr: float
+
+
+@dataclass(frozen=True)
+class TailRow(CdfRow):
+    """A lambda_max tail row at t = x, with the predicted tail 2 exp(-d t)."""
+
+    bound: float
 
 
 def _binomial_rows(counts, trials: int, thresholds) -> list[CdfRow]:
@@ -392,14 +391,15 @@ def eig_cdf_experiment(d: int, trials: int, x_values, rng: RngState) -> list[Cdf
 
 def lambda_max_tail_experiment(
     d: int, trials: int, t_values, rng: RngState
-) -> list[CdfRow]:
+) -> list[TailRow]:
     """Empirical Pr{lambda_max(W) >= 4 (1+t)}; predicted tail 2 exp(-d t)."""
     ts = np.asarray(list(t_values), dtype=np.float64)
     if not np.all(np.isfinite(ts) & (ts >= 0)):
         raise UsageError("t values must be finite and >= 0")
     counts = _hit_counts(d, trials, LAMBDA_MAX_REFERENCE * (1.0 + ts), 1,
                          lambda c: c < d, rng)
-    return _binomial_rows(counts, trials, ts)
+    return [TailRow(*astuple(r), 2.0 * math.exp(-d * r.x))
+            for r in _binomial_rows(counts, trials, ts)]
 
 
 @dataclass(frozen=True)
@@ -414,14 +414,11 @@ class InvTraceReport:
     sample_trials: np.ndarray  # trial index of each sample
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "p": self.p,
-            "trials": self.trials,
-            "dropped": self.dropped,
-            "quantiles": {str(k): v for k, v in self.quantiles.items()},
-            "per_index_q99": self.per_index_q99.tolist(),
-        }
+        """The JSON report: every field but the per-trial samples and
+        sample_trials, which only the CSV rows carry."""
+        doc = {k: v for k, v in vars(self).items()
+               if k not in ("samples", "sample_trials")}
+        return dict(doc, per_index_q99=self.per_index_q99.tolist())
 
 
 def inv_trace_tail_experiment(
@@ -575,17 +572,6 @@ class TrialRecord:
     budget_violation: bool = False
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "trial": self.trial,
-            "estimate": self.estimate,
-            "true_trace": self.true_trace,
-            "queries_used": self.queries_used,
-            "success": self.success,
-            "budget_violation": self.budget_violation,
-            "error": self.error,
-        }
-
 
 @dataclass(frozen=True)
 class GameResult:
@@ -596,26 +582,12 @@ class GameResult:
     trials: int
     algorithm: str
     success_count: int
+    success_rate: float = field(init=False)
     budget_violations: int
     records: list = field(default_factory=list)
 
-    @property
-    def success_rate(self) -> float:
-        return self.success_count / self.trials
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "p": self.p,
-            "approx_factor": self.approx_factor,
-            "budget": self.budget,
-            "trials": self.trials,
-            "algorithm": self.algorithm,
-            "success_count": self.success_count,
-            "success_rate": self.success_rate,
-            "budget_violations": self.budget_violations,
-            "records": [r.to_dict() for r in self.records],
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "success_rate", self.success_count / self.trials)
 
 
 def query_game(

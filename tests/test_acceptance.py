@@ -178,10 +178,10 @@ def test_criterion_07_posterior_identity_interlacing():
 def test_criterion_08_posterior_distribution():
     t0 = time.perf_counter()
     rep = posterior_distribution_test(12, 4, 2000, RngState(300))
-    ok = (rep.ks_trace[1] > 0.01 and rep.ks_lambda_min[1] > 0.01
-          and rep.ks_trace_uncorrected[1] < 0.01)
+    ok = (rep.ks_trace.p_value > 0.01 and rep.ks_lambda_min.p_value > 0.01
+          and rep.ks_trace_uncorrected.p_value < 0.01)
     _verdict(8, "posterior KS vs Wishart(8): tr p={:.2f}, lmin p={:.2f}, control p={:.1e}".format(
-        rep.ks_trace[1], rep.ks_lambda_min[1], rep.ks_trace_uncorrected[1]),
+        rep.ks_trace.p_value, rep.ks_lambda_min.p_value, rep.ks_trace_uncorrected.p_value),
         ok, time.perf_counter() - t0, 300)
 
 

@@ -1,10 +1,13 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -99,6 +102,14 @@ class TestPolyRoundTrip:
     (lambda doc: doc.pop("coeffs"), "a polynomial needs interval and coeffs"),
     (lambda doc: doc["coeffs"].__setitem__(1, float("nan")),
      "a NaN or infinite number"),
+    (lambda doc: doc["certificate"].update(func="monomial"),
+     "certificate: func must be inv or invsqrt, got 'monomial'"),
+    (lambda doc: doc["certificate"].update(kappa=1.0),
+     "certificate: need finite kappa >= 2"),
+    (lambda doc: doc["certificate"].update(delta=0.7),
+     "certificate: need 0 < delta < 1/2"),
+    (lambda doc: doc["certificate"].update(delta=None),
+     "certificate.delta must be a finite number, got None"),
 ])
 def test_malformed_poly_file_exits_4(tmp_path, capsys, edit, message):
     out = tmp_path / "p.json"
@@ -336,6 +347,18 @@ class TestMatrixFiles:
         rep = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert rep["estimate"] == pytest.approx(1.0)
 
+    def test_overflowing_asymmetry_exits_4(self, tmp_path, capsys):
+        f = tmp_path / "m.raw"
+        f.write_text("2\n1 1e308\n-1e308 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["trace", "--matrix", str(f), "--backend", "exact",
+                        "--probes", "4", "--seed", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "i/o error: line 3: asymmetry max |M - M^T| overflows\n")
+
     def test_non_finite_entry_exits_4(self, tmp_path, capsys):
         f = tmp_path / "m.raw"
         f.write_text("2\n1 nan\nnan 1\n")
@@ -490,6 +513,54 @@ class TestCsvDeterminism:
         lines = out.read_text().splitlines()
         assert lines[1] == "trial,estimate,true_trace,queries_used,success,budget_violation"
         assert len(lines) == 2 + 5
+
+
+def _field_names(record) -> list[str]:
+    return [f.name for f in dataclasses.fields(record)]
+
+
+class TestWishartReportSchema:
+    """Each report's JSON object and CSV row list its record's fields in
+    declaration order."""
+
+    def report(self, capsys, *argv) -> dict:
+        run(["wishart", *argv, "--seed", "5"])
+        return json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("sub, row", [("eigcdf", wishart_module.CdfRow),
+                                          ("lmax", wishart_module.TailRow)])
+    def test_cdf_rows(self, capsys, sub, row):
+        rep = self.report(capsys, sub, "--d", "8", "--trials", "50")
+        assert list(rep) == ["config", "rows"]
+        assert [list(r) for r in rep["rows"]] == [_field_names(row)] * 4
+
+    def test_game(self, capsys):
+        rep = self.report(capsys, "game", "--d", "8", "--algo", "hutch",
+                          "--nv", "2", "--m", "4", "--budget", "8",
+                          "--trials", "3")
+        assert list(rep) == ["config", *_field_names(wishart_module.GameResult)]
+        assert ([list(r) for r in rep["records"]]
+                == [_field_names(wishart_module.TrialRecord)] * 3)
+
+    def test_posterior(self, capsys):
+        rep = self.report(capsys, "posterior", "--d", "6", "--n", "2",
+                          "--trials", "60")
+        fields = _field_names(wishart_module.PosteriorTestReport)
+        assert list(rep) == ["config", *fields]
+        for ks in fields[3:]:
+            assert list(rep[ks]) == _field_names(wishart_module.KsTest)
+
+    def test_csv_headers(self):
+        assert cli.CSV_HEADERS["eigcdf"] == _field_names(wishart_module.CdfRow)
+        record = _field_names(wishart_module.TrialRecord)
+        assert record[-1] == "error"
+        assert cli.CSV_HEADERS["game"] == record[:-1]
+
+    def test_lmax_bound_is_predicted_tail(self, capsys):
+        rep = self.report(capsys, "lmax", "--d", "8", "--trials", "50",
+                          "--t", "0,0.25,1")
+        assert ([r["bound"] for r in rep["rows"]]
+                == [2.0 * math.exp(-8 * t) for t in (0.0, 0.25, 1.0)])
 
 
 class TestVerifyCommand:

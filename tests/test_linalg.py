@@ -304,6 +304,22 @@ class TestCholesky:
         assert exc.value.pivot_index == index
         assert exc.value.pivot_value == pytest.approx(pivot, rel=1e-15)
 
+    @pytest.mark.parametrize("index", [1, 2])
+    def test_nan_pivot_fails(self, index):
+        s = np.diag([1e6, 1.0])
+        s[index - 1, index - 1] = np.nan
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(s)
+        assert exc.value.pivot_index == index
+        assert np.isnan(exc.value.pivot_value)
+
+    def test_nan_in_one_matrix_of_a_stack_fails(self):
+        stack = np.array([np.eye(2), [[1.0, 0.0], [0.0, np.nan]], np.eye(2)])
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            cholesky(stack)
+        assert exc.value.pivot_index == 2
+        assert np.isnan(exc.value.pivot_value)
+
 
 class TestQrColumns:
     def test_orthonormal_input_fixed_point(self):
@@ -324,6 +340,14 @@ class TestQrColumns:
         with pytest.raises(RankDeficiencyError) as exc:
             qr_columns(np.hstack([col, col]))
         assert exc.value.column == 2
+
+    @pytest.mark.parametrize("column", [1, 2])
+    def test_nan_column_fails(self, column):
+        m = np.eye(3)[:, :2]
+        m[column - 1, column - 1] = np.nan
+        with pytest.raises(RankDeficiencyError) as exc:
+            qr_columns(m)
+        assert exc.value.column == column
 
     def test_reconstruction(self):
         g = RngState(22).generator()

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -37,8 +38,10 @@ from tracebounds.wishart import (
     ConstantGuess,
     ExactRecovery,
     HutchinsonKrylov,
+    KsTest,
     MeteredOracle,
     PosteriorTestReport,
+    QueryTranscript,
     TrialRecord,
     eig_cdf_experiment,
     inv_trace_tail_experiment,
@@ -116,6 +119,12 @@ class TestPosteriorDecomposition:
         with pytest.raises(RankDeficiencyError):
             make_transcript(w, queries)
 
+    def test_nan_query_rejected(self):
+        queries = np.eye(4)[:, :2]
+        queries[1, 1] = np.nan
+        with pytest.raises(RankDeficiencyError):
+            QueryTranscript(4, queries, np.zeros((4, 2)))
+
     def test_n_equals_d_rejected(self):
         g = RngState(66).generator()
         w = sample_wishart(4, g)
@@ -185,12 +194,12 @@ def per_trial_posterior_samples(d, n, trials, rng):
 class TestPosteriorDistribution:
     def test_posterior_matches_fresh_wishart(self):
         rep = posterior_distribution_test(12, 4, 600, RngState(67))
-        assert rep.ks_trace[1] > 0.01
-        assert rep.ks_lambda_min[1] > 0.01
+        assert rep.ks_trace.p_value > 0.01
+        assert rep.ks_lambda_min.p_value > 0.01
 
     def test_negative_control_rejected(self):
         rep = posterior_distribution_test(12, 4, 600, RngState(68))
-        assert rep.ks_trace_uncorrected[1] < 0.01
+        assert rep.ks_trace_uncorrected.p_value < 0.01
 
     @pytest.mark.parametrize("d, n, trials", [(8, 0, 300), (8, 7, 300),
                                               (32, 8, 50)])
@@ -203,9 +212,9 @@ class TestPosteriorDistribution:
         report = posterior_distribution_test(d, n, trials, RngState(90))
         tr_post, lmin_post, tr_unc, tr_ref, lmin_ref = want
         assert report == PosteriorTestReport(
-            d, n, trials, wishart_module._ks_2samp(tr_post, tr_ref),
-            wishart_module._ks_2samp(lmin_post, lmin_ref),
-            wishart_module._ks_2samp(tr_unc, tr_ref))
+            d, n, trials, KsTest(*wishart_module._ks_2samp(tr_post, tr_ref)),
+            KsTest(*wishart_module._ks_2samp(lmin_post, lmin_ref)),
+            KsTest(*wishart_module._ks_2samp(tr_unc, tr_ref)))
 
     @pytest.mark.parametrize("singular, pivot", [((5, 7), 2), ((7,), 1)])
     def test_first_failing_trial_raises(self, monkeypatch, singular, pivot):
@@ -225,7 +234,7 @@ class TestPosteriorDistribution:
 
     def test_report_round_trip_keys(self):
         rep = posterior_distribution_test(6, 2, 50, RngState(69))
-        d = rep.to_dict()
+        d = asdict(rep)
         assert set(d) == {"d", "n", "trials", "ks_trace", "ks_lambda_min",
                           "ks_trace_uncorrected"}
 
@@ -588,7 +597,7 @@ def solo_run(algorithm, oracle, p, g):
 def record_bytes(records):
     """Each record as JSON text, so NaN estimates compare equal and every
     float compares by its exact repr."""
-    return [json.dumps(r.to_dict()) for r in records]
+    return [json.dumps(asdict(r)) for r in records]
 
 
 def patch_trials(monkeypatch, matrices):
@@ -783,7 +792,7 @@ class TestQueryGame:
                       algorithm=HutchinsonKrylov(2, 4), budget=8, trials=5)
         r1 = query_game(rng=RngState(84), **kwargs)
         r2 = query_game(rng=RngState(84), **kwargs)
-        assert r1.to_dict() == r2.to_dict()
+        assert asdict(r1) == asdict(r2)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="C > 1"):

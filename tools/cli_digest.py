@@ -35,6 +35,11 @@ MTX = """%%MatrixMarket matrix coordinate real symmetric
 FALSE_CERT = {"interval": [1.0, 16.0], "coeffs": [0.5],
               "certificate": {"func": "inv", "kappa": 16.0, "delta": 0.1,
                               "bound": 1e-9}}
+# A certificate naming a target the library rejects: exit 4.
+BAD_CERT = dict(FALSE_CERT, certificate=dict(FALSE_CERT["certificate"],
+                                             func="monomial"))
+# Finite entries whose asymmetry overflows: exit 4.
+OVERFLOW_RAW = "2\n1 1e308\n-1e308 1\n"
 
 WISHART = {
     "eigcdf": ["--d", "8", "--trials", "50", "--x", "0.04,0.64"],
@@ -53,6 +58,7 @@ INVOCATIONS = [
     ["poly", "error", "--poly", "p.json"],
     ["poly", "error", "--poly", "p.json", "--grid", "9000"],
     ["poly", "error", "--poly", "false.json"],
+    ["poly", "error", "--poly", "badcert.json"],
     ["poly", "build", "--func", "exp", "--kappa", "16", "--delta", "0.1"],
     ["trace", "--matrix", "m.txt", "--backend", "exact", "--seed", "1"],
     ["trace", "--matrix", "m.txt", "--backend", "lanczos", "--m", "3",
@@ -63,6 +69,7 @@ INVOCATIONS = [
     ["trace", "--gen-spd", "--dim", "8", "--kappa", "4", "--probes", "16",
      "--probe-kind", "gaussian", "--seed", "4"],
     ["trace", "--matrix", "missing.txt", "--seed", "1"],
+    ["trace", "--matrix", "overflow.txt", "--backend", "exact", "--seed", "1"],
     ["trace", "--matrix", "m.txt", "--backend", "cheb", "--seed", "1"],
     ["trace", "--matrix", "m.txt", "--backend", "exact"],
     *[["wishart", sub, *argv, "--seed", "5", "--format", fmt]
@@ -110,6 +117,8 @@ def main() -> int:
             Path("m.txt").write_text(RAW)
             Path("m.mtx").write_text(MTX)
             Path("false.json").write_text(json.dumps(FALSE_CERT))
+            Path("badcert.json").write_text(json.dumps(BAD_CERT))
+            Path("overflow.txt").write_text(OVERFLOW_RAW)
             lines = digest_lines(cli_main)
         finally:
             os.chdir(here)
