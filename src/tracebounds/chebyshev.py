@@ -23,12 +23,16 @@ class ChebPoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        if len(self.interval) != 2:
+            raise ValueError(
+                f"interval must be two numbers, got {list(self.interval)}")
         a, b = float(self.interval[0]), float(self.interval[1])
         if not a < b:
             raise ValueError(f"need a < b, got [{a}, {b}]")
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=np.float64))
-        if c.size == 0:
-            raise ValueError("coeffs must be nonempty")
+        if c.ndim != 1 or c.size == 0:
+            raise ValueError(
+                f"coeffs must be a nonempty 1-D list, got shape {c.shape}")
         object.__setattr__(self, "interval", (a, b))
         object.__setattr__(self, "coeffs", c)
 

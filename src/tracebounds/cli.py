@@ -165,8 +165,9 @@ def _certify(poly: ChebPoly, target: ApproxTarget, grid: int):
 def _read_poly_file(path: str):
     """(ChebPoly, ApproxTarget, certificate bound) from a ``poly build``
     file.  A file that is not JSON, whose polynomial fields do not make a
-    finite ChebPoly, or whose certificate fields have the wrong type or
-    name a target the library rejects raises ParseError."""
+    finite ChebPoly, that has no certificate, or whose certificate fields
+    have the wrong type or name a target the library rejects raises
+    ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -182,7 +183,7 @@ def _read_poly_file(path: str):
         raise ParseError(f"{path}: bad polynomial: a NaN or infinite number")
     cert = doc.get("certificate")
     if cert is None:
-        raise UsageError("polynomial file carries no certificate to re-check")
+        raise ParseError(f"{path}: no certificate to re-check")
     if not isinstance(cert, dict) or not isinstance(cert.get("func"), str):
         raise ParseError(f"{path}: certificate.func must be a string")
     for key in ("kappa", "delta", "bound"):
@@ -299,7 +300,7 @@ def cmd_eigcdf(args) -> int:
     xs = _float_list(args.x, "--x")
     rows = eig_cdf_experiment(args.d, args.trials, xs, rng)
     _emit(args, map(astuple, rows), {"rows": list(map(asdict, rows))})
-    probs = [r.probability for r in rows]
+    probs = [r.probability for r in sorted(rows, key=lambda r: r.x)]
     if any(b < a for a, b in zip(probs, probs[1:])):
         return _fail("assertion failed: empirical CDF not monotone in x")
     return EXIT_OK

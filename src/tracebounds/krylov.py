@@ -1,11 +1,12 @@
 """Krylov subspace actions f(A) Z and explicit polynomial actions p(A) Z.
 
 Every entry point acts on a d x k block of start vectors; a single vector
-is the k = 1 case.  There is one Lanczos loop, _lanczos_block, behind both
-fa_times_vec_lanczos (explicit matrix) and fa_times_vec_oracle (opaque
-metered matvecs, each owning a run of columns, such as one per trial of a
-stack), and one Clenshaw sweep, poly_times_block.  m Lanczos steps span the
-same polynomial space as an explicit degree-(m-1) polynomial applied to the
+is the k = 1 case.  There is one Lanczos loop, _lanczos_block, over a
+g x d x c stack of blocks, one per operator, behind both
+fa_times_vec_lanczos (one explicit matrix, g = 1) and fa_times_vec_oracle
+(opaque metered matvecs, such as one per trial of a stack), and one
+Clenshaw sweep, poly_times_block.  m Lanczos steps span the same
+polynomial space as an explicit degree-(m-1) polynomial applied to the
 start vector, so both paths report their cost in the common currency of
 matrix-vector products (MVPs).  f(A) Z by Lanczos runs in column chunks
 whose basis stays under _CHUNK_BYTES, whatever the probe count.
@@ -23,136 +24,116 @@ from .linalg import sym_eigen  # noqa: F401
 
 _BREAKDOWN_RTOL = 1e-12
 
-#: Bound on the Lanczos basis of one column chunk: 8 m d bytes per column.
+#: Bound on the Lanczos basis of one column chunk: 8 g m d bytes per column
+#: of every one of the g operators.
 _CHUNK_BYTES = 2 ** 20
 
 
-def _lanczos_block(matvecs, owner, z: np.ndarray, m: int, breakdown_tol: float):
-    """k independent Lanczos recurrences, one per column of the d x k block z.
+def _lanczos_block(matvec, z: np.ndarray, m: int, breakdown_tol: float):
+    """g x c independent Lanczos recurrences, one per column of the g x d x c
+    stack z, whose block z[t] belongs to operator t.
 
-    Column c runs against matvecs[owner[c]].  owner is nondecreasing, so
-    each matvec serves one contiguous run of columns; a None matvec marks
-    columns that are not run (steps 0).  Each step makes one block product
-    per matvec over its columns still running.  A column whose residual
-    falls to breakdown_tol stops there (truncated) and is charged only its
-    realized steps.  Returns (q, alpha, beta, steps, znorm): q[c, i] is
-    basis vector i of column c, alpha[c] and beta[c] hold the diagonal and
-    off-diagonal of its tridiagonal T, steps[c] < m marks truncation, and
-    znorm[c] is ||z_c||.  Only the first steps[c] entries of q[c] and
-    alpha[c] (steps[c] - 1 of beta[c]) are meaningful.  The last step stops
-    once alpha[:, m-1] is known: no residual is formed, since no caller
-    reads it.
+    Each step makes one call matvec(V, live): V is the g x d x c stack of
+    current basis vectors and the g x c mask live marks the columns still
+    running; it returns the g x d x c stack of products, zero where not
+    live.  A zero start column does not run (steps 0), and a column whose
+    residual falls to breakdown_tol stops there (truncated) and is charged
+    only its realized steps.  Returns (q, alpha, beta, steps, znorm):
+    q[t, c, i] is basis vector i of column c of operator t, alpha[t, c] and
+    beta[t, c] hold the diagonal and off-diagonal of its tridiagonal T,
+    steps[t, c] < m marks truncation, and znorm[t, c] is its start norm.  A
+    stopped column keeps zero basis vectors, alpha and beta from then on.
+    The last step stops once alpha[..., m-1] is known: no residual is
+    formed, since no caller reads it.
     """
-    d, k = z.shape
-    znorm = np.linalg.norm(z, axis=0)
-    if np.any(znorm == 0.0):
-        raise ValueError("Lanczos start vector must be nonzero")
-    q = np.zeros((k, m, d))
-    q[:, 0] = (z / znorm).T
-    alpha = np.zeros((k, m))
-    beta = np.zeros((k, max(m - 1, 0)))
-    running = np.array([mv is not None for mv in matvecs])[owner]
-    steps = np.where(running, m, 0)
-    live = np.flatnonzero(running)
+    g, d, c = z.shape
+    znorm = np.linalg.norm(z, axis=1)
+    live = znorm > 0.0
+    q = np.zeros((g, c, m, d))
+    q[:, :, 0] = (z / np.where(live, znorm, 1.0)[:, None, :]).transpose(0, 2, 1)
+    alpha = np.zeros((g, c, m))
+    beta = np.zeros((g, c, max(m - 1, 0)))
+    steps = np.where(live, m, 0)
     for j in range(m):
-        if not len(live):
+        if not live.any():
             break
-        cols = slice(None) if len(live) == k else live
-        qj = q[cols, j]
-        runs = _runs(owner[live])
-        w = [matvecs[g](qj[lo:hi].T) for g, lo, hi in runs]
-        w = (w[0] if len(w) == 1 else np.concatenate(w, axis=1)).T
-        if len(runs) == len(live) > 1:
-            # Rows in the layout of a one-column run alone: the sums over a
-            # row below round by the row's memory layout.
-            w = np.ascontiguousarray(w)
-        alpha[cols, j] = aj = np.einsum("ij,ij->i", qj, w)
+        qj = q[:, :, j]
+        w = matvec(qj.transpose(0, 2, 1), live).transpose(0, 2, 1)
+        alpha[:, :, j] = aj = np.einsum("tcd,tcd->tc", qj, w)
         if j + 1 == m:
             break
-        w = w - aj[:, None] * qj
+        w = w - aj[..., None] * qj
         if j > 0:
-            w = w - beta[cols, j - 1, None] * q[cols, j - 1]
+            w = w - beta[:, :, j - 1, None] * q[:, :, j - 1]
         # Full reorthogonalization, twice, to hold the 1e-8 basis invariant.
-        basis = q[cols, : j + 1]
+        basis = q[:, :, : j + 1]
         for _ in range(2):
-            w = w - (np.matmul(basis, w[:, :, None]).transpose(0, 2, 1) @ basis)[:, 0]
-        wnorm = np.linalg.norm(w, axis=1)
-        stop = wnorm <= breakdown_tol
-        steps[live[stop]] = j + 1
-        go = ~stop
-        live = live[go]
-        beta[live, j] = wnorm[go]
-        q[live, j + 1] = w[go] / wnorm[go, None]
+            w = w - (np.matmul(basis, w[..., None]).swapaxes(-1, -2) @ basis)[..., 0, :]
+        wnorm = np.linalg.norm(w, axis=-1)
+        stop = live & (wnorm <= breakdown_tol)
+        steps[stop] = j + 1
+        live &= ~stop
+        beta[:, :, j][live] = wnorm[live]
+        q[:, :, j + 1][live] = w[live] / wnorm[live, None]
     return q, alpha, beta, steps, znorm
 
 
-def _runs(own: np.ndarray):
-    """(value, lo, hi) for each run own[lo:hi] of equal entries of the
-    nondecreasing integer array own."""
-    if own[0] == own[-1]:
-        return [(int(own[0]), 0, len(own))]
-    lo = np.flatnonzero(own[1:] != own[:-1]) + 1
-    cut = [0, *lo.tolist(), len(own)]
-    return list(zip(own[cut[:-1]].tolist(), cut[:-1], cut[1:]))
+def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
+    """(||z|| Q f(T) e_1 for every column z of the g x d x k stack, total
+    steps, errors), with block z[t] run against operator t of matvec as in
+    _lanczos_block.
 
-
-def _fa_block(matvecs, owner, z: np.ndarray, m: int, f, breakdown_tol: float):
-    """(||z|| Q f(T) e_1 for every column z of the d x k block, total steps,
-    errors), with column c run against matvecs[owner[c]] as in _lanczos_block.
-
-    The projections T of one matvec's columns with equal step counts are
-    eigensolved as one stack under the sym_eigen residual contract, and f
-    is applied to their Ritz values.  A matvec whose Ritz values f rejects
-    with SpectrumError stops as if it ran alone: errors[g] holds that error,
-    its columns run no later chunk, and they come out NaN.  errors[g] is
-    None for a matvec whose columns all finished.
+    Each chunk holds the same columns of every operator.  Its projections
+    T are eigensolved as one stack under the sym_eigen residual contract: a
+    column that stopped at s < m steps has its T padded past step s with
+    (its own max |entry|) * I, which leaves f(T) e_1 the s x s answer and
+    the tolerance scale unchanged.  f is applied to each operator's Ritz
+    values apart: an operator whose values f rejects with SpectrumError
+    stops as if it ran alone, errors[t] holds that error, its columns run
+    no later chunk, and they come out NaN.  errors[t] is None for an
+    operator whose columns all finished.
     """
-    d, k = z.shape
-    out = np.empty((d, k))
-    ops = list(matvecs)
-    errors = [None] * len(ops)
+    g, d, k = z.shape
+    if np.any(np.linalg.norm(z, axis=1) == 0.0):
+        raise ValueError("Lanczos start vector must be nonzero")
+    out = np.empty((g, d, k))
+    errors = [None] * g
+    ok = np.ones(g, dtype=bool)
     mvps = 0
-    width = max(1, _CHUNK_BYTES // (8 * m * d))
+    width = max(1, _CHUNK_BYTES // (8 * g * m * d))
+    diag = np.arange(m)
     for c0 in range(0, k, width):
-        own = owner[c0 : c0 + width]
+        start = np.where(ok[:, None, None], z[:, :, c0 : c0 + width], 0.0)
         q, alpha, beta, steps, znorm = _lanczos_block(
-            ops, own, z[:, c0 : c0 + width], m, breakdown_tol)
-        for s in np.unique(steps[steps > 0]):
-            group = steps == s
-            # A single group (no breakdown) is indexed by views, not copies.
-            cols = slice(None) if group.all() else np.flatnonzero(group)
-            diag = np.arange(s)
-            for g, lo, hi in _runs(own[cols]):
-                if ops[g] is None:
-                    continue
-                rows = slice(lo, hi) if group.all() else cols[lo:hi]
-                t = np.zeros((hi - lo, s, s))
-                t[:, diag, diag] = alpha[rows, :s]
-                t[:, diag[1:], diag[:-1]] = t[:, diag[:-1], diag[1:]] = beta[rows, : s - 1]
-                vals, vecs = eigh_checked(t)
-                try:
-                    fvals = apply_scalar_function(f, vals)
-                except SpectrumError as exc:
-                    errors[g], ops[g] = exc, None
-                    continue
-                # f(T) e_1 = V f(Lambda) V^T e_1, then Q f(T) e_1 per column.
-                core = vecs @ (fvals * vecs[:, 0, :])[:, :, None]
-                y = (core.transpose(0, 2, 1) @ q[rows, :s])[:, 0]
-                out[:, c0 : c0 + width][:, rows] = (znorm[rows, None] * y).T
+            matvec, start, m, breakdown_tol)
+        scale = np.maximum(np.abs(alpha).max(-1), np.abs(beta).max(-1, initial=0.0))
+        t = np.zeros(alpha.shape + (m,))
+        t[..., diag, diag] = np.where(diag < steps[..., None], alpha, scale[..., None])
+        t[..., diag[1:], diag[:-1]] = t[..., diag[:-1], diag[1:]] = beta
+        vals, vecs = eigh_checked(t)
+        fvals = np.zeros_like(vals)
+        for i in np.flatnonzero(ok):
+            try:
+                fvals[i] = apply_scalar_function(f, vals[i])
+            except SpectrumError as exc:
+                errors[i], ok[i] = exc, False
+        # f(T) e_1 = V f(Lambda) V^T e_1, then Q f(T) e_1 per column.
+        core = vecs @ (fvals * vecs[..., 0, :])[..., None]
+        y = (core.swapaxes(-1, -2) @ q)[..., 0, :]
+        out[:, :, c0 : c0 + width] = (znorm[..., None] * y).swapaxes(1, 2)
         mvps += int(np.sum(steps))
         del q  # free this chunk's basis before the next chunk allocates one
-    failed = [g for g, error in enumerate(errors) if error is not None]
-    if failed:
-        out[:, np.isin(owner, failed)] = np.nan
+    out[~ok] = np.nan
     return out, mvps, errors
 
 
 def _sym_args(a: SymMatrix, z: np.ndarray, m: int):
-    """(block matvec, d x k start block, 1e-12 * ||A||_max breakdown tol)."""
+    """(stack matvec, 1 x d x k start stack, 1e-12 * ||A||_max breakdown tol)."""
     if not 1 <= m <= a.dim:
         raise UsageError(f"need 1 <= m <= d, got m={m}, d={a.dim}")
-    zb = np.asarray(z, dtype=np.float64).reshape(a.dim, -1)
-    return (lambda v: a.entries @ v), zb, _BREAKDOWN_RTOL * max(1.0, a.max_norm())
+    zb = np.asarray(z, dtype=np.float64).reshape(1, a.dim, -1)
+    tol = _BREAKDOWN_RTOL * max(1.0, a.max_norm())
+    return (lambda v, live: a.entries @ v), zb, tol
 
 
 def apply_scalar_function(f, values: np.ndarray) -> np.ndarray:
@@ -187,8 +168,7 @@ def fa_times_vec_lanczos(a: SymMatrix, z: np.ndarray, m: int, f):
     summed over the columns (one A-apply per column per step).
     """
     matvec, zb, tol = _sym_args(a, z, m)
-    out, mvps, (error,) = _fa_block([matvec], np.zeros(zb.shape[1], dtype=np.intp),
-                                    zb, m, f, tol)
+    out, mvps, (error,) = _fa_block(matvec, zb, m, f, tol)
     if error is not None:
         raise error
     return out.reshape(np.shape(z)), mvps
@@ -196,23 +176,28 @@ def fa_times_vec_lanczos(a: SymMatrix, z: np.ndarray, m: int, f):
 
 def fa_times_vec_oracle(matvecs, d: int, z: np.ndarray, m: int, f):
     """Same as fa_times_vec_lanczos but against opaque block matvecs, one
-    per contiguous run of k / len(matvecs) columns of the d x k block z.
+    per block z[t] of the len(matvecs) x d x k stack z (len(matvecs) x d
+    for one column each); the result has z's shape.
 
     Used by metered-oracle experiments where the matrices themselves are
     hidden: each matvec maps a d x k' block to d x k', and the breakdown
-    tolerance falls back to an absolute 1e-12 scale.  Each step makes one
-    block product per matvec, so a stack of trials, one matvec each, shares
-    every step.  Returns (result, mvp_count, errors): errors[g] is None, or
-    the SpectrumError that stopped matvec g's columns (see _fa_block), which
-    then read NaN.
+    tolerance falls back to an absolute 1e-12 scale.  Each step hands each
+    matvec one block of its columns still running, so a stack of trials,
+    one matvec each, shares every step.  Returns (result, mvp_count,
+    errors): errors[t] is None, or the SpectrumError that stopped matvec
+    t's columns (see _fa_block), which then read NaN.
     """
-    zb = np.asarray(z, dtype=np.float64).reshape(d, -1)
-    width, rem = divmod(zb.shape[1], len(matvecs))
-    if rem:
-        raise ValueError(f"{zb.shape[1]} columns do not split over "
-                         f"{len(matvecs)} matvecs")
-    owner = np.repeat(np.arange(len(matvecs)), width)
-    out, mvps, errors = _fa_block(matvecs, owner, zb, m, f, _BREAKDOWN_RTOL)
+    zb = np.asarray(z, dtype=np.float64).reshape(len(matvecs), d, -1)
+
+    def matvec(v, live):
+        if live.all():
+            return np.stack([mv(vt) for mv, vt in zip(matvecs, v)])
+        w = np.zeros(v.shape)
+        for mv, vt, wt, on in zip(matvecs, v, w, live):
+            wt[:, on] = mv(vt[:, on])
+        return w
+
+    out, mvps, errors = _fa_block(matvec, zb, m, f, _BREAKDOWN_RTOL)
     return out.reshape(np.shape(z)), mvps, errors
 
 

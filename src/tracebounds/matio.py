@@ -1,10 +1,12 @@
 """Matrix file ingestion: MatrixMarket symmetric coordinate and raw dense.
 
 Raw format: first line the dimension d, then d*d whitespace-separated
-row-major floats (line breaks anywhere).  Both readers reject a NaN or
-infinite entry, naming its line, enforce symmetry by averaging
-M/2 + M^T/2 (linalg.symmetrize) and report the maximum asymmetry found; an
-asymmetry past the largest float is an error, reported at the last line.
+row-major floats (line breaks anywhere).  Both readers reject a byte that
+is not UTF-8 and a NaN or infinite entry, naming its line, as the
+MatrixMarket reader does a pair (i, j) given twice, also as (j, i).  They
+enforce symmetry by averaging M/2 + M^T/2 (linalg.symmetrize) and report
+the maximum asymmetry found; an asymmetry past the largest float is an
+error, reported at the last line.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from .linalg import SymMatrix, symmetrize
 
 def parse_matrix_file(path: str) -> tuple[SymMatrix, float]:
     """Read a matrix file, returning (matrix, max asymmetry before averaging)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise MatrixParseError("not UTF-8 text", _undecodable_line(path)) from None
     if lines and lines[0].startswith("%%MatrixMarket"):
         m = _parse_matrix_market(lines)
     else:
@@ -30,6 +35,16 @@ def parse_matrix_file(path: str) -> tuple[SymMatrix, float]:
     if asym == math.inf:
         raise MatrixParseError("asymmetry max |M - M^T| overflows", len(lines))
     return symmetrize(m), asym
+
+
+def _undecodable_line(path: str) -> int:
+    """Number of the line holding the file's first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
 
 
 def _parse_raw(lines: list[str]) -> np.ndarray:
@@ -107,7 +122,7 @@ def _parse_matrix_market(lines: list[str]) -> np.ndarray:
     if rows != cols:
         raise MatrixParseError(f"matrix must be square, got {rows}x{cols}", size_no)
     m = np.zeros((rows, cols))
-    seen = 0
+    given = set()
     for off, ln in enumerate(lines[idx + 1 :], start=size_no + 1):
         if not ln.strip() or ln.lstrip().startswith("%"):
             continue
@@ -123,11 +138,15 @@ def _parse_matrix_market(lines: list[str]) -> np.ndarray:
             raise MatrixParseError(f"non-finite entry {parts[2]!r}", off)
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise MatrixParseError(f"index ({i},{j}) out of range", off)
+        pair = (min(i, j), max(i, j))
+        if pair in given:
+            raise MatrixParseError(f"entry ({i},{j}) given twice", off)
+        given.add(pair)
         m[i - 1, j - 1] = val
         m[j - 1, i - 1] = val
-        seen += 1
-    if seen != nnz:
-        raise MatrixParseError(f"expected {nnz} entries, found {seen}", len(lines))
+    if len(given) != nnz:
+        raise MatrixParseError(f"expected {nnz} entries, found {len(given)}",
+                               len(lines))
     return m
 
 

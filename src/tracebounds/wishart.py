@@ -543,18 +543,16 @@ class HutchinsonKrylov:
                 raise SpectrumError(smallest)
             return vals ** (-p)
 
-        # Trial t owns columns t nv .. (t+1) nv - 1, from one draw of its
-        # stream with probe s in column s: the same vectors as n_probes
-        # consecutive rademacher(g, d) draws.
-        z = np.concatenate([rademacher(g, nv * d).reshape(nv, d) for g in rngs]).T
+        # Trial t's block z[t] comes from one draw of its stream with probe
+        # s in column s: the same vectors as n_probes consecutive
+        # rademacher(g, d) draws.
+        z = np.stack([rademacher(g, nv * d).reshape(nv, d) for g in rngs])
+        z = z.transpose(0, 2, 1)
         y, _, errors = fa_times_vec_oracle(
             [oracle.matvec for oracle in oracles], d, z, self.m, f)
         out = []
-        for t, error in enumerate(errors):
-            # z's and a copy of y's columns lie as in a run of trial t alone,
-            # so the sums over them round the same way.
-            cols = slice(t * nv, (t + 1) * nv)
-            qforms = np.einsum("ij,ij->j", z[:, cols], y[:, cols].copy())
+        for zt, yt, error in zip(z, y, errors):
+            qforms = np.einsum("ij,ij->j", zt, yt)
             out.append(float(np.mean(qforms)) if error is None else error)
         return out
 

@@ -110,6 +110,12 @@ class TestPolyRoundTrip:
      "certificate: need 0 < delta < 1/2"),
     (lambda doc: doc["certificate"].update(delta=None),
      "certificate.delta must be a finite number, got None"),
+    (lambda doc: doc.pop("certificate"), "no certificate to re-check"),
+    (lambda doc: doc.update(certificate=None), "no certificate to re-check"),
+    (lambda doc: doc.update(coeffs=[[1.0, 2.0], [3.0, 4.0]]),
+     "bad polynomial: coeffs must be a nonempty 1-D list, got shape (2, 2)"),
+    (lambda doc: doc.update(interval=[1.0, 16.0, 99.0]),
+     "bad polynomial: interval must be two numbers, got [1.0, 16.0, 99.0]"),
 ])
 def test_malformed_poly_file_exits_4(tmp_path, capsys, edit, message):
     out = tmp_path / "p.json"
@@ -268,6 +274,24 @@ def test_posterior_rejects_csv(capsys):
     assert "JSON only" in captured.err and captured.out == ""
 
 
+def test_eigcdf_checks_monotonicity_in_x_order(capsys):
+    # The rows keep the order of --x; the CDF is compared in x order.
+    assert run(["wishart", "eigcdf", "--d", "8", "--trials", "50",
+                "--x", "0.64,0.04", "--seed", "5", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.64, 0.04]
+
+
+def test_eigcdf_non_monotone_cdf_exits_3(monkeypatch, capsys):
+    # Increasing in argument order, decreasing in x order.
+    rows = [wishart_module.CdfRow(0.64, 15, 0.3, 0.1),
+            wishart_module.CdfRow(0.04, 25, 0.5, 0.1)]
+    monkeypatch.setattr(cli, "eig_cdf_experiment", lambda d, trials, xs, rng: rows)
+    assert run(["wishart", "eigcdf", "--d", "8", "--trials", "50",
+                "--x", "0.64,0.04", "--seed", "5"]) == 3
+    assert "empirical CDF not monotone in x" in capsys.readouterr().err
+
+
 def test_invtrace_all_trials_dropped_exits_3(monkeypatch, capsys):
     make_trials_singular(monkeypatch, range(5))
     assert run(["wishart", "invtrace", "--d", "3", "--trials", "5",
@@ -358,6 +382,30 @@ class TestMatrixFiles:
         assert captured.out == ""
         assert captured.err == (
             "i/o error: line 3: asymmetry max |M - M^T| overflows\n")
+
+    def test_non_utf8_file_exits_4(self, tmp_path, capsys):
+        f = tmp_path / "m.raw"
+        f.write_bytes(b"2\n1 0\n0 \xff1\n")
+        assert run(["trace", "--matrix", str(f), "--backend", "exact",
+                    "--probes", "4", "--seed", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "i/o error: line 3: not UTF-8 text\n"
+
+    def test_matrix_market_pair_given_twice_exits_4(self, tmp_path, capsys):
+        f = tmp_path / "m.mtx"
+        f.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            "2 2 3\n"
+            "1 2 1.0\n"
+            "2 1 5.0\n"
+            "2 2 3.0\n"
+        )
+        assert run(["trace", "--matrix", str(f), "--backend", "exact",
+                    "--probes", "4", "--seed", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "i/o error: line 4: entry (2,1) given twice\n"
 
     def test_non_finite_entry_exits_4(self, tmp_path, capsys):
         f = tmp_path / "m.raw"

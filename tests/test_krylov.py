@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tracebounds import krylov
@@ -8,7 +8,11 @@ from tracebounds.approx import ApproxTarget, inv_poly, sup_error
 from tracebounds.chebyshev import ChebPoly
 from tracebounds.errors import SpectrumError
 from tracebounds.hutchinson import ChebBackend, LanczosBackend, ProbeSpec, hutchinson
-from tracebounds.krylov import fa_times_vec_lanczos, poly_times_block
+from tracebounds.krylov import (
+    fa_times_vec_lanczos,
+    fa_times_vec_oracle,
+    poly_times_block,
+)
 from tracebounds.linalg import (
     SymMatrix,
     sample_spd_with_spectrum,
@@ -22,8 +26,7 @@ def run_lanczos(a, z, m):
     """krylov._lanczos_block on an explicit matrix at the breakdown tolerance
     fa_times_vec_lanczos uses; z is a length-d vector or a d x k block."""
     matvec, zb, tol = krylov._sym_args(a, z, m)
-    owner = np.zeros(zb.shape[1], dtype=np.intp)  # one matvec for every column
-    return krylov._lanczos_block([matvec], owner, zb, m, tol)
+    return tuple(x[0] for x in krylov._lanczos_block(matvec, zb, m, tol))
 
 
 def tridiagonal(alpha, beta, s):
@@ -267,3 +270,58 @@ class TestBatchedLanczos:
         assert hutchinson(a, ChebBackend(p), spec).mvp_count == probes * p.degree()
         # Gaussian probes on a generic spectrum never break down before m.
         assert hutchinson(a, LanczosBackend("inv", m), spec).mvp_count == probes * m
+
+
+def operator_entries(kind, d, rng):
+    """A d x d SPD matrix, 2 I (every column breaks down after one step) or
+    one with negative spectrum (f = inv rejects it)."""
+    if kind == "spd":
+        return sample_spd_with_spectrum(d, 8.0, rng).entries
+    return 2.0 * np.eye(d) if kind == "2I" else np.diag(-np.arange(1.0, d + 1))
+
+
+def recording(entries, seen):
+    """A block matvec by entries that appends each block it receives to seen."""
+    def matvec(v):
+        seen.append(v.copy())
+        return entries @ v
+    return matvec
+
+
+class TestOperatorStack:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(["spd", "2I", "negative"]),
+                    min_size=1, max_size=4),
+           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=2, max_value=16),
+           st.integers(min_value=1, max_value=16),
+           st.integers(min_value=2, max_value=6),
+           st.integers(min_value=0, max_value=10 ** 6))
+    def test_each_operator_matches_its_solo_run(self, kinds, c, d, m, width, seed):
+        # A chunk of one column goes through GEMV, not GEMM, and rounds
+        # differently; every chunk of the stack holds at least two columns
+        # of each operator, unless there is one column in all.
+        assume(c == 1 or c % width != 1)
+        m = min(m, d)
+        g = len(kinds)
+        rng = RngState(seed)
+        entries = [operator_entries(kind, d, rng.child(0, i))
+                   for i, kind in enumerate(kinds)]
+        z = rng.child(1).standard_normal((g, d, c))
+        seen = [[] for _ in kinds]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(krylov, "_CHUNK_BYTES", width * 8 * g * m * d)
+            y, mvps, errors = fa_times_vec_oracle(
+                [recording(e, s) for e, s in zip(entries, seen)], d, z, m, "inv")
+            for t in range(g):
+                want, steps, (error,) = fa_times_vec_oracle(
+                    [lambda v, e=entries[t]: e @ v], d, z[t : t + 1], m, "inv")
+                assert y[t].tobytes() == want[0].tobytes()
+                assert type(errors[t]) is type(error)
+                # A failed operator stops after its first chunk, which is
+                # narrower in the stack than alone.
+                if error is None:
+                    assert sum(v.shape[1] for v in seen[t]) == steps
+        blocks = [v for s in seen for v in s]
+        assert mvps == sum(v.shape[1] for v in blocks)
+        assert all(np.all(np.linalg.norm(v, axis=0) > 0) for v in blocks)

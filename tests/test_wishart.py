@@ -546,8 +546,9 @@ def per_probe_hutchinson_krylov(oracle, p, g, n_probes, m):
     qforms = np.empty(n_probes)
     for s in range(n_probes):
         z = rademacher(g, d)
-        y, _, _ = fa_times_vec_oracle([oracle.matvec], d, z, m, lambda v: v ** (-p))
-        qforms[s] = z @ y
+        y, _, _ = fa_times_vec_oracle([oracle.matvec], d, z[None], m,
+                                      lambda v: v ** (-p))
+        qforms[s] = z @ y[0]
     return float(np.mean(qforms))
 
 
@@ -588,10 +589,10 @@ def solo_run(algorithm, oracle, p, g):
 
     nv = algorithm.n_probes
     z = rademacher(g, nv * d).reshape(nv, d).T
-    y, _, (error,) = fa_times_vec_oracle([oracle.matvec], d, z, algorithm.m, f)
+    y, _, (error,) = fa_times_vec_oracle([oracle.matvec], d, z[None], algorithm.m, f)
     if error is not None:
         raise error
-    return float(np.mean(np.einsum("ij,ij->j", z, y)))
+    return float(np.mean(np.einsum("ij,ij->j", z, y[0])))
 
 
 def record_bytes(records):
@@ -645,29 +646,30 @@ class TestQueryGame:
                       [1.0, -1.0, 1.0, 1.0],
                       [1.0, 1.0, 1.0, 1.0]]).T
         oracle = MeteredOracle(w, 12)
-        y, steps, errors = fa_times_vec_oracle([oracle.matvec], 4, z, 4, "inv")
+        y, steps, errors = fa_times_vec_oracle([oracle.matvec], 4, z[None], 4, "inv")
         assert steps == oracle.count == 10
         assert errors == [None]
-        np.testing.assert_allclose(y, z / np.diag(w.entries)[:, None], rtol=1e-12)
+        np.testing.assert_allclose(y[0], z / np.diag(w.entries)[:, None], rtol=1e-12)
 
     def test_oracle_lanczos_group_error_stops_its_later_chunks(self, monkeypatch):
-        # Two columns per chunk: chunks (a0, a1), (a2, b0), (b1, b2).  f
-        # rejects a's Ritz values in the first chunk, so a2 never runs, as
-        # when a runs alone; b's columns come out as in a run of b alone, up
-        # to rounding: b0 runs in a chunk of its own.
+        # Two columns of each matvec per chunk: chunks (a0, a1 | b0, b1) and
+        # (a2 | b2).  f rejects a's Ritz values in the first chunk, so a2
+        # never runs, as when a runs alone; b's columns come out as in a run
+        # of b alone, up to rounding: b2 runs in a chunk of its own.
         d, m = 6, 3
-        monkeypatch.setattr(krylov_module, "_CHUNK_BYTES", 2 * 8 * m * d)
+        monkeypatch.setattr(krylov_module, "_CHUNK_BYTES", 2 * 2 * 8 * m * d)
         spd = sample_spd_with_spectrum(d, 16.0, RngState(96))
         a = MeteredOracle(SymMatrix(np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, 6.0])), 9)
         b = MeteredOracle(spd, 9)
-        z = rademacher(RngState(97).generator(), 6 * d).reshape(6, d).T
+        z = rademacher(RngState(97).generator(), 6 * d).reshape(2, 3, d)
+        z = z.transpose(0, 2, 1)
         y, steps, errors = fa_times_vec_oracle([a.matvec, b.matvec], d, z, m, "inv")
         assert (a.count, b.count, steps) == (2 * m, 3 * m, 5 * m)
         assert isinstance(errors[0], SpectrumError) and errors[1] is None
-        assert np.isnan(y[:, :3]).all()
-        want, _, _ = fa_times_vec_oracle([lambda v: spd.entries @ v], d, z[:, 3:],
+        assert np.isnan(y[0]).all()
+        want, _, _ = fa_times_vec_oracle([lambda v: spd.entries @ v], d, z[1:],
                                          m, "inv")
-        np.testing.assert_allclose(y[:, 3:], want, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(y[1], want[0], rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("d, nv, m", [(64, 8, 32), (7, 3, 5), (5, 5, 5)])
     def test_hutchinson_krylov_matches_per_probe_loop(self, d, nv, m):

@@ -1,5 +1,6 @@
 """Fingerprint the CLI: one line per fixed invocation, giving the argv, the
-exit code and the sha256 of stdout.
+exit code (or the name of an exception that escapes the CLI) and the
+sha256 of stdout.
 
     python3 tools/cli_digest.py [REPO]
 
@@ -40,6 +41,15 @@ BAD_CERT = dict(FALSE_CERT, certificate=dict(FALSE_CERT["certificate"],
                                              func="monomial"))
 # Finite entries whose asymmetry overflows: exit 4.
 OVERFLOW_RAW = "2\n1 1e308\n-1e308 1\n"
+# Every Lanczos probe breaks down after one step.
+EYE_RAW = "3\n1 0 0\n0 1 0\n0 0 1\n"
+# A byte that is not UTF-8 (a Latin-1 e-acute): exit 4.
+LATIN1_RAW = b"3\n4 1 0\n1 3 0.5\n0 0.5 2 \xe9\n"
+# The pair (2,1) given again as (1,2): exit 4.
+TWICE_MTX = MTX.replace("3 3 4\n", "3 3 5\n") + "1 2 7\n"
+# Polynomial files without a certificate or with 2-D coefficients: exit 4.
+NO_CERT = {"interval": [1.0, 16.0], "coeffs": [0.5]}
+COEFFS_2D = dict(FALSE_CERT, coeffs=[[1.0, 2.0], [3.0, 4.0]])
 
 WISHART = {
     "eigcdf": ["--d", "8", "--trials", "50", "--x", "0.04,0.64"],
@@ -59,6 +69,8 @@ INVOCATIONS = [
     ["poly", "error", "--poly", "p.json", "--grid", "9000"],
     ["poly", "error", "--poly", "false.json"],
     ["poly", "error", "--poly", "badcert.json"],
+    ["poly", "error", "--poly", "nocert.json"],
+    ["poly", "error", "--poly", "coeffs2d.json"],
     ["poly", "build", "--func", "exp", "--kappa", "16", "--delta", "0.1"],
     ["trace", "--matrix", "m.txt", "--backend", "exact", "--seed", "1"],
     ["trace", "--matrix", "m.txt", "--backend", "lanczos", "--m", "3",
@@ -70,6 +82,10 @@ INVOCATIONS = [
      "--probe-kind", "gaussian", "--seed", "4"],
     ["trace", "--matrix", "missing.txt", "--seed", "1"],
     ["trace", "--matrix", "overflow.txt", "--backend", "exact", "--seed", "1"],
+    ["trace", "--matrix", "latin1.txt", "--backend", "exact", "--seed", "1"],
+    ["trace", "--matrix", "twice.mtx", "--backend", "exact", "--seed", "1"],
+    ["trace", "--matrix", "eye.txt", "--backend", "lanczos", "--m", "3",
+     "--probes", "8", "--seed", "2"],
     ["trace", "--matrix", "m.txt", "--backend", "cheb", "--seed", "1"],
     ["trace", "--matrix", "m.txt", "--backend", "exact"],
     *[["wishart", sub, *argv, "--seed", "5", "--format", fmt]
@@ -85,6 +101,8 @@ INVOCATIONS = [
     ["wishart", "posterior", "--d", "6", "--n", "2", "--trials", "60",
      "--seed", "7", "--format", "csv"],
     ["wishart", "eigcdf", "--d", "8", "--trials", "50"],
+    ["wishart", "eigcdf", "--d", "8", "--trials", "50", "--x", "0.64,0.04",
+     "--seed", "5"],
     ["wishart", "lmax", "--d", "8", "--trials", "50", "--t", "nan",
      "--seed", "1"],
     ["frobnicate"],
@@ -99,7 +117,10 @@ def digest_lines(main) -> list[str]:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except Exception as exc:  # an escaping error is a result too
+                code = type(exc).__name__
         sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
         lines.append(f"{' '.join(argv)}\t{code}\t{sha}")
     return lines
@@ -119,6 +140,11 @@ def main() -> int:
             Path("false.json").write_text(json.dumps(FALSE_CERT))
             Path("badcert.json").write_text(json.dumps(BAD_CERT))
             Path("overflow.txt").write_text(OVERFLOW_RAW)
+            Path("eye.txt").write_text(EYE_RAW)
+            Path("latin1.txt").write_bytes(LATIN1_RAW)
+            Path("twice.mtx").write_text(TWICE_MTX)
+            Path("nocert.json").write_text(json.dumps(NO_CERT))
+            Path("coeffs2d.json").write_text(json.dumps(COEFFS_2D))
             lines = digest_lines(cli_main)
         finally:
             os.chdir(here)
