@@ -84,10 +84,12 @@ def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
     _lanczos_block.
 
     Each chunk holds the same columns of every operator.  Its projections
-    T are eigensolved as one stack under the sym_eigen residual contract: a
-    column that stopped at s < m steps has its T padded past step s with
-    (its own max |entry|) * I, which leaves f(T) e_1 the s x s answer and
-    the tolerance scale unchanged.  f is applied to each operator's Ritz
+    T, cut to the chunk's longest run, are eigensolved as one stack under
+    the sym_eigen residual contract: a column that stopped after fewer
+    steps s has its T padded past step s with alpha[s-1] * I.  That value
+    lies between the column's smallest and largest Ritz values, so f(T) e_1
+    is the s x s answer, f sees no value outside the s x s range, and the
+    tolerance scale is unchanged.  f is applied to each operator's Ritz
     values apart: an operator whose values f rejects with SpectrumError
     stops as if it ran alone, errors[t] holds that error, its columns run
     no later chunk, and they come out NaN.  errors[t] is None for an
@@ -101,15 +103,16 @@ def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
     ok = np.ones(g, dtype=bool)
     mvps = 0
     width = max(1, _CHUNK_BYTES // (8 * g * m * d))
-    diag = np.arange(m)
     for c0 in range(0, k, width):
         start = np.where(ok[:, None, None], z[:, :, c0 : c0 + width], 0.0)
         q, alpha, beta, steps, znorm = _lanczos_block(
             matvec, start, m, breakdown_tol)
-        scale = np.maximum(np.abs(alpha).max(-1), np.abs(beta).max(-1, initial=0.0))
-        t = np.zeros(alpha.shape + (m,))
-        t[..., diag, diag] = np.where(diag < steps[..., None], alpha, scale[..., None])
-        t[..., diag[1:], diag[:-1]] = t[..., diag[:-1], diag[1:]] = beta
+        s = max(1, int(steps.max()))
+        diag = np.arange(s)
+        last = np.take_along_axis(alpha, np.maximum(steps - 1, 0)[..., None], -1)
+        t = np.zeros(alpha.shape[:-1] + (s, s))
+        t[..., diag, diag] = np.where(diag < steps[..., None], alpha[..., :s], last)
+        t[..., diag[1:], diag[:-1]] = t[..., diag[:-1], diag[1:]] = beta[..., : s - 1]
         vals, vecs = eigh_checked(t)
         fvals = np.zeros_like(vals)
         for i in np.flatnonzero(ok):
@@ -119,7 +122,7 @@ def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
                 errors[i], ok[i] = exc, False
         # f(T) e_1 = V f(Lambda) V^T e_1, then Q f(T) e_1 per column.
         core = vecs @ (fvals * vecs[..., 0, :])[..., None]
-        y = (core.swapaxes(-1, -2) @ q)[..., 0, :]
+        y = (core.swapaxes(-1, -2) @ q[:, :, :s])[..., 0, :]
         out[:, :, c0 : c0 + width] = (znorm[..., None] * y).swapaxes(1, 2)
         mvps += int(np.sum(steps))
         del q  # free this chunk's basis before the next chunk allocates one
@@ -190,6 +193,7 @@ def fa_times_vec_oracle(matvecs, d: int, z: np.ndarray, m: int, f):
     zb = np.asarray(z, dtype=np.float64).reshape(len(matvecs), d, -1)
 
     def matvec(v, live):
+        # Same bits as the scatter below at half its cost: no boolean gather.
         if live.all():
             return np.stack([mv(vt) for mv, vt in zip(matvecs, v)])
         w = np.zeros(v.shape)

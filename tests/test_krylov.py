@@ -118,6 +118,21 @@ class TestFaTimesVec:
         with pytest.raises(SpectrumError):
             fa_times_vec_lanczos(a, np.ones(2), 2, "inv")
 
+    def test_exp_of_early_stop_on_negative_spectrum(self):
+        # Every column of -1000 I stops after one step, and exp(-1000) is 0.
+        z = RngState(45).generator().standard_normal((3, 2))
+        y, mvps = fa_times_vec_lanczos(SymMatrix(-1000.0 * np.eye(3)), z, 3, "exp")
+        assert mvps == 2
+        assert np.array_equal(y, np.zeros((3, 2)))
+        # The first column stops after one step and the second after three,
+        # so the first's T is padded: exp must meet no value outside it.
+        a = SymMatrix(np.diag([-1000.0, -1000.0, -1.0, -2.0]))
+        z = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]]).T
+        y, mvps = fa_times_vec_lanczos(a, z, 4, "exp")
+        assert mvps == 1 + 3
+        np.testing.assert_allclose(y, np.exp(np.diag(a.entries))[:, None] * z,
+                                   rtol=1e-12, atol=1e-14)
+
     def test_saturation_exactness(self):
         g = RngState(44).generator()
         a = sample_spd_with_spectrum(12, 8.0, g)
@@ -296,8 +311,9 @@ class TestOperatorStack:
            st.integers(min_value=2, max_value=16),
            st.integers(min_value=1, max_value=16),
            st.integers(min_value=2, max_value=6),
+           st.sampled_from(["inv", "exp"]),
            st.integers(min_value=0, max_value=10 ** 6))
-    def test_each_operator_matches_its_solo_run(self, kinds, c, d, m, width, seed):
+    def test_each_operator_matches_its_solo_run(self, kinds, c, d, m, width, f, seed):
         # A chunk of one column goes through GEMV, not GEMM, and rounds
         # differently; every chunk of the stack holds at least two columns
         # of each operator, unless there is one column in all.
@@ -312,10 +328,10 @@ class TestOperatorStack:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(krylov, "_CHUNK_BYTES", width * 8 * g * m * d)
             y, mvps, errors = fa_times_vec_oracle(
-                [recording(e, s) for e, s in zip(entries, seen)], d, z, m, "inv")
+                [recording(e, s) for e, s in zip(entries, seen)], d, z, m, f)
             for t in range(g):
                 want, steps, (error,) = fa_times_vec_oracle(
-                    [lambda v, e=entries[t]: e @ v], d, z[t : t + 1], m, "inv")
+                    [lambda v, e=entries[t]: e @ v], d, z[t : t + 1], m, f)
                 assert y[t].tobytes() == want[0].tobytes()
                 assert type(errors[t]) is type(error)
                 # A failed operator stops after its first chunk, which is
@@ -325,3 +341,18 @@ class TestOperatorStack:
         blocks = [v for s in seen for v in s]
         assert mvps == sum(v.shape[1] for v in blocks)
         assert all(np.all(np.linalg.norm(v, axis=0) > 0) for v in blocks)
+
+    def test_exp_of_mixed_early_stops(self):
+        # Columns stop after 1 (-1000 I), 3 (three distinct eigenvalues) and
+        # 4 (generic SPD) steps; each must match exp(A) z.
+        d = 4
+        entries = [-1000.0 * np.eye(d), np.diag([-30.0, -30.0, 0.5, 1.0]),
+                   sample_spd_with_spectrum(d, 8.0, RngState(46).generator()).entries]
+        z = RngState(47).generator().standard_normal((3, d, 2))
+        y, mvps, errors = fa_times_vec_oracle(
+            [lambda v, e=e: e @ v for e in entries], d, z, d, "exp")
+        assert errors == [None, None, None]
+        assert mvps == 2 * (1 + 3 + 4)
+        for e, zt, yt in zip(entries, z, y):
+            exact = sym_eigen(SymMatrix(e)).apply_function(np.exp, zt)
+            np.testing.assert_allclose(yt, exact, rtol=1e-10, atol=1e-12)

@@ -43,6 +43,8 @@ BAD_CERT = dict(FALSE_CERT, certificate=dict(FALSE_CERT["certificate"],
 OVERFLOW_RAW = "2\n1 1e308\n-1e308 1\n"
 # Every Lanczos probe breaks down after one step.
 EYE_RAW = "3\n1 0 0\n0 1 0\n0 0 1\n"
+# Every Lanczos probe breaks down after one step, and exp(-1000) is 0.
+NEG_RAW = "2\n-1000 0\n0 -1000\n"
 # A byte that is not UTF-8 (a Latin-1 e-acute): exit 4.
 LATIN1_RAW = b"3\n4 1 0\n1 3 0.5\n0 0.5 2 \xe9\n"
 # The pair (2,1) given again as (1,2): exit 4.
@@ -86,6 +88,8 @@ INVOCATIONS = [
     ["trace", "--matrix", "twice.mtx", "--backend", "exact", "--seed", "1"],
     ["trace", "--matrix", "eye.txt", "--backend", "lanczos", "--m", "3",
      "--probes", "8", "--seed", "2"],
+    ["trace", "--matrix", "neg.txt", "--backend", "lanczos", "--func", "exp",
+     "--m", "2", "--probes", "4", "--seed", "1"],
     ["trace", "--matrix", "m.txt", "--backend", "cheb", "--seed", "1"],
     ["trace", "--matrix", "m.txt", "--backend", "exact"],
     *[["wishart", sub, *argv, "--seed", "5", "--format", fmt]
@@ -141,6 +145,7 @@ def main() -> int:
             Path("badcert.json").write_text(json.dumps(BAD_CERT))
             Path("overflow.txt").write_text(OVERFLOW_RAW)
             Path("eye.txt").write_text(EYE_RAW)
+            Path("neg.txt").write_text(NEG_RAW)
             Path("latin1.txt").write_bytes(LATIN1_RAW)
             Path("twice.mtx").write_text(TWICE_MTX)
             Path("nocert.json").write_text(json.dumps(NO_CERT))
