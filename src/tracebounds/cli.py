@@ -168,7 +168,7 @@ def _read_poly_file(path: str):
     finite ChebPoly, that has no certificate, or whose certificate fields
     have the wrong type or name a target the library rejects raises
     ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
@@ -355,9 +355,6 @@ def cmd_game(args) -> int:
     # The CSV rows leave out the last field, the error message.
     table = [astuple(r)[:-1] for r in result.records]
     _emit(args, table, asdict(result))
-    if result.budget_violations:
-        return _fail(
-            f"assertion failed: {result.budget_violations} budget violations")
     return EXIT_OK
 
 

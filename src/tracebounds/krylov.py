@@ -4,7 +4,7 @@ Every entry point acts on a d x k block of start vectors; a single vector
 is the k = 1 case.  There is one Lanczos loop, _lanczos_block, over a
 g x d x c stack of blocks, one per operator, behind both
 fa_times_vec_lanczos (one explicit matrix, g = 1) and fa_times_vec_oracle
-(opaque metered matvecs, such as one per trial of a stack), and one
+(one opaque metered matvec over a stack, such as the game's trials), and one
 Clenshaw sweep, poly_times_block.  m Lanczos steps span the same
 polynomial space as an explicit degree-(m-1) polynomial applied to the
 start vector, so both paths report their cost in the common currency of
@@ -177,30 +177,19 @@ def fa_times_vec_lanczos(a: SymMatrix, z: np.ndarray, m: int, f):
     return out.reshape(np.shape(z)), mvps
 
 
-def fa_times_vec_oracle(matvecs, d: int, z: np.ndarray, m: int, f):
-    """Same as fa_times_vec_lanczos but against opaque block matvecs, one
-    per block z[t] of the len(matvecs) x d x k stack z (len(matvecs) x d
-    for one column each); the result has z's shape.
+def fa_times_vec_oracle(matvec, d: int, z: np.ndarray, m: int, f):
+    """Same as fa_times_vec_lanczos but against an opaque stack matvec, for
+    the g x d x k stack z (g x d for one column each) whose block z[t]
+    belongs to operator t; the result has z's shape.
 
     Used by metered-oracle experiments where the matrices themselves are
-    hidden: each matvec maps a d x k' block to d x k', and the breakdown
-    tolerance falls back to an absolute 1e-12 scale.  Each step hands each
-    matvec one block of its columns still running, so a stack of trials,
-    one matvec each, shares every step.  Returns (result, mvp_count,
-    errors): errors[t] is None, or the SpectrumError that stopped matvec
-    t's columns (see _fa_block), which then read NaN.
+    hidden: matvec(V, live) is the one call per step of _lanczos_block,
+    such as MeteredOracle.matvec over a stack of trials, and the breakdown
+    tolerance falls back to an absolute 1e-12 scale.  Returns (result,
+    mvp_count, errors): errors[t] is None, or the SpectrumError that
+    stopped operator t's columns (see _fa_block), which then read NaN.
     """
-    zb = np.asarray(z, dtype=np.float64).reshape(len(matvecs), d, -1)
-
-    def matvec(v, live):
-        # Same bits as the scatter below at half its cost: no boolean gather.
-        if live.all():
-            return np.stack([mv(vt) for mv, vt in zip(matvecs, v)])
-        w = np.zeros(v.shape)
-        for mv, vt, wt, on in zip(matvecs, v, w, live):
-            wt[:, on] = mv(vt[:, on])
-        return w
-
+    zb = np.asarray(z, dtype=np.float64).reshape(len(z), d, -1)
     out, mvps, errors = _fa_block(matvec, zb, m, f, _BREAKDOWN_RTOL)
     return out.reshape(np.shape(z)), mvps, errors
 

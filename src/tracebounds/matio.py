@@ -1,9 +1,10 @@
 """Matrix file ingestion: MatrixMarket symmetric coordinate and raw dense.
 
 Raw format: first line the dimension d, then d*d whitespace-separated
-row-major floats (line breaks anywhere).  Both readers reject a byte that
-is not UTF-8 and a NaN or infinite entry, naming its line, as the
-MatrixMarket reader does a pair (i, j) given twice, also as (j, i).  They
+row-major floats (line breaks anywhere).  Both readers skip a leading
+byte-order mark and reject a byte that is not UTF-8 and a NaN or infinite
+entry, naming its line, as the MatrixMarket reader does a pair (i, j)
+given twice, also as (j, i).  They
 enforce symmetry by averaging M/2 + M^T/2 (linalg.symmetrize) and report
 the maximum asymmetry found; an asymmetry past the largest float is an
 error, reported at the last line.
@@ -22,7 +23,7 @@ from .linalg import SymMatrix, symmetrize
 def parse_matrix_file(path: str) -> tuple[SymMatrix, float]:
     """Read a matrix file, returning (matrix, max asymmetry before averaging)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError:
         raise MatrixParseError("not UTF-8 text", _undecodable_line(path)) from None

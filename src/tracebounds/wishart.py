@@ -52,9 +52,9 @@ LAMBDA_MAX_REFERENCE = 4.0
 #: 8 (2d - 1) bytes as a bidiagonal.
 _STACK_BYTES = 2 ** 16
 
-#: Bound on one stack of query-game trials, which share each Lanczos step:
-#: a trial counts its largest array, the d x d W or the Lanczos basis of
-#: 8 n_probes m d bytes (128 KiB at d = 64, n_probes = 8, m = 32).
+#: Bound on one stack of query-game trials, which share each oracle call:
+#: a trial counts the larger of its d x d W and 8 d bytes a query its
+#: algorithm makes (128 KiB at d = 64, n_probes = 8, m = 32).
 _GAME_STACK_BYTES = 2 ** 19
 
 
@@ -431,7 +431,7 @@ def inv_trace_tail_experiment(
     behind the d^{2p} trace scale.  Draws singular to working precision
     (lambda_min < 1e-300, see _bidiagonal_spectra) are dropped and
     counted, never silently skipped; ConditioningError is raised when no
-    trial is left.
+    trial is left or a normalized sample is not finite.
     """
     if not 0.5 < p < math.inf:
         raise UsageError("need finite p > 1/2")
@@ -448,7 +448,8 @@ def inv_trace_tail_experiment(
         kept.append(start + keep)
         start += len(lam)
         lam = lam[keep]
-        samples.append(np.sum(lam ** (-p), axis=1) / d ** (2 * p))
+        with np.errstate(over="ignore"):
+            samples.append(np.sum(lam ** (-p), axis=1))
         inv_scaled.append(j2 / lam)
     samples = np.concatenate(samples)
     dropped = trials - len(samples)
@@ -457,6 +458,12 @@ def inv_trace_tail_experiment(
             f"no usable trial at d={d}: {dropped} of trials={trials} draws "
             "were numerically singular"
         )
+    try:
+        samples = samples / d ** (2 * p)
+    except OverflowError:
+        raise ConditioningError(f"d^(2p) overflows at d={d}, p={p:g}") from None
+    if not np.isfinite(samples).all():
+        raise ConditioningError(f"tr(W^-p) overflows at d={d}, p={p:g}")
     inv_scaled = np.concatenate(inv_scaled)
     quantiles = {
         q: float(np.quantile(samples, q)) for q in (0.5, 0.9, 0.99)
@@ -471,34 +478,43 @@ def inv_trace_tail_experiment(
 
 
 class MeteredOracle:
-    """The only window an algorithm has onto W: counted products v -> W v."""
+    """The only window an algorithm has onto a k x d x d stack of W's, one
+    per trial: counted products v -> W v, with count[t] trial t's queries."""
 
-    def __init__(self, w: SymMatrix, budget: int):
-        self._entries = w.entries
+    def __init__(self, w: np.ndarray, budget: int):
+        self._entries = w
         self.budget = budget
-        self.count = 0
+        self.count = np.zeros(len(w), dtype=int)
 
     @property
     def dim(self) -> int:
-        return self._entries.shape[0]
+        return self._entries.shape[-1]
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """W v for a length-d v (one query) or a d x k block (k queries); a
-        block that would pass the budget is refused whole, before the product."""
-        k = 1 if np.ndim(v) == 1 else np.shape(v)[1]
-        if self.count + k > self.budget:
+    def matvec(self, v: np.ndarray, live=None) -> np.ndarray:
+        """W v for a k x d x c stack v, or one d x c block for every trial.
+
+        Trial t is charged the columns marked in the k x c mask live[t], or
+        all c when live is None; a column that is not live is zeroed before
+        the product.  A call that would take any trial past the budget is
+        refused whole, before the product."""
+        charge = np.shape(v)[-1] if live is None else np.count_nonzero(live, axis=1)
+        if np.any(self.count + charge > self.budget):
             raise BudgetExceededError(self.budget)
-        self.count += k
+        self.count += charge
+        if live is not None:
+            v = np.where(live[:, None, :], v, 0.0)
         return self._entries @ v
 
 
 @dataclass(frozen=True)
 class ExactRecovery:
-    """Query e_1..e_d, rebuild W, answer exactly.  Needs budget >= d."""
+    """Query e_1..e_d, rebuild W, answer exactly."""
 
-    def run_stack(self, oracles, p: float, rngs) -> list:
-        eye = np.eye(oracles[0].dim)
-        w = np.stack([oracle.matvec(eye) for oracle in oracles])
+    def queries(self, d: int) -> int:
+        return d
+
+    def run_stack(self, oracle, p: float, rngs) -> list:
+        w = oracle.matvec(np.eye(oracle.dim))
         lam, _ = eigh_checked((w + _t(w)) / 2.0)
         return [SpectrumError(float(v[0])) if v[0] <= 0 else float(np.sum(v ** (-p)))
                 for v in lam]
@@ -513,8 +529,11 @@ class ConstantGuess:
 
     value: float
 
-    def run_stack(self, oracles, p: float, rngs) -> list:
-        return [self.value] * len(oracles)
+    def queries(self, d: int) -> int:
+        return 0
+
+    def run_stack(self, oracle, p: float, rngs) -> list:
+        return [self.value] * len(rngs)
 
     def describe(self) -> str:
         return f"constant_guess({self.value:g})"
@@ -522,7 +541,7 @@ class ConstantGuess:
 
 @dataclass(frozen=True)
 class HutchinsonKrylov:
-    """Hutchinson with Lanczos f(W) z applications; costs n_probes * m."""
+    """Hutchinson with Lanczos f(W) z applications."""
 
     n_probes: int
     m: int
@@ -531,10 +550,13 @@ class HutchinsonKrylov:
         if self.n_probes < 1 or self.m < 1:
             raise UsageError("need n_probes >= 1 and m >= 1")
 
-    def run_stack(self, oracles, p: float, rngs) -> list:
+    def queries(self, d: int) -> int:
+        return self.n_probes * self.m
+
+    def run_stack(self, oracle, p: float, rngs) -> list:
         """One Lanczos run over every trial's probes: trial t's n_probes
-        columns go to oracles[t] at each step."""
-        d = oracles[0].dim
+        columns are block t of the oracle's stack at each step."""
+        d = oracle.dim
         nv = self.n_probes
 
         def f(vals):
@@ -548,8 +570,7 @@ class HutchinsonKrylov:
         # rademacher(g, d) draws.
         z = np.stack([rademacher(g, nv * d).reshape(nv, d) for g in rngs])
         z = z.transpose(0, 2, 1)
-        y, _, errors = fa_times_vec_oracle(
-            [oracle.matvec for oracle in oracles], d, z, self.m, f)
+        y, _, errors = fa_times_vec_oracle(oracle.matvec, d, z, self.m, f)
         out = []
         for zt, yt, error in zip(z, y, errors):
             qforms = np.einsum("ij,ij->j", zt, yt)
@@ -599,11 +620,15 @@ def query_game(
     [tr(W^{-p})/C, C tr(W^{-p})] with C = approx_factor.  The true trace
     comes from a full eigendecomposition that the algorithm never sees.
 
-    Trials run in stacks within _GAME_STACK_BYTES.  Trial i draws W from
+    Trials run in stacks within _GAME_STACK_BYTES, a trial counting the
+    larger of its W and 8 d bytes a query.  Trial i draws W from
     rng.child(0, i) and gives rng.child(1, i) to the algorithm, whose
-    run_stack(oracles, p, rngs) answers a whole stack: one MeteredOracle
-    and one generator per trial in, and per trial an estimate, or the
-    SpectrumError or BudgetExceededError that ended that trial, out.
+    run_stack(oracle, p, rngs) answers a whole stack: one MeteredOracle
+    over the stack and one generator per trial in, and per trial an
+    estimate, or the SpectrumError that ended that trial, out.  An
+    algorithm states the most queries it makes as queries(d); one past the
+    budget is a UsageError, and an overflowing true trace a
+    ConditioningError.
     """
     if d < 1 or trials < 1:
         raise UsageError("need d >= 1 and trials >= 1")
@@ -613,30 +638,28 @@ def query_game(
         raise UsageError("need finite approximation factor C > 1")
     if budget < 0:
         raise UsageError("need budget >= 0")
-    if isinstance(algorithm, ExactRecovery) and budget < d:
-        raise UsageError("exact_recovery requires budget >= d")
-    width = d
-    if isinstance(algorithm, HutchinsonKrylov):
-        if algorithm.n_probes * algorithm.m > budget:
-            raise UsageError("hutchinson_krylov needs n_probes * m <= budget")
-        width = max(d, algorithm.n_probes * algorithm.m)
+    need = algorithm.queries(d)
+    if need > budget:
+        raise UsageError(f"{algorithm.describe()} needs budget >= {need}, got {budget}")
     records = []
-    for start, stop in _trial_stacks(trials, 8 * d * width, _GAME_STACK_BYTES):
+    for start, stop in _trial_stacks(trials, 8 * d * max(d, need), _GAME_STACK_BYTES):
         ids = range(start, stop)
         w = sample_wishart_stack(d, [rng.child(0, i) for i in ids])
         lam, _ = eigh_checked(w)
-        oracles = [MeteredOracle(SymMatrix(wi), budget) for wi in w]
-        outcomes = algorithm.run_stack(oracles, p, [rng.child(1, i) for i in ids])
-        for i, lam_i, oracle, outcome in zip(ids, lam, oracles, outcomes):
-            true_tr = float(np.sum(np.maximum(lam_i, 1e-300) ** (-p)))
-            violation = isinstance(outcome, BudgetExceededError)
+        with np.errstate(over="ignore"):
+            true = [float(np.sum(np.maximum(v, 1e-300) ** (-p))) for v in lam]
+        for i, true_tr in zip(ids, true):
+            if not math.isfinite(true_tr):
+                raise ConditioningError(
+                    f"trial {i}: true trace tr(W^-p) overflows at p={p:g}")
+        oracle = MeteredOracle(w, budget)
+        outcomes = algorithm.run_stack(oracle, p, [rng.child(1, i) for i in ids])
+        for i, true_tr, used, outcome in zip(ids, true, oracle.count.tolist(), outcomes):
             error = str(outcome) if isinstance(outcome, SpectrumError) else None
-            estimate = math.nan if violation or error is not None else outcome
+            estimate = math.nan if error is not None else outcome
             success = true_tr / approx_factor <= estimate <= approx_factor * true_tr
-            records.append(TrialRecord(i, estimate, true_tr, oracle.count, success,
-                                       violation, error))
+            records.append(TrialRecord(i, estimate, true_tr, used, success, error=error))
     return GameResult(
         d, float(p), float(approx_factor), budget, trials, algorithm.describe(),
-        sum(r.success for r in records), sum(r.budget_violation for r in records),
-        records,
+        sum(r.success for r in records), budget_violations=0, records=records,
     )

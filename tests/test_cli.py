@@ -83,6 +83,14 @@ class TestPolyRoundTrip:
         assert rechecked["degree"] == built["degree"]
         assert abs(rechecked["grid_sup_error"] - built["grid_sup_error"]) <= 1e-12
 
+    def test_error_reads_poly_behind_byte_order_mark(self, tmp_path):
+        out = tmp_path / "p.json"
+        assert run(["poly", "build", "--func", "inv", "--kappa", "4",
+                    "--delta", "0.1", "--out", str(out)]) == 0
+        out.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+        assert run(["poly", "error", "--poly", str(out),
+                    "--out", str(tmp_path / "r.json")]) == 0
+
     def test_error_flags_corrupted_poly(self, tmp_path):
         out = tmp_path / "p.json"
         run(["poly", "build", "--func", "inv", "--kappa", "4",
@@ -309,6 +317,26 @@ def test_invtrace_csv_labels_rows_by_trial(monkeypatch, capsys):
     assert [int(r.split(",")[0]) for r in rows] == [0, 2, 3, 4]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["invtrace", "--d", "64", "--p", "120", "--trials", "20"],
+     "d^(2p) overflows at d=64, p=120"),
+    (["invtrace", "--d", "64", "--p", "70", "--trials", "20"],
+     "tr(W^-p) overflows at d=64, p=70"),
+    (["game", "--d", "64", "--p", "150", "--algo", "exact", "--budget", "64",
+      "--trials", "2"], "trial 0: true trace tr(W^-p) overflows at p=150"),
+    (["game", "--d", "64", "--p", "60", "--algo", "hutch", "--nv", "2",
+      "--m", "4", "--budget", "8", "--trials", "10"],
+     "trial 2: true trace tr(W^-p) overflows at p=60"),
+])
+def test_overflowing_trace_exits_3(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["wishart", *argv, "--seed", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_invtrace_keeps_nearly_singular_trial(capsys):
     # The dense sampler's trial 77 of this seed had an eigvalsh lambda_min
     # below 0 (cond(G) = 1.7e8).  Bidiagonal singular values keep
@@ -391,6 +419,23 @@ class TestMatrixFiles:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "i/o error: line 3: not UTF-8 text\n"
+
+    @pytest.mark.parametrize("text", [
+        "%%MatrixMarket matrix coordinate real symmetric\n"
+        "2 2 3\n1 1 2.0\n2 1 1.0\n2 2 3.0\n",
+        "2\n2 1\n1 3\n",
+    ])
+    def test_byte_order_mark_is_accepted(self, tmp_path, text):
+        f = tmp_path / "m.txt"
+        f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        mat, _ = parse_matrix_file(f)
+        np.testing.assert_array_equal(mat.entries, [[2.0, 1.0], [1.0, 3.0]])
+
+    def test_non_utf8_line_counts_past_byte_order_mark(self, tmp_path):
+        f = tmp_path / "m.raw"
+        f.write_bytes(b"\xef\xbb\xbf2\n1 0\n0 \xff1\n")
+        with pytest.raises(MatrixParseError, match="line 3: not UTF-8 text"):
+            parse_matrix_file(f)
 
     def test_matrix_market_pair_given_twice_exits_4(self, tmp_path, capsys):
         f = tmp_path / "m.mtx"

@@ -296,9 +296,10 @@ def operator_entries(kind, d, rng):
 
 
 def recording(entries, seen):
-    """A block matvec by entries that appends each block it receives to seen."""
-    def matvec(v):
-        seen.append(v.copy())
+    """A stack matvec by the g x d x d entries that appends each (V, live)
+    it receives to seen."""
+    def matvec(v, live):
+        seen.append((v.copy(), live.copy()))
         return entries @ v
     return matvec
 
@@ -321,26 +322,28 @@ class TestOperatorStack:
         m = min(m, d)
         g = len(kinds)
         rng = RngState(seed)
-        entries = [operator_entries(kind, d, rng.child(0, i))
-                   for i, kind in enumerate(kinds)]
+        entries = np.stack([operator_entries(kind, d, rng.child(0, i))
+                            for i, kind in enumerate(kinds)])
         z = rng.child(1).standard_normal((g, d, c))
-        seen = [[] for _ in kinds]
+        seen = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(krylov, "_CHUNK_BYTES", width * 8 * g * m * d)
-            y, mvps, errors = fa_times_vec_oracle(
-                [recording(e, s) for e, s in zip(entries, seen)], d, z, m, f)
+            y, mvps, errors = fa_times_vec_oracle(recording(entries, seen),
+                                                  d, z, m, f)
             for t in range(g):
                 want, steps, (error,) = fa_times_vec_oracle(
-                    [lambda v, e=entries[t]: e @ v], d, z[t : t + 1], m, f)
+                    lambda v, live, e=entries[t : t + 1]: e @ v,
+                    d, z[t : t + 1], m, f)
                 assert y[t].tobytes() == want[0].tobytes()
                 assert type(errors[t]) is type(error)
                 # A failed operator stops after its first chunk, which is
                 # narrower in the stack than alone.
                 if error is None:
-                    assert sum(v.shape[1] for v in seen[t]) == steps
-        blocks = [v for s in seen for v in s]
-        assert mvps == sum(v.shape[1] for v in blocks)
-        assert all(np.all(np.linalg.norm(v, axis=0) > 0) for v in blocks)
+                    assert sum(int(live[t].sum()) for _, live in seen) == steps
+        assert mvps == sum(int(live.sum()) for _, live in seen)
+        for v, live in seen:
+            norms = np.linalg.norm(v, axis=1)
+            assert np.all(norms[live] > 0) and np.all(norms[~live] == 0)
 
     def test_exp_of_mixed_early_stops(self):
         # Columns stop after 1 (-1000 I), 3 (three distinct eigenvalues) and
@@ -350,7 +353,7 @@ class TestOperatorStack:
                    sample_spd_with_spectrum(d, 8.0, RngState(46).generator()).entries]
         z = RngState(47).generator().standard_normal((3, d, 2))
         y, mvps, errors = fa_times_vec_oracle(
-            [lambda v, e=e: e @ v for e in entries], d, z, d, "exp")
+            lambda v, live: np.stack(entries) @ v, d, z, d, "exp")
         assert errors == [None, None, None]
         assert mvps == 2 * (1 + 3 + 4)
         for e, zt, yt in zip(entries, z, y):

@@ -540,59 +540,64 @@ class TestInvTraceTail:
 
 
 def per_probe_hutchinson_krylov(oracle, p, g, n_probes, m):
-    """Reference: HutchinsonKrylov on one trial with one rademacher draw
-    and one Lanczos run per probe, where it draws all probes at once."""
+    """Reference: HutchinsonKrylov on a one-trial oracle with one rademacher
+    draw and one Lanczos run per probe, where it draws all probes at once."""
     d = oracle.dim
     qforms = np.empty(n_probes)
     for s in range(n_probes):
         z = rademacher(g, d)
-        y, _, _ = fa_times_vec_oracle([oracle.matvec], d, z[None], m,
+        y, _, _ = fa_times_vec_oracle(oracle.matvec, d, z[None], m,
                                       lambda v: v ** (-p))
         qforms[s] = z @ y[0]
     return float(np.mean(qforms))
 
 
-def one_trial_at_a_time_game(d, p, c, algorithm, budget, trials, rng):
+def one_trial_at_a_time_game(d, p, c, solo, budget, trials, rng):
     """Reference: the game played one trial at a time, with one W, one
-    eigensolve and one algorithm run per trial.  Returns the records."""
+    eigensolve, one one-trial oracle and one solo(oracle, p, g) run per
+    trial.  Returns the records."""
     records = []
     for i in range(trials):
-        w = SymMatrix(wishart_module.sample_wishart_stack(d, [rng.child(0, i)])[0])
-        lam = sym_eigen(w).eigvals
+        w = wishart_module.sample_wishart_stack(d, [rng.child(0, i)])
+        lam = sym_eigen(SymMatrix(w[0])).eigvals
         true_tr = float(np.sum(np.maximum(lam, 1e-300) ** (-p)))
         oracle = MeteredOracle(w, budget)
         error, estimate = None, math.nan
         try:
-            estimate = solo_run(algorithm, oracle, p, rng.child(1, i))
+            estimate = solo(oracle, p, rng.child(1, i))
         except SpectrumError as exc:
             error = str(exc)
         success = error is None and true_tr / c <= estimate <= c * true_tr
-        records.append(TrialRecord(i, estimate, true_tr, oracle.count, success,
-                                   False, error))
+        records.append(TrialRecord(i, estimate, true_tr, int(oracle.count[0]),
+                                   success, False, error))
     return records
 
 
-def solo_run(algorithm, oracle, p, g):
-    """Reference: one trial of ExactRecovery or HutchinsonKrylov alone."""
-    d = oracle.dim
-    if isinstance(algorithm, ExactRecovery):
-        lam = sym_eigen(symmetrize(oracle.matvec(np.eye(d)))).eigvals
-        if lam[0] <= 0:
-            raise SpectrumError(float(lam[0]))
-        return float(np.sum(lam ** (-p)))
+def solo_exact(oracle, p, g):
+    """Reference: one trial of ExactRecovery alone."""
+    w = oracle.matvec(np.eye(oracle.dim)[None])[0]
+    lam = sym_eigen(symmetrize(w)).eigvals
+    if lam[0] <= 0:
+        raise SpectrumError(float(lam[0]))
+    return float(np.sum(lam ** (-p)))
 
-    def f(vals):
-        smallest = float(np.min(vals))
-        if smallest <= 0:
-            raise SpectrumError(smallest)
-        return vals ** (-p)
 
-    nv = algorithm.n_probes
-    z = rademacher(g, nv * d).reshape(nv, d).T
-    y, _, (error,) = fa_times_vec_oracle([oracle.matvec], d, z[None], algorithm.m, f)
-    if error is not None:
-        raise error
-    return float(np.mean(np.einsum("ij,ij->j", z, y[0])))
+def solo_hutchinson(nv, m):
+    """Reference: one trial of HutchinsonKrylov(nv, m) alone."""
+    def solo(oracle, p, g):
+        def f(vals):
+            smallest = float(np.min(vals))
+            if smallest <= 0:
+                raise SpectrumError(smallest)
+            return vals ** (-p)
+
+        d = oracle.dim
+        z = rademacher(g, nv * d).reshape(nv, d).T
+        y, _, (error,) = fa_times_vec_oracle(oracle.matvec, d, z[None], m, f)
+        if error is not None:
+            raise error
+        return float(np.mean(np.einsum("ij,ij->j", z, y[0])))
+    return solo
 
 
 def record_bytes(records):
@@ -620,34 +625,65 @@ def patch_trials(monkeypatch, matrices):
 
 class TestQueryGame:
     def test_metered_oracle_enforces_budget(self):
-        w = sample_wishart(4, RngState(80).generator())
+        w = sample_wishart_stack(4, [RngState(80).child(i) for i in range(2)])
         oracle = MeteredOracle(w, 2)
-        oracle.matvec(np.ones(4))
-        oracle.matvec(np.ones(4))
+        oracle.matvec(np.ones((2, 4, 1)))
+        oracle.matvec(np.ones((2, 4, 1)))
         with pytest.raises(BudgetExceededError):
-            oracle.matvec(np.ones(4))
-        assert oracle.count == 2
+            oracle.matvec(np.ones((2, 4, 1)))
+        assert oracle.count.tolist() == [2, 2]
 
     def test_metered_oracle_charges_blocks(self):
-        w = sample_wishart(4, RngState(80).generator())
+        w = sample_wishart_stack(4, [RngState(80).child(i) for i in range(2)])
         oracle = MeteredOracle(w, 5)
-        block = np.ones((4, 3))
-        np.testing.assert_array_equal(oracle.matvec(block), w.entries @ block)
-        assert oracle.count == 3
+        block = np.ones((2, 4, 3))
+        np.testing.assert_array_equal(oracle.matvec(block), w @ block)
+        assert oracle.count.tolist() == [3, 3]
         with pytest.raises(BudgetExceededError):
             oracle.matvec(block)
-        assert oracle.count == 3  # refused before the product
-        oracle.matvec(np.ones((4, 2)))
-        assert oracle.count == 5
+        assert oracle.count.tolist() == [3, 3]  # refused before the product
+        oracle.matvec(np.ones((4, 2)))  # one block for every trial
+        assert oracle.count.tolist() == [5, 5]
+
+    def test_metered_oracle_charges_live_columns(self):
+        w = sample_wishart_stack(4, [RngState(80).child(i) for i in range(2)])
+        oracle = MeteredOracle(w, 3)
+        v = RngState(81).generator().standard_normal((2, 4, 3))
+        live = np.array([[True, False, True], [False, False, False]])
+        y = oracle.matvec(v, live)
+        assert oracle.count.tolist() == [2, 0]
+        # A nonzero column that is not live comes back zero, uncharged.
+        np.testing.assert_array_equal(y, w @ np.where(live[:, None, :], v, 0.0))
+        assert not y[0, :, 1].any() and not y[1].any()
+        np.testing.assert_allclose(y[0][:, [0, 2]], w[0] @ v[0][:, [0, 2]],
+                                   rtol=1e-13)
+        # Trial 0's two live columns would pass its budget: refused whole.
+        with pytest.raises(BudgetExceededError):
+            oracle.matvec(v, np.array([[True, True, False], [True, True, True]]))
+        assert oracle.count.tolist() == [2, 0]
+        oracle.matvec(v, np.array([[False, False, True], [True, True, True]]))
+        assert oracle.count.tolist() == [3, 3]
+
+    @pytest.mark.parametrize("algorithm", [
+        ExactRecovery(), ConstantGuess(1.0), HutchinsonKrylov(2, 3)])
+    def test_budget_must_cover_stated_queries(self, algorithm):
+        d = 6
+        need = algorithm.queries(d)
+        with pytest.raises(UsageError, match=f"budget >= {need}"):
+            query_game(d, 1.0, 2.0, algorithm, budget=need - 1, trials=3,
+                       rng=RngState(98))
+        res = query_game(d, 1.0, 2.0, algorithm, budget=need, trials=3,
+                         rng=RngState(98))
+        assert [r.queries_used for r in res.records] == [need] * 3
 
     def test_oracle_lanczos_charges_realized_steps(self):
         w = SymMatrix(np.diag([1.0, 2.0, 5.0, 7.0]))
         z = np.array([[1.0, 1.0, 0.0, 0.0],
                       [1.0, -1.0, 1.0, 1.0],
                       [1.0, 1.0, 1.0, 1.0]]).T
-        oracle = MeteredOracle(w, 12)
-        y, steps, errors = fa_times_vec_oracle([oracle.matvec], 4, z[None], 4, "inv")
-        assert steps == oracle.count == 10
+        oracle = MeteredOracle(w.entries[None], 12)
+        y, steps, errors = fa_times_vec_oracle(oracle.matvec, 4, z[None], 4, "inv")
+        assert oracle.count.tolist() == [steps] == [10]
         assert errors == [None]
         np.testing.assert_allclose(y[0], z / np.diag(w.entries)[:, None], rtol=1e-12)
 
@@ -659,16 +695,16 @@ class TestQueryGame:
         d, m = 6, 3
         monkeypatch.setattr(krylov_module, "_CHUNK_BYTES", 2 * 2 * 8 * m * d)
         spd = sample_spd_with_spectrum(d, 16.0, RngState(96))
-        a = MeteredOracle(SymMatrix(np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, 6.0])), 9)
-        b = MeteredOracle(spd, 9)
+        a = np.diag([-1.0, -2.0, -3.0, -4.0, -5.0, 6.0])
+        oracle = MeteredOracle(np.stack([a, spd.entries]), 9)
         z = rademacher(RngState(97).generator(), 6 * d).reshape(2, 3, d)
         z = z.transpose(0, 2, 1)
-        y, steps, errors = fa_times_vec_oracle([a.matvec, b.matvec], d, z, m, "inv")
-        assert (a.count, b.count, steps) == (2 * m, 3 * m, 5 * m)
+        y, steps, errors = fa_times_vec_oracle(oracle.matvec, d, z, m, "inv")
+        assert (*oracle.count.tolist(), steps) == (2 * m, 3 * m, 5 * m)
         assert isinstance(errors[0], SpectrumError) and errors[1] is None
         assert np.isnan(y[0]).all()
-        want, _, _ = fa_times_vec_oracle([lambda v: spd.entries @ v], d, z[1:],
-                                         m, "inv")
+        want, _, _ = fa_times_vec_oracle(
+            MeteredOracle(spd.entries[None], 9).matvec, d, z[1:], m, "inv")
         np.testing.assert_allclose(y[1], want[0], rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("d, nv, m", [(64, 8, 32), (7, 3, 5), (5, 5, 5)])
@@ -678,10 +714,10 @@ class TestQueryGame:
         rng = RngState(87)
         for i in range(3):
             w = sample_spd_with_spectrum(d, 16.0, rng.child(0, i))
-            oracle = MeteredOracle(w, nv * m)
-            got, = HutchinsonKrylov(nv, m).run_stack([oracle], 1.5, [rng.child(1, i)])
-            assert oracle.count == nv * m
-            ref_oracle = MeteredOracle(w, nv * m)
+            oracle = MeteredOracle(w.entries[None], nv * m)
+            got, = HutchinsonKrylov(nv, m).run_stack(oracle, 1.5, [rng.child(1, i)])
+            assert oracle.count.tolist() == [nv * m]
+            ref_oracle = MeteredOracle(w.entries[None], nv * m)
             want = per_probe_hutchinson_krylov(ref_oracle, 1.5, rng.child(1, i),
                                                nv, m)
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -703,25 +739,23 @@ class TestQueryGame:
         assert [r.queries_used for r in res.records] == [6, 6]
         assert all(r.error is not None and not r.success for r in res.records)
 
-    @pytest.mark.parametrize("algorithm, d, budget", [
-        (HutchinsonKrylov(8, 32), 64, 256),
-        (HutchinsonKrylov(1, 32), 64, 32),
-        (ExactRecovery(), 64, 64),
-    ])
+    @pytest.mark.parametrize("algorithm, solo, d, budget", [
+        (HutchinsonKrylov(8, 32), solo_hutchinson(8, 32), 64, 256),
+        (HutchinsonKrylov(1, 32), solo_hutchinson(1, 32), 64, 32),
+        (ExactRecovery(), solo_exact, 64, 64),
+    ], ids=["algorithm0-64-256", "algorithm1-64-32", "algorithm2-64-64"])
     @pytest.mark.parametrize("stacks, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
                                                (2, 1)])
-    def test_stacked_game_matches_one_trial_at_a_time(self, algorithm, d, budget,
-                                                     stacks, extra):
+    def test_stacked_game_matches_one_trial_at_a_time(self, algorithm, solo, d,
+                                                     budget, stacks, extra):
         # stacks * k + extra trials: 1, k - 1, k, k + 1 and 2k + 1 around
         # the stack size k (4 for 8 probes, 16 for 1 probe and for exact).
         # A single probe takes other memory layouts than a block of them.
-        width = d
-        if isinstance(algorithm, HutchinsonKrylov):
-            width = max(d, algorithm.n_probes * algorithm.m)
+        width = max(d, algorithm.queries(d))
         k = wishart_module._GAME_STACK_BYTES // (8 * d * width)
         trials = stacks * k + extra
         res = query_game(d, 1.0, 2.0, algorithm, budget, trials, RngState(92))
-        ref = one_trial_at_a_time_game(d, 1.0, 2.0, algorithm, budget, trials,
+        ref = one_trial_at_a_time_game(d, 1.0, 2.0, solo, budget, trials,
                                        RngState(92))
         assert record_bytes(res.records) == record_bytes(ref)
         assert res.success_count == sum(r.success for r in ref)
@@ -735,7 +769,8 @@ class TestQueryGame:
         patch_trials(monkeypatch, bad)
         res = query_game(*args, rng=RngState(93))
         patch_trials(monkeypatch, bad)
-        ref = one_trial_at_a_time_game(*args, RngState(93))
+        ref = one_trial_at_a_time_game(6, 1.0, 2.0, solo_hutchinson(3, 2), 6, 4,
+                                       RngState(93))
         assert record_bytes(res.records) == record_bytes(ref)
         assert res.records[1].error.startswith("nonpositive spectral value")
         assert res.records[1].queries_used == 6
@@ -752,7 +787,8 @@ class TestQueryGame:
         patch_trials(monkeypatch, twice)
         res = query_game(*args, rng=RngState(94))
         patch_trials(monkeypatch, twice)
-        ref = one_trial_at_a_time_game(*args, RngState(94))
+        ref = one_trial_at_a_time_game(8, 1.0, 2.0, solo_hutchinson(2, 4), 8, 5,
+                                       RngState(94))
         assert record_bytes(res.records) == record_bytes(ref)
         assert [r.queries_used for r in res.records] == [8, 8, 2, 8, 8]
         assert res.records[2].true_trace == 4.0
@@ -800,7 +836,8 @@ class TestQueryGame:
         with pytest.raises(ValueError, match="C > 1"):
             query_game(4, 1.0, 1.0, ExactRecovery(), budget=4, trials=1,
                        rng=RngState(85))
-        with pytest.raises(ValueError, match="budget >= d"):
+        with pytest.raises(ValueError,
+                           match=r"exact_recovery needs budget >= 4, got 3"):
             query_game(4, 1.0, 2.0, ExactRecovery(), budget=3, trials=1,
                        rng=RngState(86))
 

@@ -49,6 +49,9 @@ NEG_RAW = "2\n-1000 0\n0 -1000\n"
 LATIN1_RAW = b"3\n4 1 0\n1 3 0.5\n0 0.5 2 \xe9\n"
 # The pair (2,1) given again as (1,2): exit 4.
 TWICE_MTX = MTX.replace("3 3 4\n", "3 3 5\n") + "1 2 7\n"
+# The UTF-8 byte-order mark, put before copies of m.mtx (exit 0) and
+# false.json (exit 3).
+BOM = b"\xef\xbb\xbf"
 # Polynomial files without a certificate or with 2-D coefficients: exit 4.
 NO_CERT = {"interval": [1.0, 16.0], "coeffs": [0.5]}
 COEFFS_2D = dict(FALSE_CERT, coeffs=[[1.0, 2.0], [3.0, 4.0]])
@@ -73,6 +76,7 @@ INVOCATIONS = [
     ["poly", "error", "--poly", "badcert.json"],
     ["poly", "error", "--poly", "nocert.json"],
     ["poly", "error", "--poly", "coeffs2d.json"],
+    ["poly", "error", "--poly", "bomfalse.json"],
     ["poly", "build", "--func", "exp", "--kappa", "16", "--delta", "0.1"],
     ["trace", "--matrix", "m.txt", "--backend", "exact", "--seed", "1"],
     ["trace", "--matrix", "m.txt", "--backend", "lanczos", "--m", "3",
@@ -86,6 +90,7 @@ INVOCATIONS = [
     ["trace", "--matrix", "overflow.txt", "--backend", "exact", "--seed", "1"],
     ["trace", "--matrix", "latin1.txt", "--backend", "exact", "--seed", "1"],
     ["trace", "--matrix", "twice.mtx", "--backend", "exact", "--seed", "1"],
+    ["trace", "--matrix", "bom.mtx", "--backend", "exact", "--seed", "1"],
     ["trace", "--matrix", "eye.txt", "--backend", "lanczos", "--m", "3",
      "--probes", "8", "--seed", "2"],
     ["trace", "--matrix", "neg.txt", "--backend", "lanczos", "--func", "exp",
@@ -100,6 +105,16 @@ INVOCATIONS = [
      "--budget", "0", "--trials", "3", "--seed", "6", "--format", "csv"],
     ["wishart", "game", "--d", "8", "--algo", "hutch", "--budget", "8",
      "--seed", "6"],
+    # Overflowing tr(W^-p) and d^(2p): exit 3.
+    ["wishart", "invtrace", "--d", "64", "--p", "120", "--trials", "20",
+     "--seed", "5"],
+    ["wishart", "game", "--d", "64", "--p", "150", "--algo", "exact",
+     "--budget", "64", "--trials", "2", "--seed", "6"],
+    # Budgets one query short of what the algorithm needs: exit 2.
+    ["wishart", "game", "--d", "8", "--algo", "exact", "--budget", "7",
+     "--seed", "6"],
+    ["wishart", "game", "--d", "8", "--algo", "hutch", "--nv", "2", "--m", "4",
+     "--budget", "7", "--seed", "6"],
     ["wishart", "posterior", "--d", "6", "--n", "2", "--trials", "60",
      "--seed", "7"],
     ["wishart", "posterior", "--d", "6", "--n", "2", "--trials", "60",
@@ -150,6 +165,8 @@ def main() -> int:
             Path("twice.mtx").write_text(TWICE_MTX)
             Path("nocert.json").write_text(json.dumps(NO_CERT))
             Path("coeffs2d.json").write_text(json.dumps(COEFFS_2D))
+            Path("bom.mtx").write_bytes(BOM + MTX.encode())
+            Path("bomfalse.json").write_bytes(BOM + json.dumps(FALSE_CERT).encode())
             lines = digest_lines(cli_main)
         finally:
             os.chdir(here)
