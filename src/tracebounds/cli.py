@@ -328,10 +328,11 @@ def cmd_posterior(args) -> int:
         raise UsageError("wishart posterior reports JSON only; drop --format csv")
     rep = posterior_distribution_test(args.d, args.n, args.trials, rng)
     _emit(args, (), asdict(rep))
+    # At n = 0 there is no correction: the control is the trace test itself.
     ok = (
         rep.ks_trace.p_value > 0.01
         and rep.ks_lambda_min.p_value > 0.01
-        and rep.ks_trace_uncorrected.p_value < 0.01
+        and (args.n == 0 or rep.ks_trace_uncorrected.p_value < 0.01)
     )
     if not ok:
         return _fail("assertion failed: posterior KS thresholds not met")

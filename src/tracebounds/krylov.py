@@ -36,24 +36,24 @@ def _lanczos_block(matvec, z: np.ndarray, m: int, breakdown_tol: float):
     Each step makes one call matvec(V, live): V is the g x d x c stack of
     current basis vectors and the g x c mask live marks the columns still
     running; it returns the g x d x c stack of products, zero where not
-    live.  A zero start column does not run (steps 0), and a column whose
-    residual falls to breakdown_tol stops there (truncated) and is charged
-    only its realized steps.  Returns (q, alpha, beta, steps, znorm):
-    q[t, c, i] is basis vector i of column c of operator t, alpha[t, c] and
-    beta[t, c] hold the diagonal and off-diagonal of its tridiagonal T,
-    steps[t, c] < m marks truncation, and znorm[t, c] is its start norm.  A
-    stopped column keeps zero basis vectors, alpha and beta from then on.
+    live.  Every column starts live; one whose residual falls to
+    breakdown_tol stops there (truncated) and is charged only its realized
+    steps.  Returns (q, alpha, beta, steps, znorm): q[t, c, i] is basis
+    vector i of column c of operator t, alpha[t, c] and beta[t, c] hold the
+    diagonal and off-diagonal of its tridiagonal T, steps[t, c] < m marks
+    truncation, and znorm[t, c] is its start norm.  A stopped column keeps
+    zero basis vectors, alpha and beta from then on.
     The last step stops once alpha[..., m-1] is known: no residual is
     formed, since no caller reads it.
     """
     g, d, c = z.shape
     znorm = np.linalg.norm(z, axis=1)
-    live = znorm > 0.0
+    live = np.ones((g, c), dtype=bool)
     q = np.zeros((g, c, m, d))
-    q[:, :, 0] = (z / np.where(live, znorm, 1.0)[:, None, :]).transpose(0, 2, 1)
+    q[:, :, 0] = (z / znorm[:, None, :]).transpose(0, 2, 1)
     alpha = np.zeros((g, c, m))
     beta = np.zeros((g, c, max(m - 1, 0)))
-    steps = np.where(live, m, 0)
+    steps = np.full((g, c), m)
     for j in range(m):
         if not live.any():
             break
@@ -89,44 +89,43 @@ def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
     steps s has its T padded past step s with alpha[s-1] * I.  That value
     lies between the column's smallest and largest Ritz values, so f(T) e_1
     is the s x s answer, f sees no value outside the s x s range, and the
-    tolerance scale is unchanged.  f is applied to each operator's Ritz
-    values apart: an operator whose values f rejects with SpectrumError
-    stops as if it ran alone, errors[t] holds that error, its columns run
-    no later chunk, and they come out NaN.  errors[t] is None for an
-    operator whose columns all finished.
+    tolerance scale is unchanged.  Chunks share no state: f is applied to
+    each operator's Ritz values in every chunk, and an operator whose
+    values f rejects with SpectrumError keeps running, and being charged,
+    in later chunks, as in its solo run.  errors[t] holds the first such
+    error, and then all of operator t's columns read NaN; it is None for
+    an operator f never rejected.
     """
     g, d, k = z.shape
     if np.any(np.linalg.norm(z, axis=1) == 0.0):
         raise ValueError("Lanczos start vector must be nonzero")
     out = np.empty((g, d, k))
     errors = [None] * g
-    ok = np.ones(g, dtype=bool)
     mvps = 0
     width = max(1, _CHUNK_BYTES // (8 * g * m * d))
     for c0 in range(0, k, width):
-        start = np.where(ok[:, None, None], z[:, :, c0 : c0 + width], 0.0)
         q, alpha, beta, steps, znorm = _lanczos_block(
-            matvec, start, m, breakdown_tol)
-        s = max(1, int(steps.max()))
+            matvec, z[:, :, c0 : c0 + width], m, breakdown_tol)
+        s = int(steps.max())
         diag = np.arange(s)
-        last = np.take_along_axis(alpha, np.maximum(steps - 1, 0)[..., None], -1)
+        last = np.take_along_axis(alpha, steps[..., None] - 1, -1)
         t = np.zeros(alpha.shape[:-1] + (s, s))
         t[..., diag, diag] = np.where(diag < steps[..., None], alpha[..., :s], last)
         t[..., diag[1:], diag[:-1]] = t[..., diag[:-1], diag[1:]] = beta[..., : s - 1]
         vals, vecs = eigh_checked(t)
         fvals = np.zeros_like(vals)
-        for i in np.flatnonzero(ok):
+        for i in range(g):
             try:
                 fvals[i] = apply_scalar_function(f, vals[i])
             except SpectrumError as exc:
-                errors[i], ok[i] = exc, False
+                errors[i] = errors[i] or exc
         # f(T) e_1 = V f(Lambda) V^T e_1, then Q f(T) e_1 per column.
         core = vecs @ (fvals * vecs[..., 0, :])[..., None]
         y = (core.swapaxes(-1, -2) @ q[:, :, :s])[..., 0, :]
         out[:, :, c0 : c0 + width] = (znorm[..., None] * y).swapaxes(1, 2)
         mvps += int(np.sum(steps))
         del q  # free this chunk's basis before the next chunk allocates one
-    out[~ok] = np.nan
+    out[[e is not None for e in errors]] = np.nan
     return out, mvps, errors
 
 
@@ -186,8 +185,8 @@ def fa_times_vec_oracle(matvec, d: int, z: np.ndarray, m: int, f):
     hidden: matvec(V, live) is the one call per step of _lanczos_block,
     such as MeteredOracle.matvec over a stack of trials, and the breakdown
     tolerance falls back to an absolute 1e-12 scale.  Returns (result,
-    mvp_count, errors): errors[t] is None, or the SpectrumError that
-    stopped operator t's columns (see _fa_block), which then read NaN.
+    mvp_count, errors): errors[t] is None, or the first SpectrumError f
+    raised on operator t (see _fa_block), whose columns then read NaN.
     """
     zb = np.asarray(z, dtype=np.float64).reshape(len(z), d, -1)
     out, mvps, errors = _fa_block(matvec, zb, m, f, _BREAKDOWN_RTOL)

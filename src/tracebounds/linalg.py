@@ -8,7 +8,11 @@ x/d^2 scale, and E tr(W) = d.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,12 +90,59 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     return EigenDecomposition(*eigh_checked(a.entries))
 
 
+@functools.cache
+def _blas_thread_control():
+    """(get, set) of the thread count of the OpenBLAS behind numpy.linalg,
+    looked up through the extension module that calls it.  On Linux the
+    loader finds them there in numpy builds linked to OpenBLAS, the PyPI
+    wheels included.  Windows (whose lookup does not reach a module's
+    dependencies), Accelerate and MKL builds yield none, and every
+    eigensolve raises instead."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+             "openblas_{}_num_threads")
+    for name in names:
+        try:
+            get, put = (getattr(lib, name.format(op)) for op in ("get", "set"))
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    raise RuntimeError(
+        "numpy's BLAS exports no OpenBLAS thread control, so the eigensolve "
+        "cannot run on one thread and its output would depend on the BLAS "
+        "thread count; tracebounds needs a numpy linked to OpenBLAS")
+
+
+_BLAS_THREADS_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+    The count is process-wide, so the lock holds other Python threads'
+    eigensolves until it is restored: otherwise one could read the pinned
+    1 as the count to restore."""
+    get, put = _blas_thread_control()
+    with _BLAS_THREADS_LOCK:
+        threads = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(threads)
+
+
 def eigh_checked(m: np.ndarray):
     """(eigvals, eigvecs) of an exactly symmetric d x d array or a stack of
-    them, each held to the sym_eigen residual contract."""
+    them, each held to the sym_eigen residual contract.  LAPACK runs on one
+    BLAS thread: from d ~ 224 on, its blocked reductions round differently
+    on more threads."""
     d = m.shape[-1]
     try:
-        vals, vecs = np.linalg.eigh(m)
+        with _one_blas_thread():
+            vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(np.inf, f"eigensolver did not converge: {exc}")
     residual = m @ vecs

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as _cheb
 
 from tracebounds.approx import (
+    DEGREE_LAW_CONSTANT,
     ApproxTarget,
     _series_sum,
     inv_poly,
@@ -259,11 +260,14 @@ def test_certificate_lattice(kappa, delta):
 
 
 def test_degree_law_single_constant():
-    ratios = []
-    for kappa in (4.0, 16.0, 64.0, 256.0):
-        p = inv_sqrt_poly(kappa, 0.1)
-        ratios.append(p.degree() / (math.sqrt(kappa) * math.log(kappa / 0.1)))
-    assert all(0.05 <= r <= 10 for r in ratios)
+    # The documented law, degree <= DEGREE_LAW_CONSTANT * sqrt(kappa) *
+    # ln(kappa / delta), for both builders over the supported range.
+    for build in (inv_poly, inv_sqrt_poly):
+        for kappa in (2.0, 4.0, 16.0, 64.0, 256.0, 1024.0):
+            for delta in (0.4, 0.1, 0.01, 0.001):
+                law = math.sqrt(kappa) * math.log(kappa / delta)
+                ratio = build(kappa, delta).degree() / law
+                assert 0.05 <= ratio <= DEGREE_LAW_CONSTANT, (build, kappa, delta)
 
 
 class TestSupError:

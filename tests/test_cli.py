@@ -229,6 +229,28 @@ def test_output_ignores_thread_environment():
 
 
 @pytest.mark.parametrize("argv", [
+    ["wishart", "game", "--d", "256", "--p", "1", "--algo", "exact",
+     "--budget", "256", "--trials", "4", "--seed", "3"],
+    ["trace", "--gen-spd", "--dim", "224", "--kappa", "16", "--func", "inv",
+     "--backend", "exact", "--probes", "8", "--seed", "1"],
+])
+def test_output_ignores_blas_thread_count(argv):
+    # From d ~ 224 on, LAPACK's eigensolve rounds differently on one and on
+    # two OpenBLAS threads; two threads need not mean two cores.
+    src = str(Path(tracebounds.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "tracebounds.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
     ["eigcdf", "--d", "4", "--trials", "0"],
     ["game", "--d", "4", "--algo", "exact", "--budget", "4", "--trials", "0"],
     ["posterior", "--d", "4", "--n", "1", "--trials", "0"],
@@ -280,6 +302,16 @@ def test_posterior_rejects_csv(capsys):
                 "--seed", "1", "--format", "csv"]) == 2
     captured = capsys.readouterr()
     assert "JSON only" in captured.err and captured.out == ""
+
+
+def test_posterior_without_queries_gates_on_null_tests(capsys):
+    # At n = 0 the uncorrected trace is the corrected one, so the negative
+    # control cannot reject; the null tests pass on this seed.
+    assert run(["wishart", "posterior", "--d", "12", "--n", "0", "--trials", "400",
+                "--seed", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["ks_trace_uncorrected"] == rep["ks_trace"]
+    assert rep["ks_trace"]["p_value"] > 0.01 and rep["ks_lambda_min"]["p_value"] > 0.01
 
 
 def test_eigcdf_checks_monotonicity_in_x_order(capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tracebounds import krylov
@@ -314,6 +314,9 @@ class TestOperatorStack:
            st.integers(min_value=2, max_value=6),
            st.sampled_from(["inv", "exp"]),
            st.integers(min_value=0, max_value=10 ** 6))
+    # f rejects the negative operator in the first of two chunks; alone, its
+    # four columns run in one chunk.
+    @example(["spd", "negative"], 4, 4, 2, 2, "inv", 0)
     def test_each_operator_matches_its_solo_run(self, kinds, c, d, m, width, f, seed):
         # A chunk of one column goes through GEMV, not GEMM, and rounds
         # differently; every chunk of the stack holds at least two columns
@@ -336,10 +339,7 @@ class TestOperatorStack:
                     d, z[t : t + 1], m, f)
                 assert y[t].tobytes() == want[0].tobytes()
                 assert type(errors[t]) is type(error)
-                # A failed operator stops after its first chunk, which is
-                # narrower in the stack than alone.
-                if error is None:
-                    assert sum(int(live[t].sum()) for _, live in seen) == steps
+                assert sum(int(live[t].sum()) for _, live in seen) == steps
         assert mvps == sum(int(live.sum()) for _, live in seen)
         for v, live in seen:
             norms = np.linalg.norm(v, axis=1)

@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
+import tracebounds.linalg as linalg
 from tracebounds.errors import (
     EigenConvergenceError,
     NotPositiveDefiniteError,
@@ -130,6 +133,68 @@ class TestSymEigen:
         stack = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], np.eye(2)])
         with pytest.raises(EigenConvergenceError):
             eigh_checked(stack)
+
+    def test_eigensolve_runs_on_one_blas_thread(self, monkeypatch):
+        get, put = linalg._blas_thread_control()
+        before, seen, real = get(), [], np.linalg.eigh
+
+        def eigh(m):
+            seen.append(get())
+            if len(seen) == 2:
+                raise np.linalg.LinAlgError("no convergence")
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        eigh_checked(np.eye(3))
+        with pytest.raises(EigenConvergenceError):
+            eigh_checked(np.eye(3))
+        assert seen == [1, 1] and get() == before
+
+    def test_concurrent_eigensolves_restore_the_thread_count(self, monkeypatch):
+        # Thread b starts its eigensolve while a's runs pinned; unserialized,
+        # b saves the pinned 1 and restores it after a has restored 2.
+        get, put = linalg._blas_thread_control()
+        before = get()
+        put(2)
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen, real = [], np.linalg.eigh
+
+        def eigh(m):
+            seen.append(get())
+            if threading.current_thread().name == "a":
+                a_in.set()
+                b_in.wait(0.5)
+            else:
+                b_in.set()
+                a_out.wait(5)
+            return real(m)
+
+        def run_a():
+            eigh_checked(np.eye(3))
+            a_out.set()
+
+        def run_b():
+            a_in.wait(5)
+            eigh_checked(np.eye(3))
+
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+        threads = [threading.Thread(target=run_a, name="a"),
+                   threading.Thread(target=run_b, name="b")]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert seen == [1, 1] and get() == 2
+        finally:
+            put(before)
+
+    def test_missing_blas_thread_control_fails_loudly(self, monkeypatch):
+        # Windows numpy wheels (no symbol lookup through dependencies),
+        # Accelerate and MKL builds: the module exports no thread control.
+        monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: object())
+        with pytest.raises(RuntimeError, match="thread count"):
+            linalg._blas_thread_control.__wrapped__()
 
 
     @pytest.mark.parametrize("k", [6, 3])

@@ -687,11 +687,12 @@ class TestQueryGame:
         assert errors == [None]
         np.testing.assert_allclose(y[0], z / np.diag(w.entries)[:, None], rtol=1e-12)
 
-    def test_oracle_lanczos_group_error_stops_its_later_chunks(self, monkeypatch):
+    def test_oracle_lanczos_rejected_operator_is_charged_as_alone(self, monkeypatch):
         # Two columns of each matvec per chunk: chunks (a0, a1 | b0, b1) and
-        # (a2 | b2).  f rejects a's Ritz values in the first chunk, so a2
-        # never runs, as when a runs alone; b's columns come out as in a run
-        # of b alone, up to rounding: b2 runs in a chunk of its own.
+        # (a2 | b2).  f rejects a's Ritz values in the first chunk; a2 still
+        # runs and is charged, as when a runs alone, and a reads NaN.  b's
+        # columns come out as in a run of b alone, up to rounding: b2 runs
+        # in a chunk of its own.
         d, m = 6, 3
         monkeypatch.setattr(krylov_module, "_CHUNK_BYTES", 2 * 2 * 8 * m * d)
         spd = sample_spd_with_spectrum(d, 16.0, RngState(96))
@@ -700,11 +701,14 @@ class TestQueryGame:
         z = rademacher(RngState(97).generator(), 6 * d).reshape(2, 3, d)
         z = z.transpose(0, 2, 1)
         y, steps, errors = fa_times_vec_oracle(oracle.matvec, d, z, m, "inv")
-        assert (*oracle.count.tolist(), steps) == (2 * m, 3 * m, 5 * m)
+        assert (*oracle.count.tolist(), steps) == (3 * m, 3 * m, 6 * m)
         assert isinstance(errors[0], SpectrumError) and errors[1] is None
         assert np.isnan(y[0]).all()
-        want, _, _ = fa_times_vec_oracle(
-            MeteredOracle(spd.entries[None], 9).matvec, d, z[1:], m, "inv")
+        for t, entries in enumerate((a, spd.entries)):
+            solo = MeteredOracle(entries[None], 9)
+            want, solo_steps, _ = fa_times_vec_oracle(solo.matvec, d, z[t : t + 1],
+                                                      m, "inv")
+            assert solo.count.tolist() == [solo_steps] == [oracle.count[t]]
         np.testing.assert_allclose(y[1], want[0], rtol=1e-13, atol=1e-15)
 
     @pytest.mark.parametrize("d, nv, m", [(64, 8, 32), (7, 3, 5), (5, 5, 5)])

@@ -1,0 +1,125 @@
+"""Record the benchmark's end-to-end metrics for one or more checkouts.
+
+    python3 tools/bench_record.py --out BENCH.json LABEL=CHECKOUT ...
+
+For every workload and each of the seeds 1-5 it runs, in each checkout,
+
+    python3 bench/run.py --workload W --seed S --seconds 16 --trace 0
+
+and parses the JSON object on the last line of stdout.  The checkouts take
+turns: the order in which they run rotates by one from each seed to the
+next, so with two checkouts each runs first on every other seed.  The
+output file holds, per checkout and workload, the median, q1 and q3 over
+the seeds of ``setup_s``, ``op_s.p50``, ``op_s.tail`` and ``peak_rss_mb``,
+the attempted and failed op counts summed over the seeds, and every run's
+raw record; per checkout its ``git describe --always --dirty``; and the
+environment: Python, numpy, the BLAS numpy was built with, and the CPU
+count.  The workloads and the run length (16 s) are those of
+``BENCHMARK.json`` at the root of this checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("setup_s", "op_s.p50", "op_s.tail", "peak_rss_mb")
+SEEDS = (1, 2, 3, 4, 5)
+HERE = Path(__file__).resolve().parents[1]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py --trace 0`` run: its last stdout line, parsed."""
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} exited "
+                           f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> dict:
+    """Median, q1 and q3 (inclusive method) of the values."""
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict]) -> dict:
+    summary = {name: quartiles([r["metrics"][name]["value"] for r in runs])
+               for name in METRICS}
+    summary["units"] = {name: runs[0]["metrics"][name]["unit"] for name in METRICS}
+    summary["attempted"] = sum(r["attempted"] for r in runs)
+    summary["failed"] = sum(r["failed"] for r in runs)
+    summary["all_correct"] = all(r["correct"] for r in runs)
+    return summary
+
+
+def describe(checkout: Path) -> str | None:
+    proc = subprocess.run(["git", "describe", "--always", "--dirty"],
+                          cwd=checkout, capture_output=True, text=True, check=False)
+    return proc.stdout.strip() or None
+
+
+def environment() -> dict:
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}",
+            "cpu_count": os.cpu_count()}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--out", required=True)
+    p.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
+    args = p.parse_args(argv)
+    spec = json.loads((HERE / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
+    checkouts = {}
+    for item in args.checkouts:
+        label, sep, path = item.partition("=")
+        if not sep or not label:
+            p.error(f"expected LABEL=CHECKOUT, got {item!r}")
+        checkouts[label] = Path(path).resolve()
+    runs = {label: {w: [] for w in workloads} for label in checkouts}
+    labels = list(checkouts)
+    for w in workloads:
+        for i, seed in enumerate(SEEDS):
+            shift = i % len(labels)
+            for label in labels[shift:] + labels[:shift]:
+                record = run_once(checkouts[label], w, seed, seconds)
+                record["seed"] = seed
+                runs[label][w].append(record)
+                p50 = record["metrics"]["op_s.p50"]["value"]
+                print(f"{w} seed {seed} {label}: op_s.p50 {p50:.4f} s",
+                      file=sys.stderr)
+    report = {
+        "command": "python3 bench/run.py --workload W --seed S "
+                   f"--seconds {seconds:g} --trace 0",
+        "seeds": list(SEEDS),
+        "environment": environment(),
+        "checkouts": {
+            label: {"git": describe(path),
+                    "workloads": {w: {**summarize(rs), "runs": rs}
+                                  for w, rs in runs[label].items()}}
+            for label, path in checkouts.items()},
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

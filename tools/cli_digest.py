@@ -119,11 +119,20 @@ INVOCATIONS = [
      "--seed", "7"],
     ["wishart", "posterior", "--d", "6", "--n", "2", "--trials", "60",
      "--seed", "7", "--format", "csv"],
+    # No queries: the negative control equals the trace test.
+    ["wishart", "posterior", "--d", "12", "--n", "0", "--trials", "400",
+     "--seed", "1"],
     ["wishart", "eigcdf", "--d", "8", "--trials", "50"],
     ["wishart", "eigcdf", "--d", "8", "--trials", "50", "--x", "0.64,0.04",
      "--seed", "5"],
     ["wishart", "lmax", "--d", "8", "--trials", "50", "--t", "nan",
      "--seed", "1"],
+    # From d ~ 224 on the eigensolve rounds by the BLAS thread count; run
+    # these under OPENBLAS_NUM_THREADS=1 and 2 to compare.
+    ["wishart", "game", "--d", "256", "--p", "1", "--algo", "exact",
+     "--budget", "256", "--trials", "4", "--seed", "3"],
+    ["trace", "--gen-spd", "--dim", "224", "--kappa", "16", "--func", "inv",
+     "--backend", "exact", "--probes", "8", "--seed", "1"],
     ["frobnicate"],
     ["verify"],
 ]
