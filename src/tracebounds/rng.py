@@ -1,20 +1,44 @@
 """Reproducible random number generation.
 
 All randomness in the library flows through :class:`RngState`, a (seed,
-stream) pair mapped onto numpy's counter-based Philox generator via
-``SeedSequence(seed, spawn_key=(stream, ...))``.  Identical (seed, stream)
-pairs produce identical draw sequences on every platform, and distinct
-stream ids (or child paths) produce statistically independent streams, so
-parallel trials can use disjoint streams without coordination.
+stream) pair mapped onto numpy's counter-based Philox generator.  The
+stream addressed by ``child(*path)`` is, bit for bit,
+``Philox(SeedSequence(seed, spawn_key=(stream, *path)))``.  Identical (seed,
+stream) pairs produce identical draw sequences on every platform, and
+distinct stream ids (or child paths) produce statistically independent
+streams, so parallel trials can use disjoint streams without coordination.
+
+The Philox key is derived here rather than by ``SeedSequence``, which would
+hash the seed again for every stream.  This module repeats numpy's
+``SeedSequence`` pool hash on uint32 words: the pool after the seed and
+every spawn id but the last is cached per (seed, id prefix), and the last
+id is hashed, on uint32 arrays, for an aligned block of 64 ids at once,
+whose 64 keys are cached too.  Such a block never crosses a 2**32
+boundary, so its ids share their word count and high words.  This relies
+on numpy's ``SeedSequence`` algorithm, which numpy keeps stable across
+versions; the tests check the keys against ``SeedSequence`` itself.  One
+consequence: the ``bit_generator.seed_seq`` of a child stream is a
+read-only key holder, not a ``SeedSequence``, so ``Generator.spawn`` on it
+raises ``TypeError``.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -38,8 +62,117 @@ class RngState:
         Used for per-probe and per-trial streams: probe/trial ``i`` draws
         from ``child(i)``, making results order-independent.
         """
-        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream, *path))
-        return np.random.Generator(np.random.Philox(seq))
+        seed, *prefix, last = map(_entropy_int, (self.seed, self.stream, *path))
+        keys = _key_block(seed, tuple(prefix), last // _BLOCK)
+        return np.random.Generator(np.random.Philox(_PhiloxKey(keys[last % _BLOCK])))
+
+
+def _entropy_int(x) -> int:
+    """``x`` as an int, raising TypeError or ValueError where SeedSequence would."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    return x
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words of ``n``, least significant first, as numpy splits it."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash(value, const: int, mult: int):
+    """numpy's ``hashmix`` of ``value`` and the next hash constant.
+
+    Here and in ``_mix`` a word is a Python int below 2**32 or a uint32
+    array of words; the masks keep the int arithmetic in uint32.
+    """
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix(x, y):
+    r = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _absorb(pool, const: int, words) -> tuple[tuple, int]:
+    """Mix entropy words past the first four into every pool word."""
+    pool = list(pool)
+    for word in words:
+        for i in range(_POOL_SIZE):
+            h, const = _hash(word, const, _MULT_A)
+            pool[i] = _mix(pool[i], h)
+    return tuple(pool), const
+
+
+@functools.lru_cache(maxsize=16)
+def _prefix_pool(seed: int, ids: tuple[int, ...]) -> tuple[tuple, int]:
+    """SeedSequence pool and hash constant after the seed and ``ids``.
+
+    A spawn key pads the seed to the pool size, so the seed alone fills the
+    pool before its words are mixed together.
+    """
+    entropy = _words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    pool, const = [], _INIT_A
+    for word in entropy[:_POOL_SIZE]:
+        h, const = _hash(word, const, _MULT_A)
+        pool.append(h)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                h, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], h)
+    return _absorb(pool, const,
+                   entropy[_POOL_SIZE:] + [w for i in ids for w in _words(i)])
+
+
+@functools.lru_cache(maxsize=16)
+def _key_block(seed: int, ids: tuple[int, ...], block: int) -> np.ndarray:
+    """Read-only (64, 2) uint64 Philox keys of spawn keys ``(*ids, 64*block + j)``.
+
+    Row ``j`` is ``SeedSequence(seed, spawn_key=(*ids, 64*block + j))
+    .generate_state(2, np.uint64)``.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_PhiloxKey)
+    pool, const = _prefix_pool(seed, ids)
+    low, *high = _words(block * _BLOCK)
+    lows = np.arange(low, low + _BLOCK, dtype=np.uint32)
+    pool, _ = _absorb(pool, const, [lows, *high])
+    out, const = [], _INIT_B
+    for word in pool:
+        h, const = _hash(word, const, _MULT_B)
+        out.append(h)
+    keys = np.stack(out, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    keys.flags.writeable = False
+    return keys
+
+
+class _PhiloxKey:
+    """Seed sequence that hands Philox one precomputed key.
+
+    Philox takes it as an ``ISeedSequence``, which ``_key_block``, the only
+    source of keys, registers it as.  It does not subclass one so that
+    importing this module leaves ``numpy.random`` unloaded: the ``poly``
+    commands draw no random numbers.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("holds one Philox key: generate_state(2, np.uint64)")
+        return self.key
 
 
 def as_generator(rng) -> np.random.Generator:

@@ -179,12 +179,14 @@ class TestPolyBuildCertificate:
 def test_scipy_stats_stays_off_the_import_path(tmp_path):
     # numpy is the only runtime dependency (scipy.stats alone costs about a
     # second and 60 MB to import), so no subcommand may load any scipy module.
+    # poly draws no random numbers, so it does not load numpy.random either.
     script = f"""
 import sys
 from tracebounds.cli import main
 out = {str(tmp_path / "out.txt")!r}
 assert main(["poly", "build", "--func", "inv", "--kappa", "16",
              "--delta", "0.1", "--out", out]) == 0
+assert "numpy.random" not in sys.modules
 assert main(["trace", "--gen-spd", "--dim", "8", "--kappa", "4",
              "--backend", "cheb", "--seed", "1", "--out", out]) == 0
 assert main(["wishart", "eigcdf", "--d", "4", "--trials", "20",

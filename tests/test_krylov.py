@@ -16,6 +16,7 @@ from tracebounds.krylov import (
 from tracebounds.linalg import (
     SymMatrix,
     sample_spd_with_spectrum,
+    sample_wishart,
     sym_eigen,
     symmetrize,
 )
@@ -141,6 +142,23 @@ class TestFaTimesVec:
         y, mvps = fa_times_vec_lanczos(a, z, 12, "inv_sqrt")
         assert mvps == 12
         assert np.linalg.norm(y - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("draw", ["kappa_1e4", "wishart"])
+    def test_full_space_quadratic_forms_are_exact(self, draw):
+        # At m = d the Gauss quadrature z^T f(T_d) z is z^T A^{-1} z itself,
+        # on ill-conditioned spectra too, but only while the basis stays
+        # orthogonal: a recurrence without reorthogonalization misses this.
+        rng = RngState(45)
+        for i in range(4):
+            if draw == "wishart":
+                a = sample_wishart(32, rng.child(0, i))
+            else:
+                a = sample_spd_with_spectrum(64, 1e4, rng.child(0, i))
+            z = rng.child(1, i).standard_normal((a.dim, 8))
+            y, _ = fa_times_vec_lanczos(a, z, a.dim, "inv")
+            got = np.einsum("ij,ij->j", z, y)
+            want = np.einsum("ij,ij->j", z, np.linalg.solve(a.entries, z))
+            np.testing.assert_allclose(got, want, rtol=1e-7, atol=0)
 
     def test_error_within_polynomial_bound(self):
         # m-step Lanczos must beat any certified degree-(m-1) polynomial.

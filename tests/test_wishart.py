@@ -731,6 +731,17 @@ class TestQueryGame:
                          trials=5, rng=RngState(88))
         assert all(r.queries_used == 256 for r in res.records)
 
+    @pytest.mark.parametrize("d", [8, 24])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_game_past_the_krylov_space_charges_d_steps_a_probe(self, d, seed):
+        # With m > d every probe's Krylov space ends at step d, and Lanczos
+        # must see that breakdown: a recurrence that loses orthogonality
+        # runs on and charges more.
+        nv = 2
+        res = query_game(d, 1.0, 2.0, HutchinsonKrylov(nv, d + 5),
+                         budget=nv * (d + 5), trials=40, rng=RngState(seed))
+        assert [r.queries_used for r in res.records] == [nv * d] * 40
+
     def test_spectrum_error_trial_charges_every_probe(self, monkeypatch):
         # Each probe's smallest Ritz value is at most its Rayleigh quotient,
         # the mean eigenvalue -1.5 < 0; all probes' Lanczos steps are

@@ -133,6 +133,12 @@ INVOCATIONS = [
      "--budget", "256", "--trials", "4", "--seed", "3"],
     ["trace", "--gen-spd", "--dim", "224", "--kappa", "16", "--func", "inv",
      "--backend", "exact", "--probes", "8", "--seed", "1"],
+    # Multi-word seeds: a seed past 2**128 and probe streams 0..69, which
+    # cross the first 64-id key block.
+    ["wishart", "eigcdf", *WISHART["eigcdf"],
+     "--seed", "340282366920938463463374607431768211457"],
+    ["trace", "--gen-spd", "--dim", "24", "--backend", "exact", "--probes",
+     "70", "--seed", "18446744073709551621"],
     ["frobnicate"],
     ["verify"],
 ]
