@@ -90,29 +90,52 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
     return EigenDecomposition(*eigh_checked(a.entries))
 
 
-@functools.cache
-def _blas_thread_control():
-    """(get, set) of the thread count of the OpenBLAS behind numpy.linalg,
-    looked up through the extension module that calls it.  On Linux the
-    loader finds them there in numpy builds linked to OpenBLAS, the PyPI
+def _numpy_blas_symbols(templates, names, missing: str):
+    """(template, functions): template.format(name) for each of names,
+    under the first of templates whose every symbol numpy.linalg's
+    extension module exports.  On Linux the loader finds the symbols of the
+    OpenBLAS it calls there, in numpy builds linked to OpenBLAS, the PyPI
     wheels included.  Windows (whose lookup does not reach a module's
-    dependencies), Accelerate and MKL builds yield none, and every
-    eigensolve raises instead."""
+    dependencies), Accelerate and MKL builds yield none, and the lookup
+    raises RuntimeError with the reason `missing`."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    names = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-             "openblas_{}_num_threads")
-    for name in names:
+    for template in templates:
         try:
-            get, put = (getattr(lib, name.format(op)) for op in ("get", "set"))
+            return template, [getattr(lib, template.format(name)) for name in names]
         except AttributeError:
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    raise RuntimeError(
+    raise RuntimeError(missing + "; tracebounds needs a numpy linked to OpenBLAS")
+
+
+@functools.cache
+def _blas_thread_control():
+    """(get, set) of the thread count of the OpenBLAS behind numpy.linalg;
+    without them every eigensolve raises."""
+    _, (get, put) = _numpy_blas_symbols(
+        ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+         "openblas_{}_num_threads"), ("get", "set"),
         "numpy's BLAS exports no OpenBLAS thread control, so the eigensolve "
         "cannot run on one thread and its output would depend on the BLAS "
-        "thread count; tracebounds needs a numpy linked to OpenBLAS")
+        "thread count")
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@functools.cache
+def _dlasq1():
+    """(dlasq1, int type): LAPACK's dlasq1(n, d, e, work, info) from the
+    OpenBLAS behind numpy.linalg, and the integer type of its n and info,
+    64-bit in the ILP64 builds whose symbols end in 64_."""
+    template, (fn,) = _numpy_blas_symbols(
+        ("scipy_{}_64_", "{}_64_", "{}_"), ("dlasq1",),
+        "numpy's BLAS exports no LAPACK dlasq1, so the singular values of a "
+        "bidiagonal cannot be computed")
+    index = ctypes.c_int64 if template.endswith("64_") else ctypes.c_int
+    ptr = ctypes.c_void_p
+    fn.argtypes = [ctypes.POINTER(index), ptr, ptr, ptr, ctypes.POINTER(index)]
+    fn.restype = None
+    return fn, index
 
 
 _BLAS_THREADS_LOCK = threading.Lock()
@@ -223,6 +246,39 @@ def bidiagonal_counts(a: np.ndarray, b: np.ndarray, shifts) -> np.ndarray:
                 np.clip(r, -huge, huge, out=r)
                 s = e[:, i, None] * r - tau
     return count
+
+
+def bidiagonal_singular_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Descending singular values of a stack of bidiagonals: k x d for the
+    k x d diagonals a and k x (d-1) off-diagonals b.
+
+    One call per bidiagonal to LAPACK's dlasq1, the dqds algorithm of
+    Fernando & Parlett (Numer. Math. 1994), which computes them to high
+    relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 1990).
+    It is where LAPACK's dense SVD (gesdd) ends on a bidiagonal input,
+    whose reduction reflectors are identities, so the values are those of
+    np.linalg.svd of the dense bidiagonal, bit for bit.  Raises
+    EigenConvergenceError when dlasq1 reports INFO != 0; where gesdd's
+    dbdsqr would finish a stalled dqds (INFO = 2) by QR sweeps, this raises.
+    """
+    k, d = a.shape
+    # dlasq1 overwrites d with the singular values and e, of length d, with
+    # scratch; both are C-contiguous k x d copies made here.
+    sigma = np.array(a, dtype=np.float64, order="C")
+    e = np.zeros((k, d))
+    e[:, :d - 1] = b
+    work = np.empty(4 * d)
+    fn, index = _dlasq1()
+    n, info = index(d), index(0)
+    row = 8 * d
+    ps, pe, pw = sigma.ctypes.data, e.ctypes.data, work.ctypes.data
+    for i in range(k):
+        fn(n, ps + i * row, pe + i * row, pw, info)
+        if info.value:
+            raise EigenConvergenceError(
+                np.inf, f"bidiagonal qd (dlasq1) did not converge on "
+                f"bidiagonal {i}: INFO = {info.value}")
+    return sigma
 
 
 def sample_spd_with_spectrum(d: int, kappa: float, rng) -> SymMatrix:

@@ -30,6 +30,7 @@ from .krylov import fa_times_vec_oracle
 from .linalg import (
     SymMatrix,
     bidiagonal_counts,
+    bidiagonal_singular_values,
     cholesky,
     eigh_checked,
     orthonormal_complement,
@@ -356,19 +357,9 @@ def _trial_bidiagonals(d: int, trials: int, rng: RngState):
 def _bidiagonal_spectra(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Ascending spectra of B B^T / d for a stack of lower bidiagonals,
     k x d: sigma^2 / d from the singular values of the upper bidiagonal
-    B^T, which LAPACK's bidiagonal reduction leaves as it is and whose
-    singular values it computes to high relative accuracy.  The dense
-    k x d x d input is built in sub-stacks within _STACK_BYTES."""
-    k, d = a.shape
-    lam = np.empty((k, d))
-    i = np.arange(d)
-    for start, stop in _trial_stacks(k, 8 * d * d):
-        upper = np.zeros((stop - start, d, d))
-        upper[:, i, i] = a[start:stop]
-        upper[:, i[:-1], i[1:]] = b[start:stop]
-        sigma = np.linalg.svd(upper, compute_uv=False)
-        lam[start:stop] = sigma[:, ::-1] ** 2 / d
-    return lam
+    B^T, computed to high relative accuracy by bidiagonal_singular_values."""
+    d = a.shape[1]
+    return bidiagonal_singular_values(a, b)[:, ::-1] ** 2 / d
 
 
 def _hit_counts(d: int, trials: int, values, per, hit, rng: RngState) -> np.ndarray:

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import tracebounds
 import tracebounds.cli as cli
+import tracebounds.linalg as linalg
 import tracebounds.wishart as wishart_module
 from conftest import make_trials_singular
 from tracebounds.approx import ApproxTarget, _grid_sup_error, sup_error
@@ -235,6 +237,7 @@ def test_output_ignores_thread_environment():
      "--budget", "256", "--trials", "4", "--seed", "3"],
     ["trace", "--gen-spd", "--dim", "224", "--kappa", "16", "--func", "inv",
      "--backend", "exact", "--probes", "8", "--seed", "1"],
+    ["wishart", "invtrace", "--d", "256", "--trials", "4", "--seed", "3"],
 ])
 def test_output_ignores_blas_thread_count(argv):
     # From d ~ 224 on, LAPACK's eigensolve rounds differently on one and on
@@ -340,6 +343,20 @@ def test_invtrace_all_trials_dropped_exits_3(monkeypatch, capsys):
                 "--seed", "1"]) == 3
     err = capsys.readouterr().err
     assert "d=3" in err and "trials=5" in err
+
+
+def test_invtrace_dlasq1_failure_exits_3(monkeypatch, capsys):
+    # A stalled dqds (INFO = 2), which the dense SVD would have finished
+    # by QR sweeps, is an eigensolver failure.
+    def dlasq1(n, d, e, work, info):
+        info.value = 2
+
+    monkeypatch.setattr(linalg, "_dlasq1", lambda: (dlasq1, ctypes.c_int64))
+    assert run(["wishart", "invtrace", "--d", "3", "--trials", "5",
+                "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dlasq1) did not converge on bidiagonal 0: INFO = 2" in captured.err
 
 
 def test_invtrace_csv_labels_rows_by_trial(monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import ctypes
 import threading
 
 import numpy as np
@@ -195,6 +196,28 @@ class TestSymEigen:
         monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: object())
         with pytest.raises(RuntimeError, match="thread count"):
             linalg._blas_thread_control.__wrapped__()
+
+    def test_missing_dlasq1_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(linalg.ctypes, "CDLL", lambda path: object())
+        with pytest.raises(RuntimeError, match="no LAPACK dlasq1"):
+            linalg._dlasq1.__wrapped__()
+
+    @pytest.mark.parametrize("code", [1, 2, 3, -201])
+    def test_dlasq1_failure_raises_eigen_convergence_error(self, code,
+                                                            monkeypatch):
+        # dlasq1 fails on the second of three bidiagonals.
+        calls = []
+
+        def dlasq1(n, d, e, work, info):
+            calls.append(d)
+            info.value = code if len(calls) == 2 else 0
+
+        monkeypatch.setattr(linalg, "_dlasq1", lambda: (dlasq1, ctypes.c_int64))
+        a, b = np.ones((3, 4)), np.ones((3, 3))
+        with pytest.raises(EigenConvergenceError,
+                           match=rf"bidiagonal 1: INFO = {code}$"):
+            linalg.bidiagonal_singular_values(a, b)
+        assert len(calls) == 2
 
 
     @pytest.mark.parametrize("k", [6, 3])

@@ -395,8 +395,9 @@ def chi_d_subdiagonal(d):
 
 
 class TestTrialSpectra:
-    # (16, 31..33) and (64, 3) cross the dense SVD sub-stacks (32 and 2
-    # matrices), (16, 265) and (64, 65) the bidiagonal stacks (264 and 64).
+    # (16, 265) and (64, 65) cross the bidiagonal stacks (264 and 64);
+    # (16, 31..33) and (64, 3) straddle 64 KiB of dense d x d matrices (32
+    # and 2), the sub-stacks of the dense SVD that dlasq1 replaced.
     @pytest.mark.parametrize("d, trials", [
         (1, 7), (5, 333), (64, 200), (300, 3),
         (16, dense_stack_trials(16) - 1), (16, dense_stack_trials(16)),
@@ -448,6 +449,26 @@ class TestTrialSpectra:
         got = bidiagonal_counts(a, b, shifts)
         away = gap > 1e-8
         np.testing.assert_array_equal(got[away], want[away])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=96),
+           st.floats(min_value=0.0, max_value=0.3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_spectra_equal_dense_svd(self, d, zeros, seed):
+        # The dense SVD (gesdd) ends in the same dqds on a bidiagonal
+        # input, so the spectra agree bit for bit, also where exact zeros
+        # split the bidiagonal or make it singular.
+        g = np.random.default_rng(seed)
+        a = np.exp(g.uniform(-8.0, 4.0, (3, d)))
+        b = np.exp(g.uniform(-8.0, 4.0, (3, d - 1)))
+        a[g.random(a.shape) < zeros] = 0.0
+        b[g.random(b.shape) < zeros] = 0.0
+        upper = np.zeros((3, d, d))
+        upper[:, np.arange(d), np.arange(d)] = a
+        upper[:, np.arange(d - 1), np.arange(1, d)] = b
+        want = np.linalg.svd(upper, compute_uv=False)[:, ::-1] ** 2 / d
+        np.testing.assert_array_equal(
+            wishart_module._bidiagonal_spectra(a, b), want)
 
     @pytest.mark.parametrize("j", [0, 2, 4])
     def test_zero_diagonal_entry_gives_defined_count(self, j):

@@ -133,6 +133,7 @@ INVOCATIONS = [
      "--budget", "256", "--trials", "4", "--seed", "3"],
     ["trace", "--gen-spd", "--dim", "224", "--kappa", "16", "--func", "inv",
      "--backend", "exact", "--probes", "8", "--seed", "1"],
+    ["wishart", "invtrace", "--d", "256", "--trials", "4", "--seed", "3"],
     # Multi-word seeds: a seed past 2**128 and probe streams 0..69, which
     # cross the first 64-id key block.
     ["wishart", "eigcdf", *WISHART["eigcdf"],
