@@ -51,7 +51,6 @@ from .wishart import (
     posterior_distribution_test,
     query_game,
 )
-from . import verify as _verify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -359,6 +358,13 @@ def cmd_game(args) -> int:
     return EXIT_OK
 
 
+def cmd_verify(args) -> int:
+    # Imported here: no other subcommand pays for loading the checks.
+    from . import verify
+
+    return EXIT_ASSERTION if verify.run_all() else EXIT_OK
+
+
 def _emit(args, rows, json_payload: dict):
     """Write a wishart report: the config line, the subcommand's documented
     CSV header and ``rows``, or the config and ``json_payload`` as JSON."""
@@ -459,9 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(wg, cmd_game)
 
     ve = sub.add_parser("verify", help="run the invariant suite")
-    ve.set_defaults(handler=lambda args: (
-        EXIT_ASSERTION if _verify.run_all() else EXIT_OK
-    ))
+    ve.set_defaults(handler=cmd_verify)
 
     return parser
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import wishart
 from .approx import (
     ApproxTarget,
     inv_poly,
@@ -157,9 +158,10 @@ def check_wishart_bidiagonal():
 
 
 def check_wishart_batched_trials():
-    # 8 matrices of d = 32 fill one stack of wishart._STACK_BYTES = 64 KiB,
-    # so 20 trials span three stacks.
-    d, n, trials = 32, 8, 20
+    # Two full stacks of d x d matrices and part of a third, whatever the
+    # bound (32 trials a stack at d = 32 and 256 KiB, so 68 trials).
+    d, n = 32, 8
+    trials = 2 * max(1, wishart._STACK_BYTES // (8 * d * d)) + 4
     rng = RngState(109)
     got = _posterior_samples(d, n, trials, rng)
     scale, queries = d / (d - n), np.eye(d)[:, :n]

@@ -50,8 +50,10 @@ LAMBDA_MAX_REFERENCE = 4.0
 #: Bound on one stack of trials: the experiments run their trials in
 #: order, as many at a time as fit in _STACK_BYTES (at least one), on one
 #: thread.  A trial takes 8 d^2 bytes as a dense d x d matrix and
-#: 8 (2d - 1) bytes as a bidiagonal.
-_STACK_BYTES = 2 ** 16
+#: 8 (2d - 1) bytes as a bidiagonal: at 256 KiB a d = 64 run of up to 258
+#: trials is one stack of bidiagonals, and a stack holds 32 dense trials
+#: at d = 32.
+_STACK_BYTES = 2 ** 18
 
 #: Bound on one stack of query-game trials, which share each oracle call:
 #: a trial counts the larger of its d x d W and 8 d bytes a query its
@@ -239,7 +241,7 @@ def _posterior_samples(d: int, n: int, trials: int, rng: RngState):
     queries = np.eye(d)[:, :n]
     basis = _query_basis(queries, d)
     comp_t = basis[2][n:]
-    stacks = _trial_stacks(trials, 8 * d * d)
+    stacks = _trial_stacks(trials, 8 * d * d, _STACK_BYTES)
     samples = np.empty((5, trials))
     for start, stop in stacks:
         w = sample_wishart_stack(d, [rng.child(0, i) for i in range(start, stop)])
@@ -317,10 +319,11 @@ def _binomial_rows(counts, trials: int, thresholds) -> list[CdfRow]:
     return rows
 
 
-def _trial_stacks(trials: int, trial_bytes: int, stack_bytes: int = _STACK_BYTES):
+def _trial_stacks(trials: int, trial_bytes: int, stack_bytes: int):
     """(start, stop) of consecutive stacks of trials, each stack within
     stack_bytes at trial_bytes per trial.  trials is checked on the call,
-    not on the first step."""
+    not on the first step.  Callers pass the bound, so it is read when
+    they run, not when this module is loaded."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
     k = max(1, stack_bytes // trial_bytes)
@@ -348,7 +351,7 @@ def _trial_bidiagonals(d: int, trials: int, rng: RngState):
     if d < 1:
         raise UsageError("need d >= 1")
     dofs = _bidiagonal_dofs(d)
-    for start, stop in _trial_stacks(trials, 8 * (2 * d - 1)):
+    for start, stop in _trial_stacks(trials, 8 * (2 * d - 1), _STACK_BYTES):
         chi = np.sqrt(np.stack([rng.child(i).chisquare(dofs)
                                 for i in range(start, stop)]))
         yield chi[:, :d], chi[:, d:]

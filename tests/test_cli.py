@@ -34,6 +34,15 @@ def run(argv):
     return main(argv)
 
 
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(tracebounds.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 class TestExitCodes:
     def test_poly_build_ok(self, tmp_path):
         out = tmp_path / "p.json"
@@ -200,14 +209,25 @@ assert main(["wishart", "game", "--d", "6", "--algo", "hutch", "--nv", "2",
              "--out", out]) == 0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
-    src = str(Path(tracebounds.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_stays_off_the_import_path(tmp_path):
+    # Only the verify subcommand loads the invariant checks.
+    script = f"""
+import sys
+from tracebounds.cli import main
+assert main(["wishart", "eigcdf", "--d", "4", "--trials", "20",
+             "--seed", "1", "--out", {str(tmp_path / "out.txt")!r}]) == 0
+print("tracebounds.verify" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_output_ignores_thread_environment():
@@ -215,15 +235,12 @@ def test_output_ignores_thread_environment():
     # variable may change an experiment's output.
     argv = ["-m", "tracebounds.cli", "wishart", "lmax", "--d", "6",
             "--trials", "40", "--seed", "3", "--format", "csv"]
-    src = str(Path(tracebounds.__file__).resolve().parents[1])
     outs = []
     for threads in (None, "4"):
-        env = dict(os.environ)
+        env = src_env()
         env.pop("TRACEBOUNDS_THREADS", None)
         if threads is not None:
             env["TRACEBOUNDS_THREADS"] = threads
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run([sys.executable, *argv], env=env,
                               capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -242,12 +259,9 @@ def test_output_ignores_thread_environment():
 def test_output_ignores_blas_thread_count(argv):
     # From d ~ 224 on, LAPACK's eigensolve rounds differently on one and on
     # two OpenBLAS threads; two threads need not mean two cores.
-    src = str(Path(tracebounds.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
+        env = dict(src_env(), OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-m", "tracebounds.cli", *argv],
                               env=env, capture_output=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
@@ -743,28 +757,29 @@ class TestVerifyCommand:
 ])
 def test_nonfinite_float_flags_exit_2(argv):
     # In a subprocess with a timeout: --kappa inf once scanned forever.
-    src = str(Path(tracebounds.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "tracebounds.cli", *argv],
-                          env=env, capture_output=True, timeout=60)
+                          env=src_env(), capture_output=True, timeout=60)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == b""
     assert b"Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("sub", ["eigcdf", "lmax", "invtrace"])
+@pytest.mark.parametrize("sub", ["eigcdf", "lmax", "invtrace", "posterior"])
 def test_output_bytes_do_not_depend_on_stack_size(sub, monkeypatch, capsys):
-    # 1, k and k + 1 bidiagonals of d = 8 per stack, against the default
-    # of one stack for all 40 trials (and 128 dense matrices per SVD
-    # sub-stack, against 1 at the smaller bounds).
-    argv = ["wishart", sub, "--d", "8", "--trials", "40", "--seed", "97",
-            "--format", "csv"]
+    # 1, 7 and 8 trials of d = 8 per stack (bidiagonals of 8 * 15 bytes,
+    # or posterior's dense matrices of 8 * 64 bytes), against the default
+    # of one stack for all 40 trials.
+    argv = ["wishart", sub, "--d", "8", "--trials", "40", "--seed", "97"]
+    if sub == "posterior":
+        argv += ["--n", "2", "--format", "json"]
+        trial_bytes = 8 * 64
+    else:
+        argv += ["--format", "csv"]
+        trial_bytes = 8 * 15
     assert run(argv) == 0
     want = capsys.readouterr().out
     for per_stack in (1, 7, 8):
-        monkeypatch.setattr(wishart_module, "_STACK_BYTES", per_stack * 8 * 15)
+        monkeypatch.setattr(wishart_module, "_STACK_BYTES", per_stack * trial_bytes)
         assert run(argv) == 0
         assert capsys.readouterr().out == want, per_stack
 

@@ -204,7 +204,9 @@ class TestPosteriorDistribution:
     @pytest.mark.parametrize("d, n, trials", [(8, 0, 300), (8, 7, 300),
                                               (32, 8, 50)])
     def test_stacked_samples_match_per_trial_loop(self, d, n, trials):
-        # Stacks hold 128 trials at d = 8 and 8 at d = 32.
+        # Stacks hold 512 trials at d = 8 and 32 at d = 32, so only
+        # (32, 8, 50) crosses a stack here; test_cli's stack-size test
+        # crosses them at d = 8.
         got = wishart_module._posterior_samples(d, n, trials, RngState(90))
         want = per_trial_posterior_samples(d, n, trials, RngState(90))
         assert got.shape == want.shape == (5, trials)
@@ -372,10 +374,6 @@ def law_statistics(lam):
     return lam[:, 0], lam[:, -1], np.sum(1.0 / lam, axis=1)
 
 
-def dense_stack_trials(d):
-    return max(1, wishart_module._STACK_BYTES // (8 * d * d))
-
-
 def bidiagonal_stack_trials(d):
     return max(1, wishart_module._STACK_BYTES // (8 * (2 * d - 1)))
 
@@ -395,13 +393,11 @@ def chi_d_subdiagonal(d):
 
 
 class TestTrialSpectra:
-    # (16, 265) and (64, 65) cross the bidiagonal stacks (264 and 64);
-    # (16, 31..33) and (64, 3) straddle 64 KiB of dense d x d matrices (32
-    # and 2), the sub-stacks of the dense SVD that dlasq1 replaced.
+    # The last two cross the bidiagonal stacks of _STACK_BYTES; the six
+    # before them sat on the stack edges of an earlier 64 KiB bound.
     @pytest.mark.parametrize("d, trials", [
         (1, 7), (5, 333), (64, 200), (300, 3),
-        (16, dense_stack_trials(16) - 1), (16, dense_stack_trials(16)),
-        (16, dense_stack_trials(16) + 1), (64, dense_stack_trials(64) + 1),
+        (16, 31), (16, 32), (16, 33), (64, 3), (16, 265), (64, 65),
         (16, bidiagonal_stack_trials(16) + 1),
         (64, bidiagonal_stack_trials(64) + 1),
     ])
@@ -412,6 +408,31 @@ class TestTrialSpectra:
                               for a, b in stacks])
         np.testing.assert_array_equal(
             got, per_trial_bidiagonal_spectra(d, trials, RngState(92)))
+
+    def test_benchmark_sizes_stack_as_documented(self, monkeypatch):
+        # A d = 64, 200-trial eigcdf, lmax or invtrace run is one stack of
+        # bidiagonals; a d = 32, 200-trial posterior run is ceil(200 / 32)
+        # = 7 stacks of dense matrices.
+        assert len(list(wishart_module._trial_bidiagonals(
+            64, 200, RngState(1)))) == 1
+        sizes = []
+        real = wishart_module._trial_stacks
+
+        def recorded(*args):
+            stacks = list(real(*args))
+            sizes.extend(stop - start for start, stop in stacks)
+            return stacks
+
+        monkeypatch.setattr(wishart_module, "_trial_stacks", recorded)
+        wishart_module._posterior_samples(32, 8, 200, RngState(1))
+        assert sizes == [32] * 6 + [8]
+
+    def test_stacks_follow_the_bound_at_call_time(self, monkeypatch):
+        # The bound is read on each call, so a patched _STACK_BYTES reaches
+        # the stacks (the stack-size tests rely on it).
+        monkeypatch.setattr(wishart_module, "_STACK_BYTES", 50 * 8 * 127)
+        stacks = list(wishart_module._trial_bidiagonals(64, 200, RngState(1)))
+        assert [len(a) for a, _ in stacks] == [50] * 4
 
     @pytest.mark.parametrize("d", [2, 8, 64])
     def test_equal_in_law_to_dense_sampler(self, d, dense_laws):

@@ -134,6 +134,9 @@ INVOCATIONS = [
     ["trace", "--gen-spd", "--dim", "224", "--kappa", "16", "--func", "inv",
      "--backend", "exact", "--probes", "8", "--seed", "1"],
     ["wishart", "invtrace", "--d", "256", "--trials", "4", "--seed", "3"],
+    # 600 bidiagonals of d = 64 span several stacks (three at 256 KiB).
+    *[["wishart", sub, "--d", "64", "--trials", "600", "--seed", "8"]
+      for sub in ("eigcdf", "lmax", "invtrace")],
     # Multi-word seeds: a seed past 2**128 and probe streams 0..69, which
     # cross the first 64-id key block.
     ["wishart", "eigcdf", *WISHART["eigcdf"],
