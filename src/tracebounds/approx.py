@@ -1,16 +1,24 @@
 """Explicit polynomial approximations of x^s, x^{-1/2} and x^{-1}.
 
-The inverse-square-root and inverse constructions follow the same recipe:
-a truncated series in y = x/kappa - 1 (binomial series for the square
-root, geometric series for the inverse), each monomial y^t replaced by a
+inv_sqrt_poly and inv_poly return the Chebyshev interpolant of f on
+[1, kappa] at the smallest degree n whose Bernstein-ellipse bound (Trefethen,
+*Approximation Theory and Approximation Practice*, Thm 8.2) is at most half
+the target delta/scale; sup_error_bound adds a rounding term for the
+computed coefficients to that bound, an upper bound on the sup error.
+
+series_poly keeps the paper's construction as a witness and a reference: a
+truncated series in y = x/kappa - 1 (binomial series for the square root,
+geometric series for the inverse), each monomial y^t replaced by a
 compressed Chebyshev approximant, and the sum rescaled back to [1, kappa].
 The compression is the x^s construction of Sachdeva & Vishnoi, *Faster
 Algorithms via Approximation Theory* (2014), Thm 3.3: keep the Chebyshev
 coefficients of y^t up to degree ~sqrt(t log(1/delta)).  The exact
 coefficients of y^t come from those of y^(t-1) by one multiplication by y
 (y T_0 = T_1, y T_j = (T_(j-1) + T_(j+1)) / 2), so the whole series is one
-pass of halvings and sums of positive numbers.
-Every returned polynomial carries a grid-certified sup-norm error; a
+pass of halvings and sums of positive numbers.  Its degree is 1-3.5x the
+interpolant's for kappa in [2, 1024].
+
+Every returned polynomial also carries a grid-certified sup-norm error; a
 certificate failure raises instead of returning a bad polynomial.
 """
 
@@ -205,42 +213,134 @@ def _certify(p: ChebPoly, target: ApproxTarget) -> ChebPoly:
     return p
 
 
-def inv_sqrt_poly(kappa: float, delta: float) -> ChebPoly:
-    """Polynomial on [1, kappa] with |p(x) - x^{-1/2}| <= delta/sqrt(kappa).
+def series_poly(target: ApproxTarget) -> ChebPoly:
+    """The paper's witness: the compressed truncated series of an inv or
+    inv_sqrt target, grid-certified to |p(x) - f(x)| <= delta/scale.
 
-    Built from the binomial series of (1+y)^{-1/2}: truncation length T
-    chosen so the series tail is <= delta/2, each monomial y^t compressed
-    to accuracy delta/(4 t^2), and the sum mapped to [1, kappa] with a
-    1/sqrt(kappa) scaling.
+    A truncated series in y = x/kappa - 1 of length T, chosen so the series
+    tail is <= delta/2: the binomial series of (1+y)^{-1/2} with each
+    monomial y^t compressed to accuracy delta/(4 t^2), or the geometric
+    series (1+y)^{-1} = sum (-1)^t y^t with per-term accuracy delta/(2T).
+    The sum is mapped to [1, kappa] with a 1/scale scaling.  Its degree
+    follows the law O(sqrt(kappa) log(kappa/delta)), at 1-3.5x the degree
+    of the interpolant that inv_poly and inv_sqrt_poly return.
     """
-    target = ApproxTarget("inv_sqrt", kappa=kappa, delta=delta)
+    if target.kind not in ("inv_sqrt", "inv"):
+        raise UsageError(f"no series for target kind {target.kind!r}")
+    kappa, delta = target.kappa, target.delta
     T = taylor_truncation_length(kappa, delta / 2.0)
+    if target.kind == "inv_sqrt":
+        binom_coeffs = np.empty(T + 1)
+        binom_coeffs[0] = 1.0
+        for t in range(1, T + 1):
+            # c_t = C(-1/2, t) by the stable |c_t| <= 1 recurrence.
+            binom_coeffs[t] = binom_coeffs[t - 1] * (-0.5 - t + 1) / t
+        h = _series_sum(
+            lambda t: binom_coeffs[t],
+            lambda t: delta / (4.0 * t * t),
+            T,
+        )
+    else:
+        per_term = delta / (2.0 * T)
+        h = _series_sum(lambda t: (-1.0) ** t, lambda t: per_term, T)
+    return _certify(_rescale_to_interval(h, kappa, 1.0 / target.scale), target)
 
-    binom_coeffs = np.empty(T + 1)
-    binom_coeffs[0] = 1.0
-    for t in range(1, T + 1):
-        # c_t = C(-1/2, t) by the stable |c_t| <= 1 recurrence.
-        binom_coeffs[t] = binom_coeffs[t - 1] * (-0.5 - t + 1) / t
 
-    h = _series_sum(
-        lambda t: binom_coeffs[t],
-        lambda t: delta / (4.0 * t * t),
-        T,
-    )
-    q = _rescale_to_interval(h, kappa, 1.0 / math.sqrt(kappa))
-    return _certify(q, target)
+def _ellipses(target: ApproxTarget):
+    """(rho, m): the radii rho of the Bernstein ellipses the bound tries,
+    19 points evenly spaced in (1, rho_0), and m = max |f| on each.
+
+    In u = (2x - kappa - 1) / (kappa - 1) the pole (inv) or branch point
+    (inv_sqrt) of f at x = 0 sits at u = -u_0, u_0 = (kappa + 1) /
+    (kappa - 1), on the ellipse of radius rho_0 = u_0 + sqrt(u_0^2 - 1).
+    Inside it, |x| = h |u + u_0| with h = (kappa - 1) / 2, which is
+    smallest at the ellipse's left vertex -(rho + 1/rho) / 2; so |1/x| <=
+    1 / (h (u_0 - (rho + 1/rho) / 2)) there, and |x^{-1/2}| its square root.
+    """
+    kappa = target.kappa
+    h = (kappa - 1.0) / 2.0
+    u0 = (kappa + 1.0) / (kappa - 1.0)
+    rho0 = u0 + math.sqrt(u0 * u0 - 1.0)
+    rho = 1.0 + (rho0 - 1.0) * np.arange(1, 20) / 20.0
+    m = 1.0 / (h * (u0 - (rho + 1.0 / rho) / 2.0))
+    return rho, (np.sqrt(m) if target.kind == "inv_sqrt" else m)
+
+
+def _interpolant_degree(target: ApproxTarget) -> int:
+    """Smallest n >= 1 whose ellipse bound min_rho 4 m rho^-n / (rho - 1)
+    is at most half of delta/scale."""
+    rho, m = _ellipses(target)
+    half = target.delta / target.scale / 2.0
+    n = np.ceil(np.log(4.0 * m / ((rho - 1.0) * half)) / np.log(rho))
+    return max(1, int(np.min(n)))
+
+
+def _rounding_bound(degree: int) -> float:
+    """Bound on sum_j |c_j - c~_j| for the coefficients c~_j that
+    _interpolant computes of the degree-n interpolant with coefficients c_j:
+    2 sqrt(n + 1) (8 log2(2n) + 13) eps.
+
+    The nodes 1 + (kappa - 1) sin^2(pi (n - j) / (2n)) carry a relative
+    error of at most 10 eps, so with |f| <= 1 on [1, kappa] each value is
+    off by at most 12 eps; the DCT-I maps values of max modulus v to
+    coefficients of 1-norm at most 2 sqrt(n + 1) v; the FFT errs by at most
+    8 log2(2n) eps of its output's 2-norm (the radix-2 bound of Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 24.2, which
+    tests/test_approx.py checks numpy's FFT to meet against a long-double
+    reference); the final division adds eps per unit of the 1-norm.
+    """
+    eps = np.finfo(np.float64).eps
+    return 2.0 * math.sqrt(degree + 1) * (8.0 * math.log2(2 * degree) + 13.0) * eps
+
+
+def sup_error_bound(target: ApproxTarget, degree: int) -> float:
+    """Upper bound on sup |p(x) - f(x)| over [1, kappa] for p the degree-n
+    Chebyshev interpolant that inv_poly and inv_sqrt_poly return.
+
+    The sum of two terms.  The ellipse bound min_rho 4 m rho^-n / (rho - 1)
+    (Trefethen, *Approximation Theory and Approximation Practice*, Thm 8.2)
+    bounds |I_n f - f| for the exact interpolant I_n f.  The rounding term
+    of _rounding_bound bounds the 1-norm of the computed coefficients'
+    errors, hence |p - I_n f| as |T_j| <= 1.  It bounds the polynomial, not
+    its rounded evaluation.
+    """
+    rho, m = _ellipses(target)
+    ellipse = float(np.min(4.0 * m * rho ** -float(degree) / (rho - 1.0)))
+    return ellipse + _rounding_bound(degree)
+
+
+def _interpolant(kind: str, kappa: float, delta: float) -> ChebPoly:
+    """The Chebyshev interpolant of the target at the n + 1 points
+    (kappa + 1) / 2 + (kappa - 1) / 2 cos(j pi / n), for the n of
+    _interpolant_degree.
+
+    The points are computed as 1 + (kappa - 1) sin^2(pi (n - j) / (2n)),
+    accurate to a few eps relative to x also near x = 1.  The coefficients
+    are the DCT-I of the values, taken as the real FFT of their even
+    extension: O(n log n) time and O(n) memory.  Raises CertificateError if
+    sup_error_bound exceeds delta/scale (the rounding term can, at a delta
+    near machine precision), then runs the grid gate.
+    """
+    target = ApproxTarget(kind, kappa=kappa, delta=delta)
+    n = _interpolant_degree(target)
+    bound = target.delta / target.scale
+    certified = sup_error_bound(target, n)
+    if certified > bound:
+        raise CertificateError(certified, bound)
+    s = np.sin(np.pi * np.arange(n, -1, -1) / (2 * n)) ** 2
+    values = target.function()(1.0 + (kappa - 1.0) * s)
+    coeffs = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
+    coeffs[[0, n]] /= 2.0
+    return _certify(ChebPoly((1.0, kappa), coeffs), target)
+
+
+def inv_sqrt_poly(kappa: float, delta: float) -> ChebPoly:
+    """Polynomial on [1, kappa] with |p(x) - x^{-1/2}| <= delta/sqrt(kappa):
+    the Chebyshev interpolant at its ellipse-certified degree."""
+    return _interpolant("inv_sqrt", kappa, delta)
 
 
 def inv_poly(kappa: float, delta: float) -> ChebPoly:
-    """Polynomial on [1, kappa] with |p(x) - 1/x| <= delta/kappa.
-
-    Same pipeline as inv_sqrt_poly but with the geometric series
-    (1+y)^{-1} = sum (-1)^t y^t, per-term accuracy delta/(2T), and a
-    1/kappa final scaling.
-    """
-    target = ApproxTarget("inv", kappa=kappa, delta=delta)
-    T = taylor_truncation_length(kappa, delta / 2.0)
-    per_term = delta / (2.0 * T)
-    h = _series_sum(lambda t: (-1.0) ** t, lambda t: per_term, T)
-    r = _rescale_to_interval(h, kappa, 1.0 / kappa)
-    return _certify(r, target)
+    """Polynomial on [1, kappa] with |p(x) - 1/x| <= delta/kappa: the
+    Chebyshev interpolant at its ellipse-certified degree."""
+    return _interpolant("inv", kappa, delta)

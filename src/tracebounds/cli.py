@@ -22,7 +22,13 @@ from dataclasses import asdict, astuple
 
 import numpy as np
 
-from .approx import ApproxTarget, inv_poly, inv_sqrt_poly, sup_error
+from .approx import (
+    ApproxTarget,
+    inv_poly,
+    inv_sqrt_poly,
+    sup_error,
+    sup_error_bound,
+)
 from .chebyshev import ChebPoly
 from .errors import (
     CertificateError,
@@ -38,7 +44,7 @@ from .hutchinson import (
     bias_bound,
     hutchinson,
 )
-from .linalg import sample_spd_with_spectrum
+from .linalg import sample_spd_with_spectrum, spectrum_within
 from .matio import parse_matrix_file
 from .rng import RngState
 from .wishart import (
@@ -146,6 +152,7 @@ def cmd_poly_build(args) -> int:
             "degree": poly.degree(),
             "grid_size": grid,
             "grid_sup_error": achieved,
+            "sup_error_bound": sup_error_bound(target, poly.degree()),
             "bound": target.delta / target.scale,
         },
         "config": _config(args),
@@ -240,13 +247,20 @@ def cmd_trace(args) -> int:
     func = _FUNC_ALIASES.get(args.func, args.func)
     mat, asym = _load_or_generate_matrix(args)
 
-    bias = None
+    bias = withheld = None
     if args.backend == "cheb":
         if args.kappa is None:
             raise UsageError("--backend cheb requires --kappa")
         target = _poly_target(args.func, args.kappa, args.delta)
         backend = ChebBackend.for_target(target)
-        bias = bias_bound(target, mat.dim)
+        # The bound holds only for spec(A) inside [1, kappa]; tau admits
+        # endpoints that rounding moved just outside.
+        tau = 1e-12 * target.kappa
+        if spectrum_within(mat, 1.0, target.kappa, tau):
+            bias = bias_bound(target, mat.dim)
+        else:
+            withheld = (f"spec(A) is not inside [1, kappa] = [1, {target.kappa!r}]"
+                        f" within tau = {tau!r}")
     elif args.backend == "lanczos":
         if args.m is None:
             raise UsageError("--backend lanczos requires --m")
@@ -265,6 +279,8 @@ def cmd_trace(args) -> int:
         "matrix_max_asymmetry": asym,
         "bias_bound": bias,
     }
+    if withheld is not None:
+        payload["bias_bound_withheld"] = withheld
     if not args.no_quadratic_forms:
         payload["quadratic_forms"] = est.quadratic_forms.tolist()
     _write_text(args.out, _json_report(_config(args), payload))

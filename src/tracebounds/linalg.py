@@ -297,6 +297,25 @@ def sample_spd_with_spectrum(d: int, kappa: float, rng) -> SymMatrix:
     return symmetrize((q * lam) @ q.T)
 
 
+def spectrum_within(a: SymMatrix, lo: float, hi: float, tau: float) -> bool:
+    """Whether spec(A) lies inside [lo - tau, hi + tau]: whether LAPACK's
+    Cholesky factors both A - (lo - tau) I and (hi + tau) I - A.
+
+    An eigenvalue on an endpoint passes for any tau above the factorization's
+    rounding, where cholesky's pivot gate would reject it.  Both calls run on
+    one BLAS thread: from d ~ 224 on the blocked factorization rounds by the
+    thread count, and a yes/no near the tolerance must not.
+    """
+    shift = np.eye(a.dim)
+    try:
+        with _one_blas_thread():
+            np.linalg.cholesky(a.entries - (lo - tau) * shift)
+            np.linalg.cholesky((hi + tau) * shift - a.entries)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def cholesky(s) -> np.ndarray:
     """Lower-triangular L with L L^T = S and positive diagonal, for a
     SymMatrix or an exactly symmetric n x n array or stack of them.

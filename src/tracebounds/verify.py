@@ -13,6 +13,7 @@ from .approx import (
     ApproxTarget,
     inv_poly,
     monomial_cheb_approx,
+    series_poly,
     sup_error,
 )
 from .hutchinson import (
@@ -86,6 +87,19 @@ def check_inverse_certificates():
                 target = ApproxTarget(kind, kappa=kappa, delta=delta)
                 err = sup_error(build_target_poly(target), target, 4096)
                 assert err <= target.delta / target.scale
+
+
+def check_poly_witness():
+    # The paper's series construction stays checked next to the interpolant
+    # that replaced it: both meet the certificate on the grid, and the
+    # series needs at least the interpolant's degree.
+    for kind in ("inv_sqrt", "inv"):
+        target = ApproxTarget(kind, kappa=64.0, delta=0.01)
+        series, interp = series_poly(target), build_target_poly(target)
+        for p in (series, interp):
+            assert sup_error(p, target, 4096) <= target.delta / target.scale
+        assert series.degree() >= interp.degree(), \
+            f"{kind}: series degree {series.degree()} < {interp.degree()}"
 
 
 def check_lanczos_saturation():
@@ -184,6 +198,7 @@ ALL_CHECKS = [
     ("wishart_psd", check_wishart_psd),
     ("monomial_certificates", check_monomial_certificates),
     ("inverse_certificates", check_inverse_certificates),
+    ("poly_witness", check_poly_witness),
     ("lanczos_saturation", check_lanczos_saturation),
     ("mvp_ledger", check_mvp_ledger),
     ("hutchinson_exhaustive", check_hutchinson_exhaustive),

@@ -10,11 +10,14 @@ from numpy.polynomial import chebyshev as _cheb
 from tracebounds.approx import (
     DEGREE_LAW_CONSTANT,
     ApproxTarget,
+    _rounding_bound,
     _series_sum,
     inv_poly,
     inv_sqrt_poly,
     monomial_cheb_approx,
+    series_poly,
     sup_error,
+    sup_error_bound,
     taylor_truncation_length,
 )
 from tracebounds.chebyshev import ChebPoly, cheb_grid
@@ -150,8 +153,8 @@ def test_series_sum_matches_per_term_definition(kappa, delta):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-#: (inv_poly, inv_sqrt_poly) degrees at delta = 0.4, 0.1, 0.01, 0.001, as
-#: the per-term scipy binom.pmf construction gave them.
+#: series_poly degrees of the (inv, inv_sqrt) targets at delta = 0.4, 0.1,
+#: 0.01, 0.001, as the per-term scipy binom.pmf construction gave them.
 PINNED_DEGREES = {
     2.0: [(3, 3), (5, 5), (8, 8), (11, 11)],
     16.0: [(30, 40), (39, 49), (53, 64), (66, 79)],
@@ -163,9 +166,80 @@ PINNED_DEGREES = {
 
 @pytest.mark.parametrize("kappa", sorted(PINNED_DEGREES))
 def test_degrees_pinned(kappa):
-    got = [(inv_poly(kappa, d).degree(), inv_sqrt_poly(kappa, d).degree())
+    got = [tuple(series_poly(ApproxTarget(kind, kappa=kappa, delta=d)).degree()
+                 for kind in ("inv", "inv_sqrt"))
            for d in (0.4, 0.1, 0.01, 0.001)]
     assert got == PINNED_DEGREES[kappa]
+
+
+#: (inv_poly, inv_sqrt_poly) degrees, those of the Chebyshev interpolants, on
+#: the lattice of PINNED_DEGREES.
+INTERPOLANT_DEGREES = {
+    2.0: [(3, 2), (4, 3), (5, 4), (7, 6)],
+    16.0: [(18, 13), (21, 16), (26, 20), (31, 25)],
+    64.0: [(45, 32), (51, 38), (61, 48), (71, 57)],
+    256.0: [(109, 76), (121, 88), (140, 107), (160, 126)],
+    1024.0: [(254, 176), (277, 199), (316, 238), (355, 277)],
+}
+
+
+@pytest.mark.parametrize("kappa", sorted(INTERPOLANT_DEGREES))
+def test_interpolant_degrees_pinned(kappa):
+    got = [(inv_poly(kappa, d).degree(), inv_sqrt_poly(kappa, d).degree())
+           for d in (0.4, 0.1, 0.01, 0.001)]
+    assert got == INTERPOLANT_DEGREES[kappa]
+    for (n_inv, n_sqrt), (s_inv, s_sqrt) in zip(got, PINNED_DEGREES[kappa]):
+        assert n_inv <= s_inv and n_sqrt <= s_sqrt
+
+
+def _within_on_fine_grid(p: ChebPoly, target: ApproxTarget, bound: float) -> bool:
+    """Whether |p - f| <= bound on 2^16 Chebyshev points and both ends."""
+    a, b = p.interval
+    xs = np.concatenate([[a, b], cheb_grid(p.interval, 2 ** 16)])
+    return float(np.max(np.abs(p.evaluate(xs) - target.function()(xs)))) <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.floats(min_value=2.0, max_value=1024.0),
+       st.floats(min_value=1e-6, max_value=0.49),
+       st.sampled_from(["inv", "inv_sqrt"]))
+def test_sup_error_bound_is_an_upper_bound(kappa, delta, kind):
+    target = ApproxTarget(kind, kappa=kappa, delta=delta)
+    p = (inv_poly if kind == "inv" else inv_sqrt_poly)(kappa, delta)
+    bound = sup_error_bound(target, p.degree())
+    assert bound <= delta / target.scale
+    assert _within_on_fine_grid(p, target, bound)
+    # Negative control: the grid error sits 16-4500x below the bound here,
+    # so a bound 10^4 times too small must fail the same check.
+    assert not _within_on_fine_grid(p, target, bound / 1e4)
+
+
+_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def _interpolant_coeffs_long_double(kind, kappa, n):
+    """Coefficients of the degree-n Chebyshev interpolant on [1, kappa] by
+    the direct DCT-I sum in long double, at nodes and values in long double."""
+    ld = np.longdouble
+    j = np.arange(n + 1)
+    x = 1 + (ld(kappa) - 1) * np.sin(_PI * (n - j).astype(ld) / (2 * n)) ** 2
+    v = 1 / x if kind == "inv" else 1 / np.sqrt(x)
+    v[[0, n]] /= 2
+    c = (2 / ld(n)) * (v @ np.cos(_PI * (np.outer(j, j) % (2 * n)).astype(ld) / n))
+    c[[0, n]] /= 2
+    return c
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.floats(min_value=2.0, max_value=1024.0),
+       st.floats(min_value=1e-6, max_value=0.49),
+       st.sampled_from(["inv", "inv_sqrt"]))
+def test_coefficient_rounding_within_its_bound(kappa, delta, kind):
+    # The rounding term of sup_error_bound bounds the 1-norm of the
+    # coefficient errors; long double carries 11 more bits than the FFT.
+    p = (inv_poly if kind == "inv" else inv_sqrt_poly)(kappa, delta)
+    ref = _interpolant_coeffs_long_double(kind, kappa, p.degree())
+    assert float(np.sum(np.abs(p.coeffs - ref))) <= _rounding_bound(p.degree())
 
 
 class TestTaylorTruncationLength:

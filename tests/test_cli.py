@@ -21,17 +21,22 @@ import tracebounds.cli as cli
 import tracebounds.linalg as linalg
 import tracebounds.wishart as wishart_module
 from conftest import make_trials_singular
-from tracebounds.approx import ApproxTarget, _grid_sup_error, sup_error
+from tracebounds.approx import ApproxTarget, _grid_sup_error, series_poly, sup_error
 from tracebounds.chebyshev import ChebPoly
 from tracebounds.cli import main
 from tracebounds.errors import MatrixParseError
 from tracebounds.matio import parse_matrix_file, write_raw
-from tracebounds.linalg import SymMatrix
+from tracebounds.linalg import SymMatrix, sample_spd_with_spectrum
 from tracebounds.rng import RngState
 
 
 def run(argv):
     return main(argv)
+
+
+def write_spd100(path):
+    """A d=64 SPD matrix with spectrum [1, 100] in the raw format."""
+    write_raw(str(path), sample_spd_with_spectrum(64, 100.0, np.random.default_rng(0)))
 
 
 def src_env():
@@ -179,6 +184,18 @@ class TestPolyBuildCertificate:
                     "--out", str(rep)]) == 0
         assert json.loads(rep.read_text())["grid_size"] == 1024
 
+    @pytest.mark.parametrize("func, kind", [("inv", "inv"), ("invsqrt", "inv_sqrt")])
+    @pytest.mark.parametrize("kappa", [16.0, 256.0, 1024.0])
+    def test_sup_error_bound_between_grid_error_and_bound(self, tmp_path, func,
+                                                           kind, kappa):
+        out = tmp_path / "p.json"
+        assert run(["poly", "build", "--func", func, "--kappa", repr(kappa),
+                    "--delta", "0.01", "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["grid_sup_error"] <= cert["sup_error_bound"] <= cert["bound"]
+        series = series_poly(ApproxTarget(kind, kappa=kappa, delta=0.01))
+        assert cert["degree"] <= 0.55 * series.degree()
+
     def test_default_grid_evaluates_once(self):
         _grid_sup_error.cache_clear()
         assert run(["poly", "build", "--func", "inv", "--kappa", "64",
@@ -255,15 +272,21 @@ def test_output_ignores_thread_environment():
     ["trace", "--gen-spd", "--dim", "224", "--kappa", "16", "--func", "inv",
      "--backend", "exact", "--probes", "8", "--seed", "1"],
     ["wishart", "invtrace", "--d", "256", "--trials", "4", "--seed", "3"],
+    ["poly", "build", "--func", "invsqrt", "--kappa", "1024", "--delta", "0.001"],
+    # The spectrum guard rejects this matrix (spectrum [1, 100]).
+    ["trace", "--matrix", "spd100.txt", "--func", "inv", "--backend", "cheb",
+     "--kappa", "16", "--probes", "64", "--seed", "1"],
 ])
-def test_output_ignores_blas_thread_count(argv):
+def test_output_ignores_blas_thread_count(argv, tmp_path):
     # From d ~ 224 on, LAPACK's eigensolve rounds differently on one and on
     # two OpenBLAS threads; two threads need not mean two cores.
+    write_spd100(tmp_path / "spd100.txt")
     outs = []
     for threads in ("1", "2"):
         env = dict(src_env(), OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, "-m", "tracebounds.cli", *argv],
-                              env=env, capture_output=True, timeout=120)
+                              env=env, capture_output=True, timeout=120,
+                              cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
@@ -580,6 +603,30 @@ class TestTrace:
         assert len(doc["quadratic_forms"]) == 256
         assert doc["mvp_count"] > 0 and doc["mvp_count"] % 256 == 0
         assert doc["bias_bound"] == pytest.approx(16 * 0.01 / 4)
+
+    def test_bias_bound_withheld_outside_interval(self, tmp_path, capsys):
+        # spec(A) fills [1, 100], where the polynomial certified on [1, 16]
+        # diverges, so its bias bound does not hold: exit 0, bound withheld.
+        path = tmp_path / "spd100.txt"
+        write_spd100(path)
+        assert run(["trace", "--matrix", str(path), "--func", "inv",
+                    "--backend", "cheb", "--kappa", "16", "--probes", "64",
+                    "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bias_bound"] is None
+        assert doc["bias_bound_withheld"].startswith("spec(A) is not inside")
+        assert list(doc)[-2:] == ["bias_bound_withheld", "quadratic_forms"]
+
+    @pytest.mark.parametrize("d, kappa", [(64, 16.0), (224, 16.0), (512, 256.0)])
+    def test_gen_spd_passes_spectrum_guard(self, d, kappa, capsys):
+        # Its endpoints are pinned to 1 and kappa, then rounded by the
+        # rotation (to 1 - 7e-15 and 256 - 6e-14 at d = 512).
+        assert run(["trace", "--gen-spd", "--dim", str(d), "--kappa", repr(kappa),
+                    "--backend", "cheb", "--delta", "0.1", "--probes", "2",
+                    "--no-quadratic-forms", "--seed", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bias_bound"] == d * 0.1 / kappa
+        assert "bias_bound_withheld" not in doc
 
     def test_json_repr_round_trip(self, tmp_path):
         out1 = tmp_path / "a.json"

@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
@@ -24,6 +24,7 @@ from tracebounds.linalg import (
     sample_spd_with_spectrum,
     sample_wishart,
     sample_wishart_stack,
+    spectrum_within,
     sym_eigen,
     symmetrize,
 )
@@ -306,6 +307,43 @@ def loop_cholesky(a):
         low[j, j] = np.sqrt(pivot)
         low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
     return low
+
+
+class TestSpectrumWithin:
+    def test_endpoints_on_the_interval_pass(self):
+        # cholesky's pivot gate rejects A - I, whose smallest eigenvalue is
+        # 0; with tau > 0 the guard passes both endpoints.
+        a = SymMatrix(np.diag([1.0, 3.0, 16.0]))
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky(a.entries - np.eye(3))
+        assert spectrum_within(a, 1.0, 16.0, 1.6e-11)
+        assert spectrum_within(a, 1.0 + 1e-12, 16.0, 1.6e-11)
+        assert not spectrum_within(a, 1.0 + 1e-10, 16.0, 1.6e-11)
+        assert not spectrum_within(a, 1.0, 16.0 - 1e-10, 1.6e-11)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=2, max_value=40),
+           st.floats(min_value=2.0, max_value=1e4),
+           st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.floats(min_value=-4.0, max_value=4.0),
+           st.floats(min_value=-4.0, max_value=4.0),
+           st.sampled_from([1.0, 1e3, 1e9]))
+    def test_agrees_with_eigvalsh(self, d, kappa, seed, lo_off, hi_off, unit):
+        # The extreme eigenvalues sit lo_off and hi_off times unit * tau
+        # from 1 and kappa.  The guard and eigvalsh agree unless one of
+        # them lies within tau of its endpoint (widened by a tenth of tau
+        # for the rounding of the factorization and the eigensolve).
+        tau = 1e-12 * kappa
+        g = np.random.default_rng(seed)
+        lam = np.exp(g.uniform(0.0, np.log(kappa), size=d))
+        lam[0] = 1.0 + lo_off * unit * tau
+        lam[-1] = kappa + hi_off * unit * tau
+        q, _ = np.linalg.qr(g.standard_normal((d, d)))
+        a = symmetrize((q * lam) @ q.T)
+        ev = np.linalg.eigvalsh(a.entries)
+        assume(abs(ev[0] - 1.0) > 1.1 * tau and abs(ev[-1] - kappa) > 1.1 * tau)
+        inside = bool(ev[0] >= 1.0 and ev[-1] <= kappa)
+        assert spectrum_within(a, 1.0, kappa, tau) == inside
 
 
 class TestCholesky:

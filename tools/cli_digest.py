@@ -24,6 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 RAW = "3\n4 1 0\n1 3 0.5\n0 0.5 2\n"
 MTX = """%%MatrixMarket matrix coordinate real symmetric
 3 3 4
@@ -143,9 +145,26 @@ INVOCATIONS = [
      "--seed", "340282366920938463463374607431768211457"],
     ["trace", "--gen-spd", "--dim", "24", "--backend", "exact", "--probes",
      "70", "--seed", "18446744073709551621"],
+    # A degree-277 interpolant; its FFT and grid gate run on any thread count.
+    ["poly", "build", "--func", "invsqrt", "--kappa", "1024", "--delta", "0.001"],
+    # spec(A) = [1, 100] is not inside [1, kappa]: the bias bound is withheld.
+    ["trace", "--matrix", "spd100.txt", "--func", "inv", "--backend", "cheb",
+     "--kappa", "16", "--probes", "64", "--seed", "1"],
     ["frobnicate"],
     ["verify"],
 ]
+
+
+def spd100_raw() -> str:
+    """A d=64 SPD matrix with spectrum [1, 100] in the raw dense format,
+    drawn here with numpy so it does not depend on the checkout."""
+    g = np.random.default_rng(0)
+    q, _ = np.linalg.qr(g.standard_normal((64, 64)))
+    lam = np.exp(g.uniform(0.0, np.log(100.0), size=64))
+    lam[0], lam[-1] = 1.0, 100.0
+    a = (q * lam) @ q.T
+    a = a / 2.0 + a.T / 2.0
+    return "64\n" + "".join(" ".join(map(repr, row)) + "\n" for row in a.tolist())
 
 
 def digest_lines(main) -> list[str]:
@@ -186,6 +205,7 @@ def main() -> int:
             Path("coeffs2d.json").write_text(json.dumps(COEFFS_2D))
             Path("bom.mtx").write_bytes(BOM + MTX.encode())
             Path("bomfalse.json").write_bytes(BOM + json.dumps(FALSE_CERT).encode())
+            Path("spd100.txt").write_text(spd100_raw())
             lines = digest_lines(cli_main)
         finally:
             os.chdir(here)
