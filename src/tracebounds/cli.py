@@ -2,10 +2,12 @@
 
 Subcommands: ``poly build|error``, ``trace``, ``wishart
 eigcdf|lmax|invtrace|posterior|game`` and ``verify``, each declared once in
-``build_parser`` with its own handler.  Every experiment run embeds its full
-configuration (every parsed flag but the output-only ones) and seed in the
-emitted report, and the same (subcommand, args, seed) always produces
-byte-identical output bodies.
+``build_parser`` with its own handler.  ``main(argv)`` may be called many
+times in one process: the parser is built on the first call and reused, and
+a call's output and exit code do not depend on earlier calls.  Every
+experiment run embeds its full configuration (every parsed flag but the
+output-only ones) and seed in the emitted report, and the same (subcommand,
+args, seed) always produces byte-identical output bodies.
 
 Exit codes: 0 success, 2 usage error, 3 assertion/certificate failure,
 4 I/O error.
@@ -14,6 +16,7 @@ Exit codes: 0 success, 2 usage error, 3 assertion/certificate failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -395,7 +398,10 @@ def _emit(args, rows, json_payload: dict):
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    call: do not mutate it.  Handlers look library names up when called."""
     parser = argparse.ArgumentParser(
         prog="tracebounds",
         description="Certified polynomial approximations, Krylov trace "

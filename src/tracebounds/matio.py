@@ -150,10 +150,3 @@ def _parse_matrix_market(lines: list[str]) -> np.ndarray:
                                len(lines))
     return m
 
-
-def write_raw(path: str, m: SymMatrix):
-    """Write a matrix in the raw dense format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m.dim}\n")
-        for row in m.entries:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")

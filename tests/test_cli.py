@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import ctypes
 import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -25,13 +26,21 @@ from tracebounds.approx import ApproxTarget, _grid_sup_error, series_poly, sup_e
 from tracebounds.chebyshev import ChebPoly
 from tracebounds.cli import main
 from tracebounds.errors import MatrixParseError
-from tracebounds.matio import parse_matrix_file, write_raw
+from tracebounds.matio import parse_matrix_file
 from tracebounds.linalg import SymMatrix, sample_spd_with_spectrum
 from tracebounds.rng import RngState
 
 
 def run(argv):
     return main(argv)
+
+
+def write_raw(path, m: SymMatrix):
+    """Write a matrix in the raw dense format that parse_matrix_file reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{m.dim}\n")
+        for row in m.entries:
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def write_spd100(path):
@@ -690,6 +699,92 @@ def test_missing_seed_is_an_argparse_usage_error(path, capsys):
     k = argv.index("--seed")
     assert run([*path, *argv[:k], *argv[k + 2:]]) == 2
     assert "the following arguments are required: --seed" in capsys.readouterr().err
+
+
+# main reuses one parser: a call's result may not depend on earlier calls.
+REUSE_ARGV = [
+    *[[*path, *argv] for path, argv in MINIMAL_ARGV.items()],
+    ["frobnicate"],
+    ["wishart", "eigcdf", "--d", "4"],                # no --seed
+    ["wishart", "lmax", "--d", "4", "--t", "nan", "--seed", "1"],
+    ["--help"],
+    ["trace", "--matrix", "m.txt", "--backend", "exact", "--probes", "4",
+     "--seed", "1"],
+    ["trace", "--matrix", "m.txt", "--backend", "exact", "--probes", "4",
+     "--seed", "1", "--no-quadratic-forms"],
+    ["poly", "build", "--func", "invsqrt", "--kappa", "9", "--delta", "0.1",
+     "--out", "q.json"],
+    ["poly", "build", "--func", "invsqrt", "--kappa", "9", "--delta", "0.1"],
+]
+
+
+def test_reused_parser_carries_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_raw("m.txt", SymMatrix(np.diag([1.0, 2.0, 3.0])))
+    assert run(["poly", "build", "--func", "inv", "--kappa", "4",
+                "--delta", "0.1", "--out", "p.json"]) == 0
+    results = []
+    for order in (REUSE_ARGV, REUSE_ARGV[::-1]):
+        seen = {}
+        for argv in order:
+            code = run(argv)
+            out = capsys.readouterr().out
+            if "--out" in argv:
+                out = Path(argv[argv.index("--out") + 1]).read_text()
+            seen[tuple(argv)] = code, out
+        results.append(seen)
+    assert results[0] == results[1]
+    assert {code for code, _ in results[0].values()} == {0, 2}
+    assert results[0][("--help",)][1].startswith("usage: tracebounds")
+    # The shared parser still parses each leaf as a new one does.
+    for path, argv in MINIMAL_ARGV.items():
+        fresh = cli.build_parser.__wrapped__().parse_args([*path, *argv])
+        assert cli.build_parser().parse_args([*path, *argv]) == fresh, path
+
+
+def test_main_builds_one_parser_per_process(tmp_path):
+    # Import builds no parser; the first main call builds it, later calls
+    # reuse it.
+    script = f"""
+import argparse
+counts = []
+built = [0]
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built[0] += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from tracebounds.cli import main
+counts.append(built[0])
+for _ in range(3):
+    assert main(["poly", "build", "--func", "inv", "--kappa", "16",
+                 "--delta", "0.1", "--out", {str(tmp_path / "p.json")!r}]) == 0
+    counts.append(built[0])
+print(counts)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    at_import, *after_calls = json.loads(proc.stdout)
+    assert at_import == 0
+    assert after_calls[0] > 0
+    assert after_calls == [after_calls[0]] * 3
+
+
+DIGEST = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
+
+
+def test_digest_lines_do_not_depend_on_invocation_order(tmp_path, monkeypatch):
+    # The forward pass writes p.json, which the reversed pass reads early.
+    spec = importlib.util.spec_from_file_location("cli_digest", DIGEST)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    monkeypatch.chdir(tmp_path)
+    digest.write_inputs()
+    forward = digest.digest_lines(main)
+    backward = digest.digest_lines(main, digest.INVOCATIONS[::-1])
+    assert backward[::-1] == forward
+    assert {line.split("\t")[1] for line in forward} == {"0", "2", "3", "4"}
 
 
 class TestCsvDeterminism:

@@ -167,10 +167,10 @@ def spd100_raw() -> str:
     return "64\n" + "".join(" ".join(map(repr, row)) + "\n" for row in a.tolist())
 
 
-def digest_lines(main) -> list[str]:
-    """Run every invocation through ``main`` in the current directory."""
+def digest_lines(main, invocations=INVOCATIONS) -> list[str]:
+    """Run each invocation through ``main`` in the current directory."""
     lines = []
-    for argv in INVOCATIONS:
+    for argv in invocations:
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -183,6 +183,24 @@ def digest_lines(main) -> list[str]:
     return lines
 
 
+def write_inputs():
+    """Write the invocations' input files into the current directory."""
+    Path("m.txt").write_text(RAW)
+    Path("m.mtx").write_text(MTX)
+    Path("false.json").write_text(json.dumps(FALSE_CERT))
+    Path("badcert.json").write_text(json.dumps(BAD_CERT))
+    Path("overflow.txt").write_text(OVERFLOW_RAW)
+    Path("eye.txt").write_text(EYE_RAW)
+    Path("neg.txt").write_text(NEG_RAW)
+    Path("latin1.txt").write_bytes(LATIN1_RAW)
+    Path("twice.mtx").write_text(TWICE_MTX)
+    Path("nocert.json").write_text(json.dumps(NO_CERT))
+    Path("coeffs2d.json").write_text(json.dumps(COEFFS_2D))
+    Path("bom.mtx").write_bytes(BOM + MTX.encode())
+    Path("bomfalse.json").write_bytes(BOM + json.dumps(FALSE_CERT).encode())
+    Path("spd100.txt").write_text(spd100_raw())
+
+
 def main() -> int:
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parents[1])
     sys.path.insert(0, str(root.resolve() / "src"))
@@ -192,20 +210,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            Path("m.txt").write_text(RAW)
-            Path("m.mtx").write_text(MTX)
-            Path("false.json").write_text(json.dumps(FALSE_CERT))
-            Path("badcert.json").write_text(json.dumps(BAD_CERT))
-            Path("overflow.txt").write_text(OVERFLOW_RAW)
-            Path("eye.txt").write_text(EYE_RAW)
-            Path("neg.txt").write_text(NEG_RAW)
-            Path("latin1.txt").write_bytes(LATIN1_RAW)
-            Path("twice.mtx").write_text(TWICE_MTX)
-            Path("nocert.json").write_text(json.dumps(NO_CERT))
-            Path("coeffs2d.json").write_text(json.dumps(COEFFS_2D))
-            Path("bom.mtx").write_bytes(BOM + MTX.encode())
-            Path("bomfalse.json").write_bytes(BOM + json.dumps(FALSE_CERT).encode())
-            Path("spd100.txt").write_text(spd100_raw())
+            write_inputs()
             lines = digest_lines(cli_main)
         finally:
             os.chdir(here)
