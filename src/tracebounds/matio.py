@@ -20,13 +20,32 @@ from .errors import MatrixParseError
 from .linalg import SymMatrix, symmetrize
 
 
+# The sha256 of the bytes of the last file parsed without error, and its result.
+_last = (None, None)
+
+
 def parse_matrix_file(path: str) -> tuple[SymMatrix, float]:
-    """Read a matrix file, returning (matrix, max asymmetry before averaging)."""
+    """Read a matrix file, returning (matrix, max asymmetry before averaging).
+
+    While the file's bytes equal those of the previous successful call, that
+    call's result is returned again.  Its entries are read-only, so no caller
+    can change what the next one gets.
+    """
+    global _last
+    import hashlib  # here, to keep it off every other subcommand's start-up
+    import io
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digest = hashlib.sha256(data).digest()
+    if digest == _last[0]:
+        return _last[1]
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
+        lines = io.TextIOWrapper(io.BytesIO(data),
+                                 encoding="utf-8-sig").readlines()
     except UnicodeDecodeError:
-        raise MatrixParseError("not UTF-8 text", _undecodable_line(path)) from None
+        raise MatrixParseError("not UTF-8 text", _undecodable_line(data)) from None
+    del data  # no copy of the file stays alive through the parse
     if lines and lines[0].startswith("%%MatrixMarket"):
         m = _parse_matrix_market(lines)
     else:
@@ -35,13 +54,14 @@ def parse_matrix_file(path: str) -> tuple[SymMatrix, float]:
         asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if asym == math.inf:
         raise MatrixParseError("asymmetry max |M - M^T| overflows", len(lines))
-    return symmetrize(m), asym
+    mat = symmetrize(m)
+    mat.entries.flags.writeable = False
+    _last = digest, (mat, asym)
+    return mat, asym
 
 
-def _undecodable_line(path: str) -> int:
-    """Number of the line holding the file's first byte that is not UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _undecodable_line(data: bytes) -> int:
+    """Number of the line holding the first byte of data that is not UTF-8."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import tracebounds
 import tracebounds.cli as cli
 import tracebounds.linalg as linalg
+import tracebounds.matio as matio
 import tracebounds.wishart as wishart_module
 from conftest import make_trials_singular
 from tracebounds.approx import ApproxTarget, _grid_sup_error, series_poly, sup_error
@@ -601,6 +602,82 @@ class TestMatrixFiles:
         back, asym = parse_matrix_file(f)
         np.testing.assert_allclose(back.entries, w.entries, atol=1e-12)
 
+    # The parse memo.  Each test's matrices hold bytes no other test writes,
+    # so its first parse cannot hit what an earlier test left.
+
+    @pytest.fixture
+    def raw_parses(self, monkeypatch):
+        """The list of line counts passed to matio._parse_raw, one per parse."""
+        calls = []
+        parse = matio._parse_raw
+
+        def counted(lines):
+            calls.append(len(lines))
+            return parse(lines)
+
+        monkeypatch.setattr(matio, "_parse_raw", counted)
+        return calls
+
+    def test_same_bytes_under_another_path_parse_once(self, tmp_path, capsys,
+                                                      raw_parses):
+        text = "3\n4 1 0\n1.5 3 0.5\n0 0.5 2.0625\n"
+        paths = [tmp_path / "a.txt", tmp_path / "b.txt"]
+        outs = []
+        for f in paths:
+            f.write_text(text)
+            assert run(["trace", "--matrix", str(f), "--backend", "exact",
+                        "--probes", "8", "--seed", "1"]) == 0
+            outs.append(capsys.readouterr().out.replace(str(f), "M"))
+        assert raw_parses == [4]
+        assert outs[0] == outs[1]
+        (a, asym_a), (b, asym_b) = (parse_matrix_file(f) for f in paths)
+        assert raw_parses == [4]
+        np.testing.assert_array_equal(a.entries, b.entries)
+        assert asym_a == asym_b == 0.5
+
+    def test_file_rewritten_in_place_is_parsed_again(self, tmp_path, raw_parses):
+        f = tmp_path / "m.txt"
+        f.write_text("2\n3.0625 1\n1 2\n")
+        first, _ = parse_matrix_file(f)
+        before = f.stat()
+        f.write_text("2\n3.0625 1\n1 5\n")
+        os.utime(f, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert f.stat().st_size == before.st_size
+        assert f.stat().st_mtime_ns == before.st_mtime_ns
+        second, _ = parse_matrix_file(f)
+        assert raw_parses == [3, 3]
+        np.testing.assert_array_equal(first.entries, [[3.0625, 1.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(second.entries, [[3.0625, 1.0], [1.0, 5.0]])
+
+    @pytest.mark.parametrize("good_text, text, line, message", [
+        ("2\n1.125 0\n0 1\n", "2\n1.125 0\n0 x\n", 3, "bad entry 'x'"),
+        ("2\n1.25 0\n0 1\n", "2\n1.25 1e308\n-1e308 1\n", 3,
+         "asymmetry max |M - M^T| overflows"),
+    ])
+    def test_failed_parse_is_not_kept(self, tmp_path, raw_parses, good_text,
+                                      text, line, message):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text(good_text)
+        bad.write_text(text)
+        kept = parse_matrix_file(good)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(MatrixParseError) as exc:
+                parse_matrix_file(bad)
+            errors.append((str(exc.value), exc.value.line))
+        assert errors == [(f"line {line}: {message}", line)] * 2
+        assert parse_matrix_file(good)[0] is kept[0]
+        assert raw_parses == [3, 3, 3]
+
+    def test_returned_entries_are_read_only(self, tmp_path):
+        f = tmp_path / "m.txt"
+        f.write_text("2\n7.0625 0\n0 1\n")
+        for _ in range(2):  # the parse, then the kept result
+            mat, _ = parse_matrix_file(f)
+            with pytest.raises(ValueError, match="read-only"):
+                mat.entries[0, 0] = 0.0
+            np.testing.assert_array_equal(mat.entries, np.diag([7.0625, 1.0]))
+
 
 class TestTrace:
     def test_gen_spd_json_report(self, tmp_path):
@@ -775,14 +852,15 @@ DIGEST = Path(__file__).resolve().parents[1] / "tools" / "cli_digest.py"
 
 
 def test_digest_lines_do_not_depend_on_invocation_order(tmp_path, monkeypatch):
-    # The forward pass writes p.json, which the reversed pass reads early.
+    # The reversed pass runs first, so no line reads a file that an earlier
+    # line wrote; the matrix lines meet the parse memo in other states.
     spec = importlib.util.spec_from_file_location("cli_digest", DIGEST)
     digest = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digest)
     monkeypatch.chdir(tmp_path)
-    digest.write_inputs()
-    forward = digest.digest_lines(main)
+    digest.write_inputs(main)
     backward = digest.digest_lines(main, digest.INVOCATIONS[::-1])
+    forward = digest.digest_lines(main)
     assert backward[::-1] == forward
     assert {line.split("\t")[1] for line in forward} == {"0", "2", "3", "4"}
 

@@ -1,8 +1,10 @@
 """Record the benchmark's end-to-end metrics for one or more checkouts.
 
-    python3 tools/bench_record.py --out BENCH.json LABEL=CHECKOUT ...
+    python3 tools/bench_record.py --out BENCH.json [--workload W ...]
+        [--seeds A-B] LABEL=CHECKOUT ...
 
-For every workload and each of the seeds 1-5 it runs, in each checkout,
+For each workload (default: every one) and each seed (default: 1-5) it
+runs, in each checkout,
 
     python3 bench/run.py --workload W --seed S --seconds 16 --trace 0
 
@@ -30,7 +32,6 @@ import sys
 from pathlib import Path
 
 METRICS = ("setup_s", "op_s.p50", "op_s.tail", "peak_rss_mb")
-SEEDS = (1, 2, 3, 4, 5)
 HERE = Path(__file__).resolve().parents[1]
 
 
@@ -80,13 +81,30 @@ def environment() -> dict:
             "cpu_count": os.cpu_count()}
 
 
+def seed_range(text: str) -> list[int]:
+    """The seeds A..B, both included, of "A-B"."""
+    first, sep, last = text.partition("-")
+    try:
+        seeds = list(range(int(first), int(last) + 1))
+    except ValueError:
+        seeds = []
+    if not sep or not seeds:
+        raise argparse.ArgumentTypeError(f"expected A-B with A <= B, got {text!r}")
+    return seeds
+
+
 def main(argv=None) -> int:
+    spec = json.loads((HERE / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--out", required=True)
+    p.add_argument("--workload", action="append", choices=names,
+                   help="a workload to run (repeatable; default: every one)")
+    p.add_argument("--seeds", type=seed_range, default=seed_range("1-5"),
+                   metavar="A-B", help="the seeds A..B (default: 1-5)")
     p.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
     args = p.parse_args(argv)
-    spec = json.loads((HERE / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in spec["workloads"]]
+    workloads = [w for w in names if w in (args.workload or names)]
     seconds = spec["run_seconds"]
     checkouts = {}
     for item in args.checkouts:
@@ -97,7 +115,7 @@ def main(argv=None) -> int:
     runs = {label: {w: [] for w in workloads} for label in checkouts}
     labels = list(checkouts)
     for w in workloads:
-        for i, seed in enumerate(SEEDS):
+        for i, seed in enumerate(args.seeds):
             shift = i % len(labels)
             for label in labels[shift:] + labels[:shift]:
                 record = run_once(checkouts[label], w, seed, seconds)
@@ -109,7 +127,7 @@ def main(argv=None) -> int:
     report = {
         "command": "python3 bench/run.py --workload W --seed S "
                    f"--seconds {seconds:g} --trace 0",
-        "seeds": list(SEEDS),
+        "seeds": args.seeds,
         "environment": environment(),
         "checkouts": {
             label: {"git": describe(path),

@@ -6,8 +6,9 @@ sha256 of stdout.
 
 runs the ``tracebounds`` package under ``REPO/src`` (default: this
 checkout) in process.  The invocations cover every subcommand, both
-``--format`` values and the usage-error (2), assertion (3) and I/O (4)
-exits.  They run in a fresh temporary directory and name their input files
+``--format`` values, the usage-error (2), assertion (3) and I/O (4)
+exits, and a matrix read again as a copy and with one digit changed.  They
+run in a fresh temporary directory and name their input files
 by relative paths, so the config lines, and hence the digests, do not depend
 on where the tool runs.  Diffing the output of two checkouts shows whether
 they print the same bytes for the same seed.
@@ -27,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 RAW = "3\n4 1 0\n1 3 0.5\n0 0.5 2\n"
+# RAW with one digit changed: the same size, other bytes.
+RAW2 = RAW.replace("4 1 0", "5 1 0")
 MTX = """%%MatrixMarket matrix coordinate real symmetric
 3 3 4
 1 1 4
@@ -58,6 +61,12 @@ BOM = b"\xef\xbb\xbf"
 NO_CERT = {"interval": [1.0, 16.0], "coeffs": [0.5]}
 COEFFS_2D = dict(FALSE_CERT, coeffs=[[1.0, 2.0], [3.0, 4.0]])
 
+# The `poly error --poly p.json` lines read what this build writes.
+# write_inputs runs it too, so those lines do not depend on the order of the
+# invocations.
+BUILD_P = ["poly", "build", "--func", "invsqrt", "--kappa", "16", "--delta",
+           "0.1", "--out", "p.json"]
+
 WISHART = {
     "eigcdf": ["--d", "8", "--trials", "50", "--x", "0.04,0.64"],
     "lmax": ["--d", "8", "--trials", "50", "--t", "0,0.5"],
@@ -70,8 +79,7 @@ INVOCATIONS = [
     ["poly", "build", "--func", "inv", "--kappa", "16", "--delta", "0.1"],
     ["poly", "build", "--func", "invsqrt", "--kappa", "9", "--delta", "0.05",
      "--grid", "512"],
-    ["poly", "build", "--func", "invsqrt", "--kappa", "16", "--delta", "0.1",
-     "--out", "p.json"],
+    BUILD_P,
     ["poly", "error", "--poly", "p.json"],
     ["poly", "error", "--poly", "p.json", "--grid", "9000"],
     ["poly", "error", "--poly", "false.json"],
@@ -152,6 +160,11 @@ INVOCATIONS = [
      "--kappa", "16", "--probes", "64", "--seed", "1"],
     ["frobnicate"],
     ["verify"],
+    # A parse of m.txt, then of a byte-identical copy, then of a file of the
+    # same size with one digit changed.
+    *[["trace", "--matrix", name, "--backend", "lanczos", "--m", "3",
+       "--probes", "8", "--seed", "7"]
+      for name in ("m.txt", "mcopy.txt", "m2.txt")],
 ]
 
 
@@ -183,9 +196,12 @@ def digest_lines(main, invocations=INVOCATIONS) -> list[str]:
     return lines
 
 
-def write_inputs():
-    """Write the invocations' input files into the current directory."""
+def write_inputs(main):
+    """Write the invocations' input files into the current directory; p.json
+    is written by running BUILD_P through ``main``."""
     Path("m.txt").write_text(RAW)
+    Path("mcopy.txt").write_text(RAW)
+    Path("m2.txt").write_text(RAW2)
     Path("m.mtx").write_text(MTX)
     Path("false.json").write_text(json.dumps(FALSE_CERT))
     Path("badcert.json").write_text(json.dumps(BAD_CERT))
@@ -199,6 +215,8 @@ def write_inputs():
     Path("bom.mtx").write_bytes(BOM + MTX.encode())
     Path("bomfalse.json").write_bytes(BOM + json.dumps(FALSE_CERT).encode())
     Path("spd100.txt").write_text(spd100_raw())
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(BUILD_P)
 
 
 def main() -> int:
@@ -210,7 +228,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            write_inputs()
+            write_inputs(cli_main)
             lines = digest_lines(cli_main)
         finally:
             os.chdir(here)
