@@ -84,17 +84,19 @@ def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
     _lanczos_block.
 
     Each chunk holds the same columns of every operator.  Its projections
-    T, cut to the chunk's longest run, are eigensolved as one stack under
-    the sym_eigen residual contract: a column that stopped after fewer
+    T are cut to the chunk's longest run: a column that stopped after fewer
     steps s has its T padded past step s with alpha[s-1] * I.  That value
     lies between the column's smallest and largest Ritz values, so f(T) e_1
     is the s x s answer, f sees no value outside the s x s range, and the
-    tolerance scale is unchanged.  Chunks share no state: f is applied to
-    each operator's Ritz values in every chunk, and an operator whose
-    values f rejects with SpectrumError keeps running, and being charged,
-    in later chunks, as in its solo run.  errors[t] holds the first such
-    error, and then all of operator t's columns read NaN; it is None for
-    an operator f never rejected.
+    tolerance scale is unchanged.  For f = "inv", T^-1 e_1 is read from the
+    backward pivots of T (see _inv_e1); an operator with a nonpositive
+    pivot in the chunk is not positive definite and, like every operator
+    for any other f, has its T's eigensolved as one stack under the
+    sym_eigen residual contract and f applied to its Ritz values.  Chunks
+    share no state: an operator whose values f rejects with SpectrumError
+    keeps running, and being charged, in later chunks, as in its solo run.
+    errors[t] holds the first such error, and then all of operator t's
+    columns read NaN; it is None for an operator f never rejected.
     """
     g, d, k = z.shape
     if np.any(np.linalg.norm(z, axis=1) == 0.0):
@@ -107,26 +109,73 @@ def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
         q, alpha, beta, steps, znorm = _lanczos_block(
             matvec, z[:, :, c0 : c0 + width], m, breakdown_tol)
         s = int(steps.max())
-        diag = np.arange(s)
         last = np.take_along_axis(alpha, steps[..., None] - 1, -1)
-        t = np.zeros(alpha.shape[:-1] + (s, s))
-        t[..., diag, diag] = np.where(diag < steps[..., None], alpha[..., :s], last)
-        t[..., diag[1:], diag[:-1]] = t[..., diag[:-1], diag[1:]] = beta[..., : s - 1]
-        vals, vecs = eigh_checked(t)
-        fvals = np.zeros_like(vals)
-        for i in range(g):
-            try:
-                fvals[i] = apply_scalar_function(f, vals[i])
-            except SpectrumError as exc:
-                errors[i] = errors[i] or exc
-        # f(T) e_1 = V f(Lambda) V^T e_1, then Q f(T) e_1 per column.
-        core = vecs @ (fvals * vecs[..., 0, :])[..., None]
+        diag = np.where(np.arange(s) < steps[..., None], alpha[..., :s], last)
+        off = beta[..., : s - 1]
+        if f == "inv":
+            core, eig = _inv_e1(diag, off)
+        else:
+            core, eig = np.empty(diag.shape + (1,)), np.ones(g, dtype=bool)
+        if eig.any():
+            core[eig], rejected = _eigen_e1(diag[eig], off[eig], f)
+            for t, exc in zip(np.flatnonzero(eig), rejected):
+                errors[t] = errors[t] or exc
+        # Q f(T) e_1 per column.
         y = (core.swapaxes(-1, -2) @ q[:, :, :s])[..., 0, :]
         out[:, :, c0 : c0 + width] = (znorm[..., None] * y).swapaxes(1, 2)
         mvps += int(np.sum(steps))
         del q  # free this chunk's basis before the next chunk allocates one
     out[[e is not None for e in errors]] = np.nan
     return out, mvps, errors
+
+
+def _inv_e1(diag: np.ndarray, off: np.ndarray):
+    """(T^-1 e_1 as a ... x s x 1 stack, g-mask of operators to eigensolve)
+    for the tridiagonals T of a g x c x s stack of diagonals and
+    g x c x (s-1) off-diagonals.
+
+    T = U D U^T with U unit upper bidiagonal: the backward pivots are
+    delta_s = alpha_s, delta_j = alpha_j - beta_j^2 / delta_(j+1), and
+    x_1 = 1 / delta_1, x_(j+1) = -beta_j x_j / delta_(j+1) gives
+    x = T^-1 e_1 in O(s) (Golub & Meurant, Matrices, Moments and
+    Quadrature, 2010, ch. 3).  By Sylvester's law of inertia T is positive
+    definite iff every pivot is positive; an operator with a pivot that is
+    not (NaN included) in any of its columns is flagged, and its rows of the
+    result are left for the eigen route.
+    """
+    s = diag.shape[-1]
+    delta = np.empty_like(diag)
+    x = np.empty_like(diag)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta[..., s - 1] = diag[..., s - 1]
+        for j in range(s - 2, -1, -1):
+            delta[..., j] = diag[..., j] - off[..., j] ** 2 / delta[..., j + 1]
+        x[..., 0] = 1.0 / delta[..., 0]
+        for j in range(s - 1):
+            x[..., j + 1] = -off[..., j] * x[..., j] / delta[..., j + 1]
+    eig = ~np.all(delta > 0.0, axis=(-2, -1))
+    return x[..., None], eig
+
+
+def _eigen_e1(diag: np.ndarray, off: np.ndarray, f):
+    """(f(T) e_1 as a ... x s x 1 stack, per-row errors), by one stacked
+    eigensolve of the tridiagonals T given as in _inv_e1.  errors[i] is
+    the SpectrumError f raised on row i's Ritz values, or None."""
+    s = diag.shape[-1]
+    idx = np.arange(s)
+    t = np.zeros(diag.shape + (s,))
+    t[..., idx, idx] = diag
+    t[..., idx[1:], idx[:-1]] = t[..., idx[:-1], idx[1:]] = off
+    vals, vecs = eigh_checked(t)
+    fvals = np.zeros_like(vals)
+    errors = [None] * len(vals)
+    for i in range(len(vals)):
+        try:
+            fvals[i] = apply_scalar_function(f, vals[i])
+        except SpectrumError as exc:
+            errors[i] = exc
+    # f(T) e_1 = V f(Lambda) V^T e_1.
+    return vecs @ (fvals * vecs[..., 0, :])[..., None], errors
 
 
 def _sym_args(a: SymMatrix, z: np.ndarray, m: int):

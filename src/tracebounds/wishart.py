@@ -564,11 +564,15 @@ class HutchinsonKrylov:
         # rademacher(g, d) draws.
         z = np.stack([rademacher(g, nv * d).reshape(nv, d) for g in rngs])
         z = z.transpose(0, 2, 1)
-        y, _, errors = fa_times_vec_oracle(oracle.matvec, d, z, self.m, f)
+        # At p = 1 the "inv" tag reads T^-1 e_1 from T's pivots, with no
+        # eigensolve; its rejections name the same smallest Ritz value.
+        y, _, errors = fa_times_vec_oracle(oracle.matvec, d, z, self.m,
+                                           "inv" if p == 1 else f)
         out = []
         for zt, yt, error in zip(z, y, errors):
             qforms = np.einsum("ij,ij->j", zt, yt)
-            out.append(float(np.mean(qforms)) if error is None else error)
+            out.append(float(np.mean(qforms)) if error is None
+                       else SpectrumError(error.value))
         return out
 
     def describe(self) -> str:

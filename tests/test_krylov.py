@@ -182,6 +182,69 @@ class TestFaTimesVec:
             assert lan_err <= min(certs) * (1 + 1e-6)
 
 
+def reciprocal_or_raise(vals):
+    """1 / vals through a callable, which takes the eigen route; raises
+    SpectrumError naming the smallest value as the "inv" tag does."""
+    smallest = float(np.min(vals))
+    if smallest <= 0:
+        raise SpectrumError(smallest)
+    return 1.0 / vals
+
+
+class TestInvPivots:
+    """f = "inv" reads T^-1 e_1 from T's backward pivots; every other f,
+    callables included, eigensolves T."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=40),
+           st.floats(min_value=1.0, max_value=1e6), st.integers(min_value=0, max_value=10 ** 6))
+    def test_pivots_match_the_eigen_route(self, d, m, kappa, seed):
+        m = min(m, d)
+        rng = RngState(seed)
+        a = sample_spd_with_spectrum(d, kappa, rng.child(0))
+        z = rng.child(1).standard_normal((d, 3))
+        got, steps = fa_times_vec_lanczos(a, z, m, "inv")
+        want, want_steps = fa_times_vec_lanczos(a, z, m, lambda v: 1.0 / v)
+        assert steps == want_steps
+        err = np.linalg.norm(got - want, axis=0)
+        assert np.all(err <= 1e-12 * kappa * np.linalg.norm(want, axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=40), st.floats(min_value=1.0, max_value=1e6),
+           st.integers(min_value=0, max_value=10 ** 6))
+    def test_full_space_is_the_dense_solve(self, d, kappa, seed):
+        # The forward error of either solve grows like kappa d eps, so the
+        # 1e-10 bound is widened once kappa d passes 1e5.
+        rng = RngState(seed)
+        a = sample_spd_with_spectrum(d, kappa, rng.child(0))
+        z = rng.child(1).standard_normal((d, 3))
+        got, _ = fa_times_vec_lanczos(a, z, d, "inv")
+        want = np.linalg.solve(a.entries, z)
+        rtol = max(1e-10, 1e-15 * kappa * d)
+        err = np.linalg.norm(got - want, axis=0)
+        assert np.all(err <= rtol * np.linalg.norm(want, axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=40),
+           st.floats(min_value=2.0, max_value=1e6), st.integers(min_value=0, max_value=10 ** 6))
+    def test_indefinite_operator_raises_the_eigen_routes_value(self, d, m, kappa, seed):
+        # Shift B's spectrum [1, kappa] down past every probe's Rayleigh
+        # quotient but not past kappa: A is indefinite, and every alpha_1,
+        # hence the smallest Ritz value, is negative.
+        m = min(m, d)
+        rng = RngState(seed)
+        b = sample_spd_with_spectrum(d, kappa, rng.child(0)).entries
+        z = rng.child(1).standard_normal((d, 3))
+        quotient = float(np.max(np.einsum("ij,ij->j", z, b @ z) / np.sum(z * z, axis=0)))
+        assume(quotient < kappa)
+        a = SymMatrix(b - (quotient + kappa) / 2.0 * np.eye(d))
+        with pytest.raises(SpectrumError) as got:
+            fa_times_vec_lanczos(a, z, m, "inv")
+        with pytest.raises(SpectrumError) as want:
+            fa_times_vec_lanczos(a, z, m, reciprocal_or_raise)
+        assert got.value.value == want.value.value < 0
+
+
 def poly_times_vec(a, p, z):
     """p(A) z through the block Clenshaw as a d x 1 block."""
     y, mvps = poly_times_block(a, p, z[:, None])

@@ -625,7 +625,8 @@ def solo_exact(oracle, p, g):
 
 
 def solo_hutchinson(nv, m):
-    """Reference: one trial of HutchinsonKrylov(nv, m) alone."""
+    """Reference: one trial of HutchinsonKrylov(nv, m) alone, with the
+    same f: the "inv" tag at p = 1, the callable vals ** -p otherwise."""
     def solo(oracle, p, g):
         def f(vals):
             smallest = float(np.min(vals))
@@ -635,9 +636,10 @@ def solo_hutchinson(nv, m):
 
         d = oracle.dim
         z = rademacher(g, nv * d).reshape(nv, d).T
-        y, _, (error,) = fa_times_vec_oracle(oracle.matvec, d, z[None], m, f)
+        y, _, (error,) = fa_times_vec_oracle(oracle.matvec, d, z[None], m,
+                                             "inv" if p == 1 else f)
         if error is not None:
-            raise error
+            raise SpectrumError(error.value)
         return float(np.mean(np.einsum("ij,ij->j", z, y[0])))
     return solo
 
@@ -796,23 +798,26 @@ class TestQueryGame:
         assert [r.queries_used for r in res.records] == [6, 6]
         assert all(r.error is not None and not r.success for r in res.records)
 
-    @pytest.mark.parametrize("algorithm, solo, d, budget", [
-        (HutchinsonKrylov(8, 32), solo_hutchinson(8, 32), 64, 256),
-        (HutchinsonKrylov(1, 32), solo_hutchinson(1, 32), 64, 32),
-        (ExactRecovery(), solo_exact, 64, 64),
-    ], ids=["algorithm0-64-256", "algorithm1-64-32", "algorithm2-64-64"])
+    @pytest.mark.parametrize("algorithm, solo, d, budget, p", [
+        (HutchinsonKrylov(8, 32), solo_hutchinson(8, 32), 64, 256, 1.0),
+        (HutchinsonKrylov(1, 32), solo_hutchinson(1, 32), 64, 32, 1.0),
+        (ExactRecovery(), solo_exact, 64, 64, 1.0),
+        # p != 1 takes the eigen route, not the pivot readout.
+        (HutchinsonKrylov(8, 32), solo_hutchinson(8, 32), 64, 256, 1.5),
+    ], ids=["algorithm0-64-256", "algorithm1-64-32", "algorithm2-64-64",
+            "algorithm0-64-256-p1.5"])
     @pytest.mark.parametrize("stacks, extra", [(0, 1), (1, -1), (1, 0), (1, 1),
                                                (2, 1)])
     def test_stacked_game_matches_one_trial_at_a_time(self, algorithm, solo, d,
-                                                     budget, stacks, extra):
+                                                     budget, p, stacks, extra):
         # stacks * k + extra trials: 1, k - 1, k, k + 1 and 2k + 1 around
         # the stack size k (4 for 8 probes, 16 for 1 probe and for exact).
         # A single probe takes other memory layouts than a block of them.
         width = max(d, algorithm.queries(d))
         k = wishart_module._GAME_STACK_BYTES // (8 * d * width)
         trials = stacks * k + extra
-        res = query_game(d, 1.0, 2.0, algorithm, budget, trials, RngState(92))
-        ref = one_trial_at_a_time_game(d, 1.0, 2.0, solo, budget, trials,
+        res = query_game(d, p, 2.0, algorithm, budget, trials, RngState(92))
+        ref = one_trial_at_a_time_game(d, p, 2.0, solo, budget, trials,
                                        RngState(92))
         assert record_bytes(res.records) == record_bytes(ref)
         assert res.success_count == sum(r.success for r in ref)

@@ -1,23 +1,28 @@
 """Record the benchmark's end-to-end metrics for one or more checkouts.
 
     python3 tools/bench_record.py --out BENCH.json [--workload W ...]
-        [--seeds A-B] LABEL=CHECKOUT ...
+        [--seeds A-B] [--trace 0|1] [--add] LABEL=CHECKOUT ...
 
 For each workload (default: every one) and each seed (default: 1-5) it
 runs, in each checkout,
 
-    python3 bench/run.py --workload W --seed S --seconds 16 --trace 0
+    python3 bench/run.py --workload W --seed S --seconds 16 --trace T
 
-and parses the JSON object on the last line of stdout.  The checkouts take
-turns: the order in which they run rotates by one from each seed to the
-next, so with two checkouts each runs first on every other seed.  The
+(T from --trace, default 0; at 1 a run reports the per-layer metrics in
+place of the end-to-end ones) and parses the JSON object on the last line
+of stdout.  The checkouts take turns: the order in which they run rotates
+by one from each seed to the next, so with two checkouts each runs first
+on every other seed.  The
 output file holds, per checkout and workload, the median, q1 and q3 over
-the seeds of ``setup_s``, ``op_s.p50``, ``op_s.tail`` and ``peak_rss_mb``,
+the seeds of each metric a run reports (``setup_s``, ``op_s.p50``,
+``op_s.tail`` and ``peak_rss_mb`` at --trace 0, the per-layer metrics at 1),
 the attempted and failed op counts summed over the seeds, and every run's
 raw record; per checkout its ``git describe --always --dirty``; and the
 environment: Python, numpy, the BLAS numpy was built with, and the CPU
 count.  The workloads and the run length (16 s) are those of
-``BENCHMARK.json`` at the root of this checkout.
+``BENCHMARK.json`` at the root of this checkout.  With --add the report
+is appended to the list ``more`` of the existing file --out names, so one
+file can hold several seed ranges or trace modes.
 """
 
 from __future__ import annotations
@@ -31,15 +36,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("setup_s", "op_s.p50", "op_s.tail", "peak_rss_mb")
+#: The op time a run reports, by its --trace value.
+OP_P50 = {0: "op_s.p50", 1: "trace.untraced_op_s_p50"}
 HERE = Path(__file__).resolve().parents[1]
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py --trace 0`` run: its last stdout line, parsed."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """One ``bench/run.py`` run: its last stdout line, parsed."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -58,8 +65,8 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     summary = {name: quartiles([r["metrics"][name]["value"] for r in runs])
-               for name in METRICS}
-    summary["units"] = {name: runs[0]["metrics"][name]["unit"] for name in METRICS}
+               for name in runs[0]["metrics"]}
+    summary["units"] = {name: m["unit"] for name, m in runs[0]["metrics"].items()}
     summary["attempted"] = sum(r["attempted"] for r in runs)
     summary["failed"] = sum(r["failed"] for r in runs)
     summary["all_correct"] = all(r["correct"] for r in runs)
@@ -102,6 +109,11 @@ def main(argv=None) -> int:
                    help="a workload to run (repeatable; default: every one)")
     p.add_argument("--seeds", type=seed_range, default=seed_range("1-5"),
                    metavar="A-B", help="the seeds A..B (default: 1-5)")
+    p.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                   help="bench/run.py --trace value (default: 0)")
+    p.add_argument("--add", action="store_true",
+                   help="append the report to the list 'more' of the "
+                        "existing --out file")
     p.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
     args = p.parse_args(argv)
     workloads = [w for w in names if w in (args.workload or names)]
@@ -118,15 +130,17 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             shift = i % len(labels)
             for label in labels[shift:] + labels[:shift]:
-                record = run_once(checkouts[label], w, seed, seconds)
+                record = run_once(checkouts[label], w, seed, seconds,
+                                  args.trace)
                 record["seed"] = seed
                 runs[label][w].append(record)
-                p50 = record["metrics"]["op_s.p50"]["value"]
-                print(f"{w} seed {seed} {label}: op_s.p50 {p50:.4f} s",
+                p50 = record["metrics"][OP_P50[args.trace]]["value"]
+                print(f"{w} seed {seed} {label}: {OP_P50[args.trace]} "
+                      f"{p50:.4f} s",
                       file=sys.stderr)
     report = {
         "command": "python3 bench/run.py --workload W --seed S "
-                   f"--seconds {seconds:g} --trace 0",
+                   f"--seconds {seconds:g} --trace {args.trace}",
         "seeds": args.seeds,
         "environment": environment(),
         "checkouts": {
@@ -135,6 +149,10 @@ def main(argv=None) -> int:
                                   for w, rs in runs[label].items()}}
             for label, path in checkouts.items()},
     }
+    if args.add:
+        base = json.loads(Path(args.out).read_text())
+        base.setdefault("more", []).append(report)
+        report = base
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
     return 0
 

@@ -165,6 +165,14 @@ INVOCATIONS = [
     *[["trace", "--matrix", name, "--backend", "lanczos", "--m", "3",
        "--probes", "8", "--seed", "7"]
       for name in ("m.txt", "mcopy.txt", "m2.txt")],
+    # The bench-sized game at p = 1 reads T^-1 e_1 from T's pivots; at
+    # p = 1.5 it eigensolves T.
+    *[["wishart", "game", "--d", "64", "--algo", "hutch", "--nv", "8", "--m",
+       "32", "--budget", "256", "--trials", "20", "--seed", "9", *p,
+       "--format", "csv"]
+      for p in ([], ["--p", "1.5"])],
+    # m = d: the Krylov space of every probe is exhausted.
+    ["trace", "--matrix", "m.txt", "--backend", "lanczos", "--m", "3"],
 ]
 
 
