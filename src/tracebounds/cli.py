@@ -114,8 +114,8 @@ _OUTPUT_ONLY = {"out", "no_quadratic_forms"}
 
 def _config(args) -> dict:
     """The run's record: the subcommand, every parsed flag in parser order
-    except the output-only ones, then the thread count.  Trials run on one
-    thread; the field keeps the documented config keys."""
+    except the output-only ones, then `threads: 1`: one output for any
+    thread count, as if on one thread; the field keeps the config keys."""
     flags = dict(vars(args))
     del flags["handler"]
     name = [flags.pop("command"), flags.pop("subcommand", None)]

@@ -257,27 +257,52 @@ def bidiagonal_singular_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     relative accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 1990).
     It is where LAPACK's dense SVD (gesdd) ends on a bidiagonal input,
     whose reduction reflectors are identities, so the values are those of
-    np.linalg.svd of the dense bidiagonal, bit for bit.  Raises
-    EigenConvergenceError when dlasq1 reports INFO != 0; where gesdd's
-    dbdsqr would finish a stalled dqds (INFO = 2) by QR sweeps, this raises.
+    np.linalg.svd of the dense bidiagonal, bit for bit.  The calls run in
+    min(k, OpenBLAS threads) contiguous ranges, the first on the caller and
+    one thread on each other (ctypes releases the GIL); a call touches only
+    its row, so the split changes no value.  Raises EigenConvergenceError
+    for the lowest bidiagonal whose INFO != 0; where gesdd's dbdsqr would
+    finish a stalled dqds (INFO = 2) by QR sweeps, this raises.
     """
     k, d = a.shape
     # dlasq1 overwrites d with the singular values and e, of length d, with
-    # scratch; both are C-contiguous k x d copies made here.
+    # scratch; both are C-contiguous k x d copies made here.  Each range
+    # gets its own work and info, made here too, so no worker allocates.
     sigma = np.array(a, dtype=np.float64, order="C")
     e = np.zeros((k, d))
     e[:, :d - 1] = b
-    work = np.empty(4 * d)
     fn, index = _dlasq1()
-    n, info = index(d), index(0)
-    row = 8 * d
+    width = max(1, min(k, _blas_thread_control()[0]()))
+    work, infos = np.empty((width, 4 * d)), [index(0) for _ in range(width)]
+    n, row, failed, raised, started = index(d), 8 * d, [], [], []
     ps, pe, pw = sigma.ctypes.data, e.ctypes.data, work.ctypes.data
-    for i in range(k):
-        fn(n, ps + i * row, pe + i * row, pw, info)
-        if info.value:
-            raise EigenConvergenceError(
-                np.inf, f"bidiagonal qd (dlasq1) did not converge on "
-                f"bidiagonal {i}: INFO = {info.value}")
+
+    def solve(j):
+        try:
+            for i in range(k * j // width, k * (j + 1) // width):
+                fn(n, ps + i * row, pe + i * row, pw + j * 4 * row, infos[j])
+                if infos[j].value:
+                    failed.append((i, infos[j].value))
+                    return
+        except BaseException as exc:     # re-raised after the join
+            raised.append(exc)
+
+    try:
+        for j in range(1, width):
+            thread = threading.Thread(target=solve, args=(j,))
+            thread.start()
+            started.append(thread)
+        solve(0)
+    finally:     # workers write through raw pointers into sigma, e and work
+        for thread in started:
+            thread.join()
+    if raised:
+        raise raised[0]
+    if failed:
+        i, code = min(failed)
+        raise EigenConvergenceError(
+            np.inf, f"bidiagonal qd (dlasq1) did not converge on "
+            f"bidiagonal {i}: INFO = {code}")
     return sigma
 
 

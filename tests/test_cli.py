@@ -286,10 +286,14 @@ def test_output_ignores_thread_environment():
     # The spectrum guard rejects this matrix (spectrum [1, 100]).
     ["trace", "--matrix", "spd100.txt", "--func", "inv", "--backend", "cheb",
      "--kappa", "16", "--probes", "64", "--seed", "1"],
+    # The benchmark's invtrace: its 200 dqds calls split over the threads.
+    ["wishart", "invtrace", "--d", "64", "--trials", "200", "--format", "csv",
+     "--seed", "5"],
 ])
 def test_output_ignores_blas_thread_count(argv, tmp_path):
     # From d ~ 224 on, LAPACK's eigensolve rounds differently on one and on
-    # two OpenBLAS threads; two threads need not mean two cores.
+    # two OpenBLAS threads; two threads need not mean two cores.  invtrace
+    # runs its dqds calls on as many Python threads as OpenBLAS has.
     write_spd100(tmp_path / "spd100.txt")
     outs = []
     for threads in ("1", "2"):

@@ -1,4 +1,5 @@
 import ctypes
+import sys
 import threading
 
 import numpy as np
@@ -29,6 +30,12 @@ from tracebounds.linalg import (
     symmetrize,
 )
 from tracebounds.rng import RngState
+
+
+def blas_threads(monkeypatch, width):
+    """Make linalg read `width` as OpenBLAS's thread count."""
+    monkeypatch.setattr(linalg, "_blas_thread_control",
+                        lambda: ((lambda: width), None))
 
 
 class TestSymMatrix:
@@ -206,19 +213,23 @@ class TestSymEigen:
     @pytest.mark.parametrize("code", [1, 2, 3, -201])
     def test_dlasq1_failure_raises_eigen_convergence_error(self, code,
                                                             monkeypatch):
-        # dlasq1 fails on the second of three bidiagonals.
-        calls = []
-
+        # dlasq1 fails on rows 1 and 2 of three bidiagonals, with different
+        # codes; the row is read from the diagonal the pointer points at.
+        # Under every width the error names the lowest failing row.
         def dlasq1(n, d, e, work, info):
-            calls.append(d)
-            info.value = code if len(calls) == 2 else 0
+            row = int(ctypes.c_double.from_address(d).value)
+            calls.append(row)
+            info.value = {1: code, 2: 7}.get(row, 0)
 
         monkeypatch.setattr(linalg, "_dlasq1", lambda: (dlasq1, ctypes.c_int64))
-        a, b = np.ones((3, 4)), np.ones((3, 3))
-        with pytest.raises(EigenConvergenceError,
-                           match=rf"bidiagonal 1: INFO = {code}$"):
-            linalg.bidiagonal_singular_values(a, b)
-        assert len(calls) == 2
+        a, b = np.arange(3.0)[:, None] * np.ones(4), np.ones((3, 3))
+        for width in (1, 2, 3):
+            calls = []
+            blas_threads(monkeypatch, width)
+            with pytest.raises(EigenConvergenceError,
+                               match=rf"bidiagonal 1: INFO = {code}$"):
+                linalg.bidiagonal_singular_values(a, b)
+            assert 1 in calls and len(calls) == len(set(calls))
 
 
     @pytest.mark.parametrize("k", [6, 3])
@@ -229,6 +240,94 @@ class TestSymEigen:
         got = sym_eigen(a).apply_function(lambda v: 1.0 / v, x)
         np.testing.assert_allclose(got, np.linalg.solve(a.entries, x),
                                    rtol=0, atol=1e-12)
+
+
+def dense_upper_bidiagonal(a, b):
+    k, d = a.shape
+    m = np.zeros((k, d, d))
+    m[:, np.arange(d), np.arange(d)] = a
+    m[:, np.arange(d - 1), np.arange(1, d)] = b
+    return m
+
+
+class TestBidiagonalSingularValues:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(1, 40), d=st.integers(1, 64),
+           width=st.sampled_from([1, 2, 3, 7]), seed=st.integers(0, 2**32 - 1))
+    def test_equal_to_dense_svd_at_every_width(self, k, d, width, seed):
+        # Any width gives np.linalg.svd's values of the dense bidiagonal,
+        # bit for bit, exact zeros on either diagonal included.
+        rng = np.random.default_rng(seed)
+        a, b = rng.standard_normal((k, d)), rng.standard_normal((k, d - 1))
+        a[rng.random(a.shape) < 0.1] = 0.0
+        b[rng.random(b.shape) < 0.1] = 0.0
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            blas_threads(monkeypatch, width)
+            got = linalg.bidiagonal_singular_values(a, b)
+        np.testing.assert_array_equal(
+            got, np.linalg.svd(dense_upper_bidiagonal(a, b), compute_uv=False))
+
+    @pytest.mark.parametrize("k, width", [
+        (1, 1), (1, 2), (1, 7), (5, 1), (5, 2), (5, 3), (2, 7), (40, 7)])
+    def test_starts_a_thread_per_range_after_the_first(self, k, width, monkeypatch):
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(linalg.threading, "Thread", Thread)
+        blas_threads(monkeypatch, width)
+        linalg.bidiagonal_singular_values(np.ones((k, 3)), np.ones((k, 2)))
+        assert len(started) <= min(k, width) - 1
+        if k == 1 or width == 1:
+            assert not started
+
+    def test_lowest_failing_range_wins_under_contention(self, monkeypatch):
+        # Six workers fail on the first row of their ranges at once, with
+        # thread switches forced often; a lost failure record of the first
+        # worker would name row 20 or later.
+        def dlasq1(n, d, e, work, info):
+            row = int(ctypes.c_double.from_address(d).value)
+            info.value = row + 1 if row >= 10 else 0
+
+        monkeypatch.setattr(linalg, "_dlasq1", lambda: (dlasq1, ctypes.c_int64))
+        blas_threads(monkeypatch, 7)
+        a, b = np.arange(70.0)[:, None] * np.ones(2), np.ones((70, 1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(100):
+                with pytest.raises(EigenConvergenceError,
+                                   match=r"bidiagonal 10: INFO = 11$"):
+                    linalg.bidiagonal_singular_values(a, b)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # Rows 2 and 3 of four run on the one worker at width 2; the
+        # caller's range waits until the worker has raised.
+        real, index = linalg._dlasq1()
+        raised = threading.Event()
+
+        def dlasq1(n, d, e, work, info):
+            row = int(ctypes.c_double.from_address(d).value)
+            if row == 3:
+                assert threading.current_thread() is not threading.main_thread()
+                raised.set()
+                raise RuntimeError("row 3")
+            if row == 0:
+                raised.wait(5)
+            real(n, d, e, work, info)
+
+        monkeypatch.setattr(linalg, "_dlasq1", lambda: (dlasq1, index))
+        blas_threads(monkeypatch, 2)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="row 3"):
+            linalg.bidiagonal_singular_values(
+                np.arange(4.0)[:, None] * np.ones(3), np.ones((4, 2)))
+        assert raised.is_set() and threading.active_count() == before
 
 
 class TestSampling:
