@@ -15,7 +15,9 @@ Algorithms via Approximation Theory* (2014), Thm 3.3: keep the Chebyshev
 coefficients of y^t up to degree ~sqrt(t log(1/delta)).  The exact
 coefficients of y^t come from those of y^(t-1) by one multiplication by y
 (y T_0 = T_1, y T_j = (T_(j-1) + T_(j+1)) / 2), so the whole series is one
-pass of halvings and sums of positive numbers.  Its degree is 1-3.5x the
+pass of halvings and sums of positive numbers.  The sum is re-expanded on
+[1, kappa] by the same DCT as the interpolant, with no BLAS call, so its
+bytes do not depend on the BLAS thread count.  Its degree is 1-3.5x the
 interpolant's for kappa in [2, 1024].
 
 Every returned polynomial also carries a grid-certified sup-norm error; a
@@ -42,44 +44,31 @@ DEGREE_LAW_CONSTANT = 4.0
 
 @dataclass(frozen=True)
 class ApproxTarget:
-    """Scalar function a polynomial is certified against.
-
-    kind is one of "inv_sqrt", "inv", "monomial".  kappa is the upper end
-    of the [1, kappa] interval (unused for monomial); s is the monomial
-    power.
-    """
+    """Scalar function a polynomial is certified against: x^{-1/2} (kind
+    "inv_sqrt") or 1/x (kind "inv") on [1, kappa]."""
 
     kind: str
-    kappa: float | None = None
+    kappa: float
     delta: float | None = None
-    s: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("inv_sqrt", "inv", "monomial"):
+        if self.kind not in ("inv_sqrt", "inv"):
             raise UsageError(f"unknown target kind {self.kind!r}")
-        if self.kind == "monomial":
-            if self.s is None or self.s < 1:
-                raise UsageError("monomial target needs integer s >= 1")
-        else:
-            if self.kappa is None or not 2 <= self.kappa < math.inf:
-                raise UsageError("need finite kappa >= 2")
-            if self.delta is not None and not 0 < self.delta < 0.5:
-                raise UsageError("need 0 < delta < 1/2")
+        if not 2 <= self.kappa < math.inf:
+            raise UsageError("need finite kappa >= 2")
+        if self.delta is not None and not 0 < self.delta < 0.5:
+            raise UsageError("need 0 < delta < 1/2")
 
     @property
     def scale(self) -> float:
         """Divisor of delta in the certified sup error: sqrt(kappa) for
-        inv_sqrt, kappa for inv.  Monomial targets have none."""
-        if self.kind == "monomial":
-            raise ValueError("monomial targets carry no certificate scale")
+        inv_sqrt, kappa for inv."""
         return math.sqrt(self.kappa) if self.kind == "inv_sqrt" else self.kappa
 
     def function(self):
         if self.kind == "inv_sqrt":
             return lambda x: x ** -0.5
-        if self.kind == "inv":
-            return lambda x: 1.0 / x
-        return lambda x, s=self.s: x ** s
+        return lambda x: 1.0 / x
 
 
 def _times_y(c: np.ndarray) -> np.ndarray:
@@ -109,6 +98,8 @@ def _compressed_degree(s: int, delta: float) -> int:
     return min(s, math.ceil(math.sqrt(2.0 * s * math.log(2.0 / delta))))
 
 
+# bench/tracing.py wraps approx.monomial_cheb_approx by name; keep it
+# importable.
 def monomial_cheb_approx(s: int, delta: float) -> ChebPoly:
     """Low-degree Chebyshev compression of x^s on [-1, 1].
 
@@ -187,22 +178,35 @@ def _series_sum(coeff_of_t, sub_delta_of_t, length: int) -> ChebPoly:
     return ChebPoly((-1.0, 1.0), acc)
 
 
+def _cheb_nodes(kappa: float, n: int) -> np.ndarray:
+    """The n + 1 points (kappa + 1) / 2 + (kappa - 1) / 2 cos(j pi / n) of
+    [1, kappa], computed as 1 + (kappa - 1) sin^2(pi (n - j) / (2n)):
+    accurate to a few eps relative to x also near x = 1."""
+    return 1.0 + (kappa - 1.0) * np.sin(np.pi * np.arange(n, -1, -1) / (2 * n)) ** 2
+
+
+def _cheb_coeffs(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the degree-n interpolant through the n + 1
+    values at _cheb_nodes: their DCT-I, taken as the real FFT of their even
+    extension.  O(n log n) time, O(n) memory and no BLAS call, so the bytes
+    do not depend on the BLAS thread count."""
+    n = len(values) - 1
+    coeffs = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
+    coeffs[[0, n]] /= 2.0
+    return coeffs
+
+
 def _rescale_to_interval(h: ChebPoly, kappa: float, scale: float) -> ChebPoly:
     """scale * h(x/kappa - 1) re-expanded on [1, kappa].
 
-    The composition is realized by Chebyshev interpolation at degree(h)+1
-    nodes of [1, kappa], which is exact for polynomials and avoids
-    power-basis blowup at high degree.
+    The composition is realized by Chebyshev interpolation at the
+    degree(h)+1 _cheb_nodes of [1, kappa], which is exact for polynomials
+    and avoids power-basis blowup at high degree; the result has degree
+    deg(h) by construction.
     """
-    deg = h.degree()
-    mid, half = (1.0 + kappa) / 2.0, (kappa - 1.0) / 2.0
-
-    def g(u):
-        x = mid + half * np.asarray(u)
-        return scale * _cheb.chebval(x / kappa - 1.0, h.coeffs)
-
-    coeffs = _cheb.chebinterpolate(g, deg)
-    return ChebPoly((1.0, kappa), coeffs).trimmed()
+    x = _cheb_nodes(kappa, h.degree())
+    values = scale * _cheb.chebval(x / kappa - 1.0, h.coeffs)
+    return ChebPoly((1.0, kappa), _cheb_coeffs(values))
 
 
 def _certify(p: ChebPoly, target: ApproxTarget) -> ChebPoly:
@@ -225,8 +229,6 @@ def series_poly(target: ApproxTarget) -> ChebPoly:
     follows the law O(sqrt(kappa) log(kappa/delta)), at 1-3.5x the degree
     of the interpolant that inv_poly and inv_sqrt_poly return.
     """
-    if target.kind not in ("inv_sqrt", "inv"):
-        raise UsageError(f"no series for target kind {target.kind!r}")
     kappa, delta = target.kappa, target.delta
     T = taylor_truncation_length(kappa, delta / 2.0)
     if target.kind == "inv_sqrt":
@@ -310,16 +312,11 @@ def sup_error_bound(target: ApproxTarget, degree: int) -> float:
 
 
 def _interpolant(kind: str, kappa: float, delta: float) -> ChebPoly:
-    """The Chebyshev interpolant of the target at the n + 1 points
-    (kappa + 1) / 2 + (kappa - 1) / 2 cos(j pi / n), for the n of
-    _interpolant_degree.
-
-    The points are computed as 1 + (kappa - 1) sin^2(pi (n - j) / (2n)),
-    accurate to a few eps relative to x also near x = 1.  The coefficients
-    are the DCT-I of the values, taken as the real FFT of their even
-    extension: O(n log n) time and O(n) memory.  Raises CertificateError if
-    sup_error_bound exceeds delta/scale (the rounding term can, at a delta
-    near machine precision), then runs the grid gate.
+    """The Chebyshev interpolant of the target at the n + 1 _cheb_nodes,
+    for the n of _interpolant_degree, its coefficients by _cheb_coeffs.
+    Raises CertificateError if sup_error_bound exceeds delta/scale (the
+    rounding term can, at a delta near machine precision), then runs the
+    grid gate.
     """
     target = ApproxTarget(kind, kappa=kappa, delta=delta)
     n = _interpolant_degree(target)
@@ -327,11 +324,8 @@ def _interpolant(kind: str, kappa: float, delta: float) -> ChebPoly:
     certified = sup_error_bound(target, n)
     if certified > bound:
         raise CertificateError(certified, bound)
-    s = np.sin(np.pi * np.arange(n, -1, -1) / (2 * n)) ** 2
-    values = target.function()(1.0 + (kappa - 1.0) * s)
-    coeffs = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real / n
-    coeffs[[0, n]] /= 2.0
-    return _certify(ChebPoly((1.0, kappa), coeffs), target)
+    values = target.function()(_cheb_nodes(kappa, n))
+    return _certify(ChebPoly((1.0, kappa), _cheb_coeffs(values)), target)
 
 
 def inv_sqrt_poly(kappa: float, delta: float) -> ChebPoly:

@@ -12,10 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-# Trailing coefficients at or below this magnitude carry no information at
-# float64 scale and may be trimmed without changing degree semantics.
-_TRIM_FLOOR = 1e-300
-
 
 @dataclass(frozen=True)
 class ChebPoly:
@@ -62,14 +58,6 @@ class ChebPoly:
         return float(out) if np.isscalar(x) else out
 
     __call__ = evaluate
-
-    def trimmed(self) -> "ChebPoly":
-        """Drop trailing coefficients below the trim floor."""
-        c = self.coeffs
-        last = len(c) - 1
-        while last > 0 and abs(c[last]) <= _TRIM_FLOOR:
-            last -= 1
-        return ChebPoly(self.interval, c[: last + 1])
 
     def to_dict(self) -> dict:
         return {"interval": list(self.interval), "coeffs": self.coeffs.tolist()}

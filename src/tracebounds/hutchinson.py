@@ -147,9 +147,7 @@ def bias_bound(target: ApproxTarget, d: int) -> float:
     """Certified bound on |tr(p(A)) - tr(f(A))| for spectrum in [1, kappa].
 
     Sums the scalar certificate over d eigenvalues: d * delta / scale,
-    with scale = sqrt(kappa) for inv_sqrt and kappa for inv.  Monomial
-    targets have no per-eigenvalue bound in the trace context and are
-    rejected.
+    with scale = sqrt(kappa) for inv_sqrt and kappa for inv.
     """
     if target.delta is None:
         raise ValueError("target must carry a delta")
@@ -159,9 +157,7 @@ def bias_bound(target: ApproxTarget, d: int) -> float:
 def build_target_poly(target: ApproxTarget) -> ChebPoly:
     if target.kind == "inv_sqrt":
         return inv_sqrt_poly(target.kappa, target.delta)
-    if target.kind == "inv":
-        return inv_poly(target.kappa, target.delta)
-    raise ValueError(f"no certified trace polynomial for kind {target.kind!r}")
+    return inv_poly(target.kappa, target.delta)
 
 
 def estimate_tr_f(

@@ -69,9 +69,6 @@ class EigenDecomposition:
     eigvals: np.ndarray
     eigvecs: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigvecs * self.eigvals) @ self.eigvecs.T
-
     def apply_function(self, f, x: np.ndarray) -> np.ndarray:
         """f(A) x through the decomposition, for a length-d vector or a
         d x k block x: V (f(Lambda) (V^T x))."""

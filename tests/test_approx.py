@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as _cheb
 
+import tracebounds.linalg as linalg
 from tracebounds.approx import (
     DEGREE_LAW_CONSTANT,
     ApproxTarget,
+    _cheb_coeffs,
+    _cheb_nodes,
     _rounding_bound,
     _series_sum,
     inv_poly,
@@ -59,6 +62,12 @@ class TestChebPoly:
         assert obj == {"interval": [0.0, 2.0], "coeffs": [0.25, 0.5]}
 
 
+def _monomial_error(p: ChebPoly, s: int) -> float:
+    """Max |p(x) - x^s| over 4096 Chebyshev points of [-1, 1]."""
+    xs = cheb_grid((-1.0, 1.0), 4096)
+    return float(np.max(np.abs(p.evaluate(xs) - xs ** s)))
+
+
 class TestMonomialApprox:
     def test_square_exact(self):
         p = monomial_cheb_approx(2, 0.1)
@@ -71,19 +80,17 @@ class TestMonomialApprox:
     def test_s8_exact_and_s50_compressed(self):
         p8 = monomial_cheb_approx(8, 0.01)
         assert p8.degree() == 8  # cap 10 >= 8, expansion kept in full
-        err = sup_error(p8, ApproxTarget("monomial", s=8), 4096)
-        assert err <= 1e-12
+        assert _monomial_error(p8, 8) <= 1e-12
         p50 = monomial_cheb_approx(50, 0.1)
         assert p50.degree() == 18
-        err = sup_error(p50, ApproxTarget("monomial", s=50), 4096)
-        assert err <= 0.1
+        assert _monomial_error(p50, 50) <= 0.1
 
     @pytest.mark.parametrize("s", list(range(1, 13)) + [25, 50])
     @pytest.mark.parametrize("delta", [0.1, 0.01])
     def test_compression_lattice(self, s, delta):
         p = monomial_cheb_approx(s, delta)
         assert p.degree() <= min(s, math.ceil(math.sqrt(2 * s * math.log(2 / delta))))
-        assert sup_error(p, ApproxTarget("monomial", s=s), 4096) <= delta
+        assert _monomial_error(p, s) <= delta
 
 
 def _exact_monomial_coeffs(s, delta):
@@ -170,6 +177,40 @@ def test_degrees_pinned(kappa):
                  for kind in ("inv", "inv_sqrt"))
            for d in (0.4, 0.1, 0.01, 0.001)]
     assert got == PINNED_DEGREES[kappa]
+
+
+@pytest.mark.parametrize("kind, delta", [
+    ("inv", 0.001), ("inv_sqrt", 0.1), ("inv_sqrt", 0.001)])
+def test_series_bytes_ignore_blas_thread_count(kind, delta):
+    # A Vandermonde product through BLAS rounds by the thread count at these
+    # points; the re-expansion on [1, kappa] must make no BLAS call.
+    target = ApproxTarget(kind, kappa=1024.0, delta=delta)
+    get, put = linalg._blas_thread_control()
+    before = get()
+    try:
+        coeffs = []
+        for threads in (1, 2):
+            put(threads)
+            coeffs.append(series_poly(target).coeffs.tobytes())
+    finally:
+        put(before)
+    assert coeffs[0] == coeffs[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=400),
+       st.floats(min_value=2.0, max_value=1e4),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cheb_coeffs_match_chebinterpolate(n, kappa, seed):
+    # Both recover a degree-n polynomial on [1, kappa] from its values, the
+    # DCT at the n + 1 _cheb_nodes, numpy's Vandermonde solve at the n + 1
+    # first-kind points; relative tolerance 1e-12 of the largest coefficient.
+    c = np.random.default_rng(seed).standard_normal(n + 1)
+    p = ChebPoly((1.0, kappa), c)
+    got = _cheb_coeffs(p.evaluate(_cheb_nodes(kappa, n)))
+    ref = _cheb.chebinterpolate(lambda u: _cheb.chebval(u, c), n)
+    assert got.shape == ref.shape == c.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 #: (inv_poly, inv_sqrt_poly) degrees, those of the Chebyshev interpolants, on
@@ -347,7 +388,7 @@ def test_degree_law_single_constant():
 class TestSupError:
     def test_exact_representation(self):
         p = monomial_cheb_approx(2, 0.1)
-        assert sup_error(p, ApproxTarget("monomial", s=2), 4096) <= 1e-14
+        assert _monomial_error(p, 2) <= 1e-14
 
     def test_zero_poly_vs_inverse(self):
         p = ChebPoly((1.0, 2.0), [0.0])
@@ -362,7 +403,7 @@ class TestSupError:
     def test_grid_size_floor(self):
         p = ChebPoly((-1.0, 1.0), np.ones(200))
         with pytest.raises(ValueError):
-            sup_error(p, ApproxTarget("monomial", s=2), 1024)
+            sup_error(p, ApproxTarget("inv", kappa=16.0, delta=0.1), 1024)
 
 
 def test_series_triangle_inequality_audit():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tracebounds.approx import ApproxTarget, inv_poly
+from tracebounds.errors import UsageError
 from tracebounds.hutchinson import (
     ChebBackend,
     ExactBackend,
@@ -113,8 +114,8 @@ class TestBiasBound:
             == pytest.approx(0.4 / 4.0)
 
     def test_monomial_rejected(self):
-        with pytest.raises(ValueError):
-            bias_bound(ApproxTarget("monomial", kappa=1.0, delta=0.1, s=4), 3)
+        with pytest.raises(UsageError):
+            ApproxTarget("monomial", kappa=16.0, delta=0.1)
 
 
 class TestEstimateTrF:
