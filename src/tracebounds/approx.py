@@ -49,14 +49,14 @@ class ApproxTarget:
 
     kind: str
     kappa: float
-    delta: float | None = None
+    delta: float
 
     def __post_init__(self):
         if self.kind not in ("inv_sqrt", "inv"):
             raise UsageError(f"unknown target kind {self.kind!r}")
         if not 2 <= self.kappa < math.inf:
             raise UsageError("need finite kappa >= 2")
-        if self.delta is not None and not 0 < self.delta < 0.5:
+        if not 0 < self.delta < 0.5:
             raise UsageError("need 0 < delta < 1/2")
 
     @property

@@ -57,8 +57,6 @@ class ChebPoly:
         out = _cheb.chebval(self.mapped(xv), self.coeffs)
         return float(out) if np.isscalar(x) else out
 
-    __call__ = evaluate
-
     def to_dict(self) -> dict:
         return {"interval": list(self.interval), "coeffs": self.coeffs.tolist()}
 

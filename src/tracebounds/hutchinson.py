@@ -79,10 +79,6 @@ class ExactBackend:
         g = functools.partial(apply_scalar_function, self.f)
         return sym_eigen(a).apply_function(g, zblock), 0
 
-    def matrix(self, a: SymMatrix) -> np.ndarray:
-        """Dense g(A), the exact-trace oracle for tests."""
-        return self.apply_block(a, np.eye(a.dim))[0]
-
 
 class LanczosBackend:
     """g(A) z = m-step Lanczos approximation of f(A) z; m MVPs per probe."""
@@ -119,9 +115,6 @@ class ChebBackend:
     def apply_block(self, a: SymMatrix, zblock: np.ndarray):
         return poly_times_block(a, self.poly, zblock)
 
-    def matrix(self, a: SymMatrix) -> np.ndarray:
-        return sym_eigen(a).apply_function(self.poly.evaluate, np.eye(a.dim))
-
 
 def _func_name(f) -> str:
     if callable(f):
@@ -149,8 +142,6 @@ def bias_bound(target: ApproxTarget, d: int) -> float:
     Sums the scalar certificate over d eigenvalues: d * delta / scale,
     with scale = sqrt(kappa) for inv_sqrt and kappa for inv.
     """
-    if target.delta is None:
-        raise ValueError("target must carry a delta")
     return d * target.delta / target.scale
 
 

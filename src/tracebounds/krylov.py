@@ -25,7 +25,8 @@ from .linalg import sym_eigen  # noqa: F401
 _BREAKDOWN_RTOL = 1e-12
 
 #: Bound on the Lanczos basis of one column chunk: 8 g m d bytes per column
-#: of every one of the g operators.
+#: of every one of the g operators.  wishart.query_game sizes its trial
+#: stacks by it, so a stack chunks each trial's probes as a one-trial run.
 _CHUNK_BYTES = 2 ** 20
 
 

@@ -40,7 +40,7 @@ class SymMatrix:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.shape[0] < 1:
             raise ValueError("dimension must be >= 1")
-        scale = max(1.0, float(np.max(np.abs(m))) if m.size else 0.0)
+        scale = max(1.0, float(np.max(np.abs(m))))
         asym = float(np.max(np.abs(m - m.T)))
         if not asym <= _SYM_RTOL * scale:   # a NaN fails too
             raise ValueError(f"matrix not symmetric: max asymmetry {asym:g}")
@@ -419,11 +419,9 @@ def qr_columns(m: np.ndarray):
 
 
 def orthonormal_complement(q: np.ndarray, d: int) -> np.ndarray:
-    """d x (d-n) matrix whose columns complete q to an orthonormal basis."""
-    n = q.shape[1] if q.ndim == 2 else 0
-    if n == 0:
-        return np.eye(d)
+    """d x (d-n) matrix whose columns complete the d x n q, n >= 1, to an
+    orthonormal basis."""
+    n = q.shape[1]
     # Project the identity out of span(q) and orthonormalize what survives.
     full, _ = np.linalg.qr(np.hstack([q, np.eye(d)]))
-    comp = full[:, n:d]
-    return comp
+    return full[:, n:d]

@@ -26,6 +26,7 @@ from .errors import (
     SpectrumError,
     UsageError,
 )
+from . import krylov
 from .krylov import fa_times_vec_oracle
 from .linalg import (
     SymMatrix,
@@ -47,18 +48,13 @@ from .rng import RngState, rademacher
 #: (1/d) G G^T is 4 (Marchenko-Pastur), so tails are measured from 4(1+t).
 LAMBDA_MAX_REFERENCE = 4.0
 
-#: Bound on one stack of trials: the experiments run their trials in
-#: order, as many at a time as fit in _STACK_BYTES (at least one), on one
-#: thread.  A trial takes 8 d^2 bytes as a dense d x d matrix and
-#: 8 (2d - 1) bytes as a bidiagonal: at 256 KiB a d = 64 run of up to 258
-#: trials is one stack of bidiagonals, and a stack holds 32 dense trials
-#: at d = 32.
+#: Bound on one stack of trials: the experiments but the query game, whose
+#: stacks krylov._CHUNK_BYTES bounds, run their trials in order, as many at
+#: a time as fit in _STACK_BYTES (at least one), on one thread.  A trial
+#: takes 8 d^2 bytes as a dense d x d matrix and 8 (2d - 1) bytes as a
+#: bidiagonal: at 256 KiB a d = 64 run of up to 258 trials is one stack of
+#: bidiagonals, and a stack holds 32 dense trials at d = 32.
 _STACK_BYTES = 2 ** 18
-
-#: Bound on one stack of query-game trials, which share each oracle call:
-#: a trial counts the larger of its d x d W and 8 d bytes a query its
-#: algorithm makes (128 KiB at d = 64, n_probes = 8, m = 32).
-_GAME_STACK_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -108,11 +104,10 @@ class PosteriorDecomposition:
         n = self.y1.shape[0]
         d = self.v.shape[0]
         out = np.zeros((d, d))
-        if n:
-            out[:n, :n] = self.y1 @ self.y1.T
-            out[:n, n:] = self.y1 @ self.y2.T
-            out[n:, :n] = self.y2 @ self.y1.T
-        out[n:, n:] = self.y2 @ self.y2.T + self.wtilde.entries if n else self.wtilde.entries
+        out[:n, :n] = self.y1 @ self.y1.T
+        out[:n, n:] = self.y1 @ self.y2.T
+        out[n:, :n] = self.y2 @ self.y1.T
+        out[n:, n:] = self.y2 @ self.y2.T + self.wtilde.entries
         return out
 
     def block_residual(self, w: SymMatrix) -> float:
@@ -618,8 +613,10 @@ def query_game(
     [tr(W^{-p})/C, C tr(W^{-p})] with C = approx_factor.  The true trace
     comes from a full eigendecomposition that the algorithm never sees.
 
-    Trials run in stacks within _GAME_STACK_BYTES, a trial counting the
-    larger of its W and 8 d bytes a query.  Trial i draws W from
+    Trials run in stacks within krylov._CHUNK_BYTES, a trial counting the
+    larger of its W and 8 d bytes a query: a stack of more than one trial
+    keeps its Lanczos basis in one chunk, so each trial's probes take the
+    GEMM widths of a run of that trial alone.  Trial i draws W from
     rng.child(0, i) and gives rng.child(1, i) to the algorithm, whose
     run_stack(oracle, p, rngs) answers a whole stack: one MeteredOracle
     over the stack and one generator per trial in, and per trial an
@@ -640,7 +637,7 @@ def query_game(
     if need > budget:
         raise UsageError(f"{algorithm.describe()} needs budget >= {need}, got {budget}")
     records = []
-    for start, stop in _trial_stacks(trials, 8 * d * max(d, need), _GAME_STACK_BYTES):
+    for start, stop in _trial_stacks(trials, 8 * d * max(d, need), krylov._CHUNK_BYTES):
         ids = range(start, stop)
         w = sample_wishart_stack(d, [rng.child(0, i) for i in ids])
         lam, _ = eigh_checked(w)
