@@ -66,8 +66,31 @@ class ChebPoly:
 
 
 def cheb_grid(interval, n: int) -> np.ndarray:
-    """n Chebyshev points (first kind) of the interval, ascending."""
+    """The n first-kind Chebyshev points of the interval, ascending:
+    (a + b) / 2 + (b - a) / 2 cos(pi (2k + 1) / (2n)), k = n - 1 .. 0,
+    computed as a + (b - a) sin^2(pi (2m + 1) / (4n)), m = 0 .. n - 1.
+    Each is within a few eps, relative, of the exact point at both ends of
+    the interval; the midpoint form is off by about eps (b - a) near a,
+    eps kappa relative on [1, kappa]."""
     a, b = interval
-    k = np.arange(n)
-    u = np.cos(np.pi * (2 * k + 1) / (2 * n))
-    return (a + b) / 2.0 + (b - a) / 2.0 * u[::-1]
+    return a + (b - a) * np.sin(np.pi * (2 * np.arange(n) + 1) / (4 * n)) ** 2
+
+
+def grid_values(p: ChebPoly, n: int) -> np.ndarray:
+    """Values of p at the n points of cheb_grid(p.interval, n), ascending.
+
+    At the k-th point in descending order, sum_j c_j cos(pi j (2k + 1) /
+    (2n)) is a DCT-III of the coefficients, taken as one real inverse FFT of
+    length 2n of X_j = c_j e^(i pi j / (2n)), with X_0 = 2 c_0 and zeros past
+    the degree: O(n log n) time, O(n) memory and no BLAS call.  Each value
+    errs by O(eps log2(2n) sum_j |c_j|) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, Thm 24.2).  Needs n > degree, so no term aliases.
+    """
+    c = p.coeffs
+    if c.size > n:
+        raise ValueError(
+            f"need more grid points than coefficients, got {n} for {c.size}")
+    twiddled = np.zeros(n + 1, dtype=np.complex128)
+    twiddled[: c.size] = c * np.exp(1j * np.pi / (2 * n) * np.arange(c.size))
+    twiddled[0] = 2.0 * c[0]
+    return n * np.fft.irfft(twiddled, 2 * n)[n - 1 :: -1]

@@ -176,7 +176,7 @@ def _read_poly_file(path: str):
     file.  A file that is not JSON, whose polynomial fields do not make a
     finite ChebPoly, that has no certificate, or whose certificate fields
     have the wrong type or name a target the library rejects raises
-    ParseError."""
+    ParseError, as does an interval that reaches x <= 0."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
@@ -190,6 +190,11 @@ def _read_poly_file(path: str):
         raise ParseError(f"{path}: bad polynomial: {exc}")
     if not (np.isfinite(poly.interval).all() and np.isfinite(poly.coeffs).all()):
         raise ParseError(f"{path}: bad polynomial: a NaN or infinite number")
+    if poly.interval[0] <= 0:
+        # Both targets are certified on [1, kappa]; at x <= 0 x^{-1/2} is
+        # NaN and 1/x has its pole, so no sup error there means anything.
+        raise ParseError(f"{path}: bad polynomial: interval "
+                         f"{list(poly.interval)} must lie in x > 0")
     cert = doc.get("certificate")
     if cert is None:
         raise ParseError(f"{path}: no certificate to re-check")
@@ -223,7 +228,7 @@ def cmd_poly_error(args) -> int:
         "config": _config(args),
     }
     _write_text(args.out, json.dumps(report, indent=2) + "\n")
-    if achieved > bound:
+    if not achieved <= bound:
         return _fail(f"certificate violated: {achieved:g} > {bound:g}")
     return EXIT_OK
 

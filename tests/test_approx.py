@@ -23,7 +23,7 @@ from tracebounds.approx import (
     sup_error_bound,
     taylor_truncation_length,
 )
-from tracebounds.chebyshev import ChebPoly, cheb_grid
+from tracebounds.chebyshev import ChebPoly, cheb_grid, grid_values
 from tracebounds.rng import RngState
 
 
@@ -281,6 +281,74 @@ def test_coefficient_rounding_within_its_bound(kappa, delta, kind):
     p = (inv_poly if kind == "inv" else inv_sqrt_poly)(kappa, delta)
     ref = _interpolant_coeffs_long_double(kind, kappa, p.degree())
     assert float(np.sum(np.abs(p.coeffs - ref))) <= _rounding_bound(p.degree())
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _grid_long_double(kappa, n):
+    """(u, x): the n first-kind points cos(pi (2k + 1) / (2n)) of [-1, 1],
+    k = n - 1 .. 0, and their images (1 + kappa) / 2 + (kappa - 1) / 2 u in
+    [1, kappa], in long double, ascending; x as 1 + (kappa - 1) cos^2 of the
+    half angle, since 1 + u cancels near u = -1 in any precision."""
+    half = _PI * (2 * np.arange(n - 1, -1, -1).astype(np.longdouble) + 1) / (4 * n)
+    return np.cos(2 * half), 1 + (np.longdouble(kappa) - 1) * np.cos(half) ** 2
+
+
+def test_cheb_grid_nodes_accurate_at_both_ends():
+    # Near x = 1 the midpoint form (1 + kappa) / 2 + (kappa - 1) / 2 u
+    # loses about eps * kappa; the sin^2 form keeps every node to a few eps.
+    kappa = 1e5
+    for n in (4096, 4097, 16520):
+        xs = cheb_grid((1.0, kappa), n)
+        ref = _grid_long_double(kappa, n)[1]
+        rel = np.abs((xs.astype(np.longdouble) - ref) / ref)
+        assert float(np.max(rel)) <= 4 * _EPS
+        assert np.all(np.diff(xs) > 0)
+        assert xs[0] > 1.0 and xs[-1] < kappa
+
+
+def test_grid_values_match_clenshaw():
+    p = ChebPoly((2.0, 5.0), [0.5, -1.0, 0.25, 2.0])
+    for n in (4, 7, 64):
+        xs = cheb_grid(p.interval, n)
+        got = grid_values(p, n)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - p.evaluate(xs))) <= 1e-14
+    with pytest.raises(ValueError):
+        grid_values(p, 3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["inv", "inv_sqrt"]),
+       st.floats(min_value=2.0, max_value=1e5),
+       st.floats(min_value=1e-6, max_value=0.49),
+       st.integers(min_value=0, max_value=999))
+def test_grid_values_within_fft_rounding_bound(kind, kappa, delta, extra):
+    # The FFT's values against Clenshaw in long double (11 more bits) at the
+    # exact points: within c log2(2N) eps sum_j |c_j| with c = 1; measured
+    # up to 0.36 of that.  Past 4096 points every N // 4096-th is checked
+    # (plus the last), which keeps the O(n N) reference cheap.
+    p = (inv_poly if kind == "inv" else inv_sqrt_poly)(kappa, delta)
+    n = max(1024, 10 * p.degree()) + extra
+    keep = np.unique(np.r_[np.arange(0, n, max(1, n // 4096)), n - 1])
+    ref = _cheb.chebval(_grid_long_double(kappa, n)[0][keep],
+                        p.coeffs.astype(np.longdouble))
+    err = float(np.max(np.abs(grid_values(p, n)[keep] - ref)))
+    assert err <= math.log2(2 * n) * _EPS * float(np.sum(np.abs(p.coeffs)))
+
+
+def test_sup_error_near_long_double_grid_maximum():
+    # At degree 1652 a Clenshaw loop's rounding read 2.9e-13 against a
+    # grid maximum of 4.4e-15, 66x off; the FFT gate stays within 10x.
+    target = ApproxTarget("inv", kappa=1e4, delta=1e-6)
+    p = inv_poly(target.kappa, target.delta)
+    assert p.degree() == 1652
+    n = 10 * p.degree()
+    u, x = _grid_long_double(target.kappa, n)
+    ref = float(np.max(np.abs(
+        _cheb.chebval(u, p.coeffs.astype(np.longdouble)) - 1 / x)))
+    assert ref / 10 <= sup_error(p, target, n) <= 10 * ref
 
 
 class TestTaylorTruncationLength:

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tracebounds
+import tracebounds.approx as approx_module
 import tracebounds.cli as cli
 import tracebounds.linalg as linalg
 import tracebounds.matio as matio
@@ -26,7 +27,7 @@ from conftest import make_trials_singular
 from tracebounds.approx import ApproxTarget, _grid_sup_error, series_poly, sup_error
 from tracebounds.chebyshev import ChebPoly
 from tracebounds.cli import main
-from tracebounds.errors import MatrixParseError
+from tracebounds.errors import CertificateError, MatrixParseError
 from tracebounds.matio import parse_matrix_file
 from tracebounds.linalg import SymMatrix, sample_spd_with_spectrum
 from tracebounds.rng import RngState
@@ -167,6 +168,34 @@ def test_malformed_poly_file_exits_4(tmp_path, capsys, edit, message):
     assert captured.out == ""
     assert captured.err.startswith("i/o error: ") and message in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_poly_interval_reaching_zero_exits_4(tmp_path, capsys):
+    # x^{-1/2} is NaN at x < 0: the grid error used to print as NaN (not
+    # JSON), with a RuntimeWarning, and pass the gate with exit 0.
+    out = tmp_path / "p.json"
+    out.write_text(json.dumps({
+        "interval": [-1.0, 16.0], "coeffs": [0.5],
+        "certificate": {"func": "invsqrt", "kappa": 16.0, "delta": 0.1,
+                        "bound": 0.025}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["poly", "error", "--poly", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "interval [-1.0, 16.0] must lie in x > 0" in captured.err
+
+
+def test_nan_grid_error_fails_both_gates(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "p.json"
+    assert run(["poly", "build", "--func", "inv", "--kappa", "4",
+                "--delta", "0.1", "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, "sup_error", lambda *args: math.nan)
+    assert run(["poly", "error", "--poly", str(out),
+                "--out", str(tmp_path / "r.json")]) == 3
+    monkeypatch.setattr(approx_module, "sup_error", lambda *args: math.nan)
+    with pytest.raises(CertificateError):
+        approx_module.inv_poly(4.0, 0.1)
 
 
 class TestPolyBuildCertificate:

@@ -60,6 +60,10 @@ BOM = b"\xef\xbb\xbf"
 # Polynomial files without a certificate or with 2-D coefficients: exit 4.
 NO_CERT = {"interval": [1.0, 16.0], "coeffs": [0.5]}
 COEFFS_2D = dict(FALSE_CERT, coeffs=[[1.0, 2.0], [3.0, 4.0]])
+# An interval reaching x <= 0, where x^{-1/2} is NaN: exit 4.
+NEG_INTERVAL = {"interval": [-1.0, 16.0], "coeffs": [0.5],
+                "certificate": {"func": "invsqrt", "kappa": 16.0,
+                                "delta": 0.1, "bound": 0.025}}
 
 # The `poly error --poly p.json` lines read what this build writes.
 # write_inputs runs it too, so those lines do not depend on the order of the
@@ -87,6 +91,7 @@ INVOCATIONS = [
     ["poly", "error", "--poly", "nocert.json"],
     ["poly", "error", "--poly", "coeffs2d.json"],
     ["poly", "error", "--poly", "bomfalse.json"],
+    ["poly", "error", "--poly", "neginterval.json"],
     ["poly", "build", "--func", "exp", "--kappa", "16", "--delta", "0.1"],
     ["trace", "--matrix", "m.txt", "--backend", "exact", "--seed", "1"],
     ["trace", "--matrix", "m.txt", "--backend", "lanczos", "--m", "3",
@@ -155,6 +160,9 @@ INVOCATIONS = [
      "70", "--seed", "18446744073709551621"],
     # A degree-277 interpolant; its FFT and grid gate run on any thread count.
     ["poly", "build", "--func", "invsqrt", "--kappa", "1024", "--delta", "0.001"],
+    # Degree 1652, where the grid gate's rounding matters most: an FFT's
+    # values against a Clenshaw loop's differ there by 3e-13.
+    ["poly", "build", "--func", "inv", "--kappa", "10000", "--delta", "1e-6"],
     # spec(A) = [1, 100] is not inside [1, kappa]: the bias bound is withheld.
     ["trace", "--matrix", "spd100.txt", "--func", "inv", "--backend", "cheb",
      "--kappa", "16", "--probes", "64", "--seed", "1"],
@@ -220,6 +228,7 @@ def write_inputs(main):
     Path("twice.mtx").write_text(TWICE_MTX)
     Path("nocert.json").write_text(json.dumps(NO_CERT))
     Path("coeffs2d.json").write_text(json.dumps(COEFFS_2D))
+    Path("neginterval.json").write_text(json.dumps(NEG_INTERVAL))
     Path("bom.mtx").write_bytes(BOM + MTX.encode())
     Path("bomfalse.json").write_bytes(BOM + json.dumps(FALSE_CERT).encode())
     Path("spd100.txt").write_text(spd100_raw())
