@@ -171,12 +171,19 @@ def _certify(poly: ChebPoly, target: ApproxTarget, grid: int):
     return grid, sup_error(poly, target, grid)
 
 
+#: |p| <= sum |c_j| on p's interval.  Below this sum every evaluation of p,
+#: by FFT or Clenshaw, stays finite, and so does the grid error a report
+#: prints; past it, values near the float maximum could overflow to NaN.
+_COEFF_SUM_MAX = 1e300
+
+
 def _read_poly_file(path: str):
     """(ChebPoly, ApproxTarget, certificate bound) from a ``poly build``
     file.  A file that is not JSON, whose polynomial fields do not make a
     finite ChebPoly, that has no certificate, or whose certificate fields
     have the wrong type or name a target the library rejects raises
-    ParseError, as does an interval that reaches x <= 0."""
+    ParseError, as does an interval that reaches x <= 0 or coefficients
+    whose magnitudes sum past _COEFF_SUM_MAX."""
     with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
@@ -190,6 +197,11 @@ def _read_poly_file(path: str):
         raise ParseError(f"{path}: bad polynomial: {exc}")
     if not (np.isfinite(poly.interval).all() and np.isfinite(poly.coeffs).all()):
         raise ParseError(f"{path}: bad polynomial: a NaN or infinite number")
+    with np.errstate(over="ignore"):
+        coeff_sum = np.sum(np.abs(poly.coeffs))
+    if not coeff_sum <= _COEFF_SUM_MAX:
+        raise ParseError(f"{path}: bad polynomial: coefficient magnitudes "
+                         f"sum past {_COEFF_SUM_MAX:g}")
     if poly.interval[0] <= 0:
         # Both targets are certified on [1, kappa]; at x <= 0 x^{-1/2} is
         # NaN and 1/x has its pole, so no sup error there means anything.

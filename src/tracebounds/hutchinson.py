@@ -23,7 +23,7 @@ from .chebyshev import ChebPoly
 from .errors import UsageError
 from .krylov import apply_scalar_function, fa_times_vec_lanczos, poly_times_block
 from .linalg import SymMatrix, sym_eigen
-from .rng import RngState, rademacher
+from .rng import RngState
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,12 @@ class ProbeSpec:
     def draw(self, s: int, dim: int) -> np.ndarray:
         g = self.rng.child(s)
         if self.kind == "rademacher":
-            return rademacher(g, dim)
+            # rademacher(g, dim) on this fresh stream, byte for byte:
+            # integers(0, 2) takes the top bit of each 32-bit half of the
+            # stream's 64-bit Philox words, low half first.
+            words = g.bit_generator.random_raw((dim + 1) // 2).astype("<u8")
+            bits = words.view("<u4")[:dim] >> 31
+            return bits.astype(np.float64) * 2.0 - 1.0
         return g.standard_normal(dim)
 
 

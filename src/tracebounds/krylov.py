@@ -9,7 +9,11 @@ Clenshaw sweep, poly_times_block.  m Lanczos steps span the same
 polynomial space as an explicit degree-(m-1) polynomial applied to the
 start vector, so both paths report their cost in the common currency of
 matrix-vector products (MVPs).  f(A) Z by Lanczos runs in column chunks
-whose basis stays under _CHUNK_BYTES, whatever the probe count.
+whose basis stays under _CHUNK_BYTES, whatever the probe count.  A Lanczos
+step is one stack product, formed as (V^T A)^T so that the basis rows it
+reads and the products it returns are contiguous, and two Gram-Schmidt
+passes of the product against the whole basis, with no separate
+three-term subtraction.
 """
 
 from __future__ import annotations
@@ -37,7 +41,14 @@ def _lanczos_block(matvec, z: np.ndarray, m: int, breakdown_tol: float):
     Each step makes one call matvec(V, live): V is the g x d x c stack of
     current basis vectors and the g x c mask live marks the columns still
     running; it returns the g x d x c stack of products, zero where not
-    live.  Every column starts live; one whose residual falls to
+    live, which the loop reads but never writes.  Step j keeps
+    alpha_j = q_j . A q_j and projects A q_j, twice, off every basis vector
+    so far ("twice is enough": Giraud, Langou & Rozloznik, Comput. Math.
+    Appl. 50, 2005); that takes out alpha_j q_j and beta_(j-1) q_(j-1)
+    too, so no three-term subtraction runs first.  beta_j is the norm of
+    what is left.  While every column runs and none stops, beta and the
+    next basis vector are stored whole; otherwise through the live mask.
+    Every column starts live; one whose residual falls to
     breakdown_tol stops there (truncated) and is charged only its realized
     steps.  Returns (q, alpha, beta, steps, znorm): q[t, c, i] is basis
     vector i of column c of operator t, alpha[t, c] and beta[t, c] hold the
@@ -60,18 +71,21 @@ def _lanczos_block(matvec, z: np.ndarray, m: int, breakdown_tol: float):
             break
         qj = q[:, :, j]
         w = matvec(qj.transpose(0, 2, 1), live).transpose(0, 2, 1)
-        alpha[:, :, j] = aj = np.einsum("tcd,tcd->tc", qj, w)
+        alpha[:, :, j] = np.einsum("tcd,tcd->tc", qj, w)
         if j + 1 == m:
             break
-        w = w - aj[..., None] * qj
-        if j > 0:
-            w = w - beta[:, :, j - 1, None] * q[:, :, j - 1]
-        # Full reorthogonalization, twice, to hold the 1e-8 basis invariant.
+        # Full reorthogonalization, twice, holds the 1e-8 basis invariant
+        # and stands in for the three-term step.  The first pass writes a
+        # new array, so the matvec's output is never written.
         basis = q[:, :, : j + 1]
-        for _ in range(2):
-            w = w - (np.matmul(basis, w[..., None]).swapaxes(-1, -2) @ basis)[..., 0, :]
+        w = w - (np.matmul(basis, w[..., None]).swapaxes(-1, -2) @ basis)[..., 0, :]
+        w -= (np.matmul(basis, w[..., None]).swapaxes(-1, -2) @ basis)[..., 0, :]
         wnorm = np.linalg.norm(w, axis=-1)
         stop = live & (wnorm <= breakdown_tol)
+        if live.all() and not stop.any():
+            beta[:, :, j] = wnorm
+            np.divide(w, wnorm[..., None], out=q[:, :, j + 1])
+            continue
         steps[stop] = j + 1
         live &= ~stop
         beta[:, :, j][live] = wnorm[live]
@@ -185,7 +199,9 @@ def _sym_args(a: SymMatrix, z: np.ndarray, m: int):
         raise UsageError(f"need 1 <= m <= d, got m={m}, d={a.dim}")
     zb = np.asarray(z, dtype=np.float64).reshape(1, a.dim, -1)
     tol = _BREAKDOWN_RTOL * max(1.0, a.max_norm())
-    return (lambda v, live: a.entries @ v), zb, tol
+    # (V^T A)^T = A V for symmetric A; the transposed product gives the loop
+    # C-contiguous basis rows.
+    return (lambda v, live: (v.swapaxes(1, 2) @ a.entries).swapaxes(1, 2)), zb, tol
 
 
 def apply_scalar_function(f, values: np.ndarray) -> np.ndarray:

@@ -485,14 +485,16 @@ class MeteredOracle:
         Trial t is charged the columns marked in the k x c mask live[t], or
         all c when live is None; a column that is not live is zeroed before
         the product.  A call that would take any trial past the budget is
-        refused whole, before the product."""
+        refused whole, before the product.  W v is formed as (v^T W)^T,
+        equal since W is exactly symmetric, so a Lanczos basis stack is
+        read, and its products come back, as contiguous rows."""
         charge = np.shape(v)[-1] if live is None else np.count_nonzero(live, axis=1)
         if np.any(self.count + charge > self.budget):
             raise BudgetExceededError(self.budget)
         self.count += charge
         if live is not None:
             v = np.where(live[:, None, :], v, 0.0)
-        return self._entries @ v
+        return (np.swapaxes(v, -1, -2) @ self._entries).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,31 @@ def test_poly_interval_reaching_zero_exits_4(tmp_path, capsys):
     assert "interval [-1.0, 16.0] must lie in x > 0" in captured.err
 
 
+@pytest.mark.parametrize("coeffs, code", [
+    ([1e308, 1e308, -1e308], 4),
+    ([1e299, 1e299, -1e299], 3),
+])
+def test_poly_error_report_is_json_or_empty(tmp_path, capsys, coeffs, code):
+    # Finite coefficients whose values overflow used to print
+    # "grid_sup_error": NaN (not JSON), with RuntimeWarnings; a sum of
+    # magnitudes past 1e300 is now refused before any evaluation.
+    out = tmp_path / "p.json"
+    out.write_text(json.dumps({
+        "interval": [1.0, 16.0], "coeffs": coeffs,
+        "certificate": {"func": "inv", "kappa": 16.0, "delta": 0.1,
+                        "bound": 0.1}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["poly", "error", "--poly", str(out)]) == code
+    captured = capsys.readouterr()
+    if code == 4:
+        assert captured.out == ""
+        assert "coefficient magnitudes sum past 1e+300" in captured.err
+    else:
+        report = json.loads(captured.out, parse_constant=pytest.fail)
+        assert math.isfinite(report["grid_sup_error"])
+
+
 def test_nan_grid_error_fails_both_gates(tmp_path, monkeypatch, capsys):
     out = tmp_path / "p.json"
     assert run(["poly", "build", "--func", "inv", "--kappa", "4",

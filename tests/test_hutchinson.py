@@ -16,7 +16,18 @@ from tracebounds.hutchinson import (
     hutchinson,
 )
 from tracebounds.linalg import SymMatrix, sample_spd_with_spectrum, sym_eigen
-from tracebounds.rng import RngState
+from tracebounds.rng import RngState, rademacher
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 191, 192, 513])
+@pytest.mark.parametrize("s", [0, 1, 63, 64, 65, 130])
+def test_rademacher_probes_are_rademacher_draws(n, s):
+    # ProbeSpec reads the signs from the stream's raw Philox words; ids 63
+    # and 64 sit on either side of the first 64-id key block.
+    for seed in (0, 12, 2 ** 70 + 3):
+        spec = ProbeSpec("rademacher", 1, RngState(seed, 4))
+        want = rademacher(RngState(seed, 4).child(s), n)
+        assert spec.draw(s, n).tobytes() == want.tobytes()
 
 
 def exhaustive_rademacher_mean(a, backend):

@@ -100,6 +100,39 @@ class TestLanczos:
         _, mvps = fa_times_vec_lanczos(a, z, m, "inv")
         assert mvps == int(np.sum(steps))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=40), st.integers(min_value=1, max_value=40),
+           st.floats(min_value=0.0, max_value=8.0), st.booleans(),
+           st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=10 ** 6))
+    def test_basis_without_three_term_step(self, d, m, log_kappa, rotate, ranks, seed):
+        # A q_j goes straight into two Gram-Schmidt passes; kappa reaches
+        # 1e8.  Column c starts in the span of ranks[c] eigenvectors (all of
+        # them at 0).  Unrotated, that span is exactly invariant, so the
+        # column stops after at most that many steps; rotated, the rounding
+        # outside it grows step by step and the column may run on.
+        m = min(m, d)
+        rng = RngState(seed)
+        lam = np.exp(rng.child(0).uniform(0.0, log_kappa * np.log(10.0), size=d))
+        vecs = np.linalg.qr(rng.child(1).standard_normal((d, d)))[0] if rotate else np.eye(d)
+        a = symmetrize((vecs * lam) @ vecs.T)
+        ranks = [min(r, d) or d for r in ranks]
+        z = np.stack([vecs[:, :r] @ rng.child(2, c).standard_normal(r)
+                      for c, r in enumerate(ranks)], axis=1)
+        matvec, zb, tol = krylov._sym_args(a, z, m)
+        outputs = []
+
+        def caching(v, live):
+            out = matvec(v, live)
+            outputs.append((out, out.copy()))
+            return out
+
+        q, alpha, beta, steps, _ = (x[0] for x in krylov._lanczos_block(caching, zb, m, tol))
+        for c, r in enumerate(ranks):
+            assert 1 <= steps[c] <= (m if rotate else min(r, m))
+            assert_lanczos_invariants(a, q[c], alpha[c], beta[c], steps[c])
+        assert all(np.array_equal(out, copy) for out, copy in outputs)
+
 
 class TestFaTimesVec:
     def test_identity_matrix_inverse(self):

@@ -17,7 +17,9 @@ output file holds, per checkout and workload, the median, q1 and q3 over
 the seeds of each metric a run reports (``setup_s``, ``op_s.p50``,
 ``op_s.tail`` and ``peak_rss_mb`` at --trace 0, the per-layer metrics at 1),
 the attempted and failed op counts summed over the seeds, and every run's
-raw record; per checkout its ``git describe --always --dirty``; and the
+raw record, with the unscaled wall times and speed scale its run record
+holds (``wall``, summarized the same way); per checkout its ``git
+describe --always --dirty``; and the
 environment: Python, numpy, the BLAS numpy was built with, and the CPU
 count.  The workloads and the run length (16 s) are those of
 ``BENCHMARK.json`` at the root of this checkout.  With --add the report
@@ -38,6 +40,8 @@ from pathlib import Path
 
 #: The op time a run reports, by its --trace value.
 OP_P50 = {0: "op_s.p50", 1: "trace.untraced_op_s_p50"}
+#: Unscaled figures of a --trace 0 run, and the scale, from its run record.
+WALL_KEYS = ("wall_setup_s", "wall_op_s_p50", "wall_op_s_tail", "scale")
 HERE = Path(__file__).resolve().parents[1]
 
 
@@ -52,7 +56,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited "
                            f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    record = json.loads(lines[-1])
+    # The run record keeps the raw wall figures and the speed scale that
+    # turned them into the reported ones.
+    notes = json.loads((checkout / ".bench_work" /
+                        f"run-{workload}-s{seed}-t{trace}.json").read_text())
+    record["wall"] = {k: notes[k] for k in WALL_KEYS if k in notes}
+    return record
 
 
 def quartiles(values: list[float]) -> dict:
@@ -67,6 +77,8 @@ def summarize(runs: list[dict]) -> dict:
     summary = {name: quartiles([r["metrics"][name]["value"] for r in runs])
                for name in runs[0]["metrics"]}
     summary["units"] = {name: m["unit"] for name, m in runs[0]["metrics"].items()}
+    summary["wall"] = {key: quartiles([r["wall"][key] for r in runs])
+                       for key in runs[0]["wall"]}
     summary["attempted"] = sum(r["attempted"] for r in runs)
     summary["failed"] = sum(r["failed"] for r in runs)
     summary["all_correct"] = all(r["correct"] for r in runs)

@@ -64,6 +64,8 @@ COEFFS_2D = dict(FALSE_CERT, coeffs=[[1.0, 2.0], [3.0, 4.0]])
 NEG_INTERVAL = {"interval": [-1.0, 16.0], "coeffs": [0.5],
                 "certificate": {"func": "invsqrt", "kappa": 16.0,
                                 "delta": 0.1, "bound": 0.025}}
+# Finite coefficients whose values overflow near the float maximum: exit 4.
+BIG_COEFFS = dict(FALSE_CERT, coeffs=[1e308, 1e308, -1e308])
 
 # The `poly error --poly p.json` lines read what this build writes.
 # write_inputs runs it too, so those lines do not depend on the order of the
@@ -92,6 +94,7 @@ INVOCATIONS = [
     ["poly", "error", "--poly", "coeffs2d.json"],
     ["poly", "error", "--poly", "bomfalse.json"],
     ["poly", "error", "--poly", "neginterval.json"],
+    ["poly", "error", "--poly", "bigcoeffs.json"],
     ["poly", "build", "--func", "exp", "--kappa", "16", "--delta", "0.1"],
     ["trace", "--matrix", "m.txt", "--backend", "exact", "--seed", "1"],
     ["trace", "--matrix", "m.txt", "--backend", "lanczos", "--m", "3",
@@ -181,6 +184,11 @@ INVOCATIONS = [
       for p in ([], ["--p", "1.5"])],
     # m = d: the Krylov space of every probe is exhausted.
     ["trace", "--matrix", "m.txt", "--backend", "lanczos", "--m", "3"],
+    # Bench-shaped Lanczos: 64 probes at d = 192, m = 30 run in three chunks
+    # under the 1 MiB basis bound.
+    *[["trace", "--gen-spd", "--dim", "192", "--kappa", "16", "--func", func,
+       "--backend", "lanczos", "--m", "30", "--probes", "64", "--seed", "1"]
+      for func in ("inv", "invsqrt")],
 ]
 
 
@@ -229,6 +237,7 @@ def write_inputs(main):
     Path("nocert.json").write_text(json.dumps(NO_CERT))
     Path("coeffs2d.json").write_text(json.dumps(COEFFS_2D))
     Path("neginterval.json").write_text(json.dumps(NEG_INTERVAL))
+    Path("bigcoeffs.json").write_text(json.dumps(BIG_COEFFS))
     Path("bom.mtx").write_bytes(BOM + MTX.encode())
     Path("bomfalse.json").write_bytes(BOM + json.dumps(FALSE_CERT).encode())
     Path("spd100.txt").write_text(spd100_raw())
