@@ -334,7 +334,7 @@ def cmd_eigcdf(args) -> int:
     rng = RngState(args.seed)
     xs = _float_list(args.x, "--x")
     rows = eig_cdf_experiment(args.d, args.trials, xs, rng)
-    _emit(args, map(astuple, rows), {"rows": list(map(asdict, rows))})
+    _emit(args, map(astuple, rows), lambda: {"rows": list(map(asdict, rows))})
     probs = [r.probability for r in sorted(rows, key=lambda r: r.x)]
     if any(b < a for a, b in zip(probs, probs[1:])):
         return _fail("assertion failed: empirical CDF not monotone in x")
@@ -345,7 +345,7 @@ def cmd_lmax(args) -> int:
     rng = RngState(args.seed)
     ts = _float_list(args.t, "--t")
     rows = lambda_max_tail_experiment(args.d, args.trials, ts, rng)
-    _emit(args, map(astuple, rows), {"rows": list(map(asdict, rows))})
+    _emit(args, map(astuple, rows), lambda: {"rows": list(map(asdict, rows))})
     return EXIT_OK
 
 
@@ -353,7 +353,7 @@ def cmd_invtrace(args) -> int:
     rng = RngState(args.seed)
     rep = inv_trace_tail_experiment(args.d, args.trials, args.p, rng)
     table = list(zip(rep.sample_trials.tolist(), rep.samples.tolist()))
-    _emit(args, table, rep.to_dict())
+    _emit(args, table, rep.to_dict)
     return EXIT_OK
 
 
@@ -362,7 +362,7 @@ def cmd_posterior(args) -> int:
     if args.format == "csv":
         raise UsageError("wishart posterior reports JSON only; drop --format csv")
     rep = posterior_distribution_test(args.d, args.n, args.trials, rng)
-    _emit(args, (), asdict(rep))
+    _emit(args, (), lambda: asdict(rep))
     # At n = 0 there is no correction: the control is the trace test itself.
     ok = (
         rep.ks_trace.p_value > 0.01
@@ -389,8 +389,9 @@ def cmd_game(args) -> int:
     result = query_game(args.d, args.p, args.C, algo, args.budget,
                         args.trials, rng)
     # The CSV rows leave out the last field, the error message.
-    table = [astuple(r)[:-1] for r in result.records]
-    _emit(args, table, asdict(result))
+    table = ((r.trial, r.estimate, r.true_trace, r.queries_used, r.success,
+              r.budget_violation) for r in result.records)
+    _emit(args, table, lambda: asdict(result))
     return EXIT_OK
 
 
@@ -401,14 +402,15 @@ def cmd_verify(args) -> int:
     return EXIT_ASSERTION if verify.run_all() else EXIT_OK
 
 
-def _emit(args, rows, json_payload: dict):
+def _emit(args, rows, json_payload):
     """Write a wishart report: the config line, the subcommand's documented
-    CSV header and ``rows``, or the config and ``json_payload`` as JSON."""
+    CSV header and ``rows``, or the config and the dict ``json_payload()``
+    returns as JSON; a CSV report never calls it."""
     config = _config(args)
     if args.format == "csv":
         _write_text(args.out, _csv_body(config, CSV_HEADERS[args.subcommand], rows))
     else:
-        _write_text(args.out, _json_report(config, json_payload))
+        _write_text(args.out, _json_report(config, json_payload()))
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,34 @@ def eigh_checked(m: np.ndarray):
     return vals, vecs
 
 
+def eigvalsh_checked(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of an exactly symmetric d x d array or a stack
+    of them, without eigenvectors, each held to a moment contract:
+    |sum(lam) - tr M| <= 1e-8 s d and |sum(lam^2) - ||M||_F^2| <= 1e-8 s^2 d
+    with s = ||M||_max, the scale of the sym_eigen residual contract; a NaN
+    fails.  Both are checked in units of s, so no square overflows.  LAPACK
+    runs on one BLAS thread, as in eigh_checked."""
+    d = m.shape[-1]
+    try:
+        with _one_blas_thread():
+            vals = np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(np.inf, f"eigensolver did not converge: {exc}")
+    scale = np.maximum(np.finfo(np.float64).tiny, np.max(np.abs(m), axis=(-2, -1)))
+    unit = m / scale[..., None, None]
+    lam = vals / scale[..., None]
+    error = np.maximum(
+        np.abs(np.sum(lam, axis=-1) - np.trace(unit, axis1=-2, axis2=-1)),
+        np.abs(np.sum(lam * lam, axis=-1)
+               - np.einsum("...ij,...ij->...", unit, unit)))
+    bad = ~(error <= 1e-8 * d)     # a NaN fails too
+    if np.any(bad):
+        worst = float(np.max(error[bad]))
+        raise EigenConvergenceError(
+            worst, f"eigenvalue moments off by {worst:g} ||M||_max, past {1e-8 * d:g}")
+    return vals
+
+
 def sample_gaussian_matrix(rows: int, cols: int, rng) -> np.ndarray:
     """rows x cols matrix of i.i.d. N(0,1) entries."""
     if rows < 1 or cols < 1:

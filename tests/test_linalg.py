@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
 import tracebounds.linalg as linalg
+import tracebounds.wishart as wishart
+from tracebounds.cli import main
 from tracebounds.errors import (
     EigenConvergenceError,
     NotPositiveDefiniteError,
@@ -19,6 +21,7 @@ from tracebounds.linalg import (
     SymMatrix,
     cholesky,
     eigh_checked,
+    eigvalsh_checked,
     orthonormal_complement,
     qr_columns,
     sample_gaussian_matrix,
@@ -241,6 +244,144 @@ class TestSymEigen:
         got = sym_eigen(a).apply_function(lambda v: 1.0 / v, x)
         np.testing.assert_allclose(got, np.linalg.solve(a.entries, x),
                                    rtol=0, atol=1e-12)
+
+
+def rotated_stack(k, d, kappa, seed):
+    """k exactly symmetric d x d matrices Q diag(lam) Q^T, each with a
+    random orthogonal Q and lam log-uniform on [1, kappa], at a random
+    scale; the spectrum holds both endpoints once d >= 2."""
+    g = RngState(seed).generator()
+    stack = np.empty((k, d, d))
+    for i in range(k):
+        q, _ = np.linalg.qr(g.standard_normal((d, d)))
+        lam = np.exp(g.uniform(0.0, np.log(kappa), size=d))
+        lam[0], lam[-1] = 1.0, kappa
+        m = (q * (lam * 10.0 ** g.uniform(-3, 3))) @ q.T
+        stack[i] = m / 2.0 + m.T / 2.0
+    return stack
+
+
+rotated = dict(k=st.integers(1, 8), d=st.integers(1, 64),
+               log_kappa=st.floats(0.0, 12.0),
+               seed=st.integers(0, 2 ** 32 - 1))
+
+
+class TestEigvalshChecked:
+    @settings(max_examples=40, deadline=None)
+    @given(**rotated)
+    def test_values_equal_eigh_checked(self, k, d, log_kappa, seed):
+        # Both solvers are backward stable: each value within
+        # 8 d eps max|lam| of the other's (0.75 d eps measured).
+        stack = rotated_stack(k, d, 10.0 ** log_kappa, seed)
+        got = eigvalsh_checked(stack)
+        want, _ = eigh_checked(stack)
+        assert got.shape == want.shape
+        tol = 8 * d * np.finfo(np.float64).eps * np.max(np.abs(want), axis=1)
+        assert np.all(np.abs(got - want) <= tol[:, None])
+        assert np.all(np.diff(got, axis=1) >= 0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(**rotated)
+    def test_bytes_equal_at_one_and_two_blas_threads(self, k, d, log_kappa,
+                                                     seed):
+        stack = rotated_stack(k, d, 10.0 ** log_kappa, seed)
+        get, put = linalg._blas_thread_control()
+        before = get()
+        try:
+            put(1)
+            one = eigvalsh_checked(stack)
+            put(2)
+            two = eigvalsh_checked(stack)
+            assert get() == 2
+        finally:
+            put(before)
+        assert one.tobytes() == two.tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(**rotated)
+    def test_single_matrix_equals_its_row_of_a_stack(self, k, d, log_kappa,
+                                                     seed):
+        stack = rotated_stack(k, d, 10.0 ** log_kappa, seed)
+        vals = eigvalsh_checked(stack)
+        for i in range(k):
+            assert eigvalsh_checked(stack[i]).tobytes() == vals[i].tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 8), d=st.integers(2, 64),
+           log_kappa=st.floats(np.log10(2.0), 12.0),
+           seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_mutants_fail_the_moment_contract(self, k, d, log_kappa, seed,
+                                              data):
+        # One matrix of the stack: its largest eigenvalue dropped, its sign
+        # flipped, or its smallest and largest moved 1e-6 ||M||_2 apart.
+        stack = rotated_stack(k, d, 10.0 ** log_kappa, seed)
+        row = data.draw(st.integers(0, k - 1))
+
+        def drop(vals):
+            return vals[..., :-1]
+
+        def flip(vals):
+            vals[row, -1] *= -1.0
+            return vals
+
+        def apart(vals):
+            step = 1e-6 * np.max(np.abs(vals[row]))
+            vals[row, 0] -= step
+            vals[row, -1] += step
+            return vals
+
+        real = np.linalg.eigvalsh
+        for mutate in (drop, flip, apart):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np.linalg, "eigvalsh",
+                              lambda m: mutate(real(m).copy()))
+                with pytest.raises(EigenConvergenceError, match="moments"):
+                    eigvalsh_checked(stack)
+
+    def test_nan_entry_fails_moment_contract(self):
+        with pytest.raises(EigenConvergenceError):
+            eigvalsh_checked(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        stack = np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]], np.eye(2)])
+        with pytest.raises(EigenConvergenceError):
+            eigvalsh_checked(stack)
+
+    def test_nan_trial_makes_game_exit_3(self, monkeypatch, capsys):
+        real = wishart.sample_wishart_stack
+
+        def stack_with_nan(d, rngs):
+            w = real(d, rngs)
+            w[-1, 0, 0] = np.nan
+            return w
+
+        monkeypatch.setattr(wishart, "sample_wishart_stack", stack_with_nan)
+        assert main(["wishart", "game", "--d", "8", "--algo", "hutch",
+                     "--nv", "2", "--m", "4", "--budget", "8", "--trials",
+                     "3", "--seed", "1"]) == 3
+        assert capsys.readouterr().err.startswith("error: eigen")
+
+    def test_runs_on_one_blas_thread(self, monkeypatch):
+        get, put = linalg._blas_thread_control()
+        before, seen, real = get(), [], np.linalg.eigvalsh
+
+        def eigvalsh(m):
+            seen.append(get())
+            if len(seen) == 2:
+                raise np.linalg.LinAlgError("no convergence")
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        eigvalsh_checked(np.eye(3))
+        with pytest.raises(EigenConvergenceError, match="did not converge"):
+            eigvalsh_checked(np.eye(3))
+        assert seen == [1, 1] and get() == before
+
+    def test_zero_and_huge_matrices_pass(self):
+        # In units of ||M||_max no square overflows, and a zero matrix has
+        # a zero scale floor, not a zero division.
+        np.testing.assert_array_equal(eigvalsh_checked(np.zeros((3, 3))),
+                                      np.zeros(3))
+        vals = eigvalsh_checked(np.diag([1e300, -2e300, 3e300]))
+        np.testing.assert_array_equal(vals, [-2e300, 1e300, 3e300])
 
 
 def dense_upper_bidiagonal(a, b):

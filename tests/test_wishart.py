@@ -25,12 +25,13 @@ from tracebounds.linalg import (
     SymMatrix,
     bidiagonal_counts,
     cholesky,
+    eigvalsh_checked,
     orthonormal_complement,
     qr_columns,
+    sample_gaussian_matrix,
     sample_spd_with_spectrum,
     sample_wishart,
     sample_wishart_stack,
-    sym_eigen,
     symmetrize,
 )
 from tracebounds.rng import RngState, rademacher
@@ -596,12 +597,12 @@ def per_probe_hutchinson_krylov(oracle, p, g, n_probes, m):
 
 def one_trial_at_a_time_game(d, p, c, solo, budget, trials, rng):
     """Reference: the game played one trial at a time, with one W, one
-    eigensolve, one one-trial oracle and one solo(oracle, p, g) run per
-    trial.  Returns the records."""
+    values-only eigensolve, one one-trial oracle and one solo(oracle, p, g)
+    run per trial.  Returns the records."""
     records = []
     for i in range(trials):
         w = wishart_module.sample_wishart_stack(d, [rng.child(0, i)])
-        lam = sym_eigen(SymMatrix(w[0])).eigvals
+        lam = eigvalsh_checked(w[0])
         true_tr = float(np.sum(np.maximum(lam, 1e-300) ** (-p)))
         oracle = MeteredOracle(w, budget)
         error, estimate = None, math.nan
@@ -618,7 +619,7 @@ def one_trial_at_a_time_game(d, p, c, solo, budget, trials, rng):
 def solo_exact(oracle, p, g):
     """Reference: one trial of ExactRecovery alone."""
     w = oracle.matvec(np.eye(oracle.dim)[None])[0]
-    lam = sym_eigen(symmetrize(w)).eigvals
+    lam = eigvalsh_checked(symmetrize(w).entries)
     if lam[0] <= 0:
         raise SpectrumError(float(lam[0]))
     return float(np.sum(lam ** (-p)))
@@ -707,6 +708,30 @@ class TestQueryGame:
         assert oracle.count.tolist() == [2, 0]
         oracle.matvec(v, np.array([[False, False, True], [True, True, True]]))
         assert oracle.count.tolist() == [3, 3]
+
+    def test_metered_oracle_all_live_mask_is_no_mask(self):
+        w = sample_wishart_stack(4, [RngState(80).child(i) for i in range(2)])
+        v = RngState(81).generator().standard_normal((2, 4, 3))
+        masked, unmasked = MeteredOracle(w, 6), MeteredOracle(w, 6)
+        y = masked.matvec(v, np.ones((2, 3), dtype=bool))
+        assert y.tobytes() == unmasked.matvec(v).tobytes()
+        assert masked.count.tolist() == unmasked.count.tolist() == [3, 3]
+        # Past the budget, an all-live call is refused whole, as with None.
+        masked.matvec(v, np.ones((2, 3), dtype=bool))
+        with pytest.raises(BudgetExceededError):
+            masked.matvec(v, np.ones((2, 3), dtype=bool))
+        assert masked.count.tolist() == [6, 6]
+
+    def test_true_trace_matches_singular_values(self):
+        # tr(W^-1) = sum_i d / sigma_i(G)^2 for W = G G^T / d, from the
+        # G trial i draws from rng.child(0, i).
+        d, rng = 64, RngState(96)
+        res = query_game(d, 1.0, 2.0, ConstantGuess(1.0), budget=0,
+                         trials=40, rng=rng)
+        for r in res.records:
+            g = sample_gaussian_matrix(d, d, rng.child(0, r.trial))
+            want = float(np.sum(d / np.linalg.svd(g, compute_uv=False) ** 2))
+            assert abs(r.true_trace - want) <= 1e-4 * want
 
     @pytest.mark.parametrize("algorithm", [
         ExactRecovery(), ConstantGuess(1.0), HutchinsonKrylov(2, 3)])

@@ -182,6 +182,12 @@ INVOCATIONS = [
        "32", "--budget", "256", "--trials", "20", "--seed", "9", *p,
        "--format", "csv"]
       for p in ([], ["--p", "1.5"])],
+    # The same game as JSON, and the exact route at the bench's d.
+    ["wishart", "game", "--d", "64", "--algo", "hutch", "--nv", "8", "--m",
+     "32", "--budget", "256", "--trials", "20", "--seed", "9", "--format",
+     "json"],
+    ["wishart", "game", "--d", "64", "--algo", "exact", "--budget", "64",
+     "--trials", "4", "--seed", "3"],
     # m = d: the Krylov space of every probe is exhausted.
     ["trace", "--matrix", "m.txt", "--backend", "lanczos", "--m", "3"],
     # Bench-shaped Lanczos: 64 probes at d = 192, m = 30 run in three chunks
