@@ -6,8 +6,8 @@ eigcdf|lmax|invtrace|posterior|game`` and ``verify``, each declared once in
 times in one process: the parser is built on the first call and reused, and
 a call's output and exit code do not depend on earlier calls.  Every
 experiment run embeds its full configuration (every parsed flag but the
-output-only ones) and seed in the emitted report, and the same (subcommand,
-args, seed) always produces byte-identical output bodies.
+output-only ones) and seed in its report, and the same (subcommand, args,
+seed) gives byte-identical output: handlers run on one OpenBLAS thread.
 
 Exit codes: 0 success, 2 usage error, 3 assertion/certificate failure,
 4 I/O error.
@@ -47,7 +47,7 @@ from .hutchinson import (
     bias_bound,
     hutchinson,
 )
-from .linalg import sample_spd_with_spectrum, spectrum_within
+from .linalg import _one_blas_thread, sample_spd_with_spectrum, spectrum_within
 from .matio import parse_matrix_file
 from .rng import RngState
 from .wishart import (
@@ -114,8 +114,8 @@ _OUTPUT_ONLY = {"out", "no_quadratic_forms"}
 
 def _config(args) -> dict:
     """The run's record: the subcommand, every parsed flag in parser order
-    except the output-only ones, then `threads: 1`: one output for any
-    thread count, as if on one thread; the field keeps the config keys."""
+    except the output-only ones, then `threads: 1`, the OpenBLAS thread
+    count main runs every handler on."""
     flags = dict(vars(args))
     del flags["handler"]
     name = [flags.pop("command"), flags.pop("subcommand", None)]
@@ -252,14 +252,12 @@ def cmd_poly_error(args) -> int:
 def _load_or_generate_matrix(args):
     if args.matrix is not None:
         return parse_matrix_file(args.matrix)
-    if args.gen_spd:
-        if args.dim is None:
-            raise UsageError("--gen-spd requires --dim")
-        kappa = args.kappa if args.kappa is not None else 2.0
-        return sample_spd_with_spectrum(
-            args.dim, kappa, RngState(args.seed, stream=9)
-        ), 0.0
-    raise UsageError("provide --matrix FILE or --gen-spd")
+    if not args.gen_spd:
+        raise UsageError("provide --matrix FILE or --gen-spd")
+    if args.dim is None:
+        raise UsageError("--gen-spd requires --dim")
+    kappa = args.kappa if args.kappa is not None else 2.0
+    return sample_spd_with_spectrum(args.dim, kappa, RngState(args.seed, stream=9)), 0.0
 
 
 def cmd_trace(args) -> int:
@@ -444,9 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(handler=cmd_poly_error)
 
     tr = sub.add_parser("trace", help="Hutchinson trace estimation")
-    tr.add_argument("--matrix", help="matrix file (MatrixMarket or raw dense)")
-    tr.add_argument("--gen-spd", action="store_true",
-                    help="generate a seeded SPD matrix with spectrum in [1, kappa]")
+    source = tr.add_mutually_exclusive_group()
+    source.add_argument("--matrix", help="matrix file (MatrixMarket or raw dense)")
+    source.add_argument("--gen-spd", action="store_true",
+                        help="generate a seeded SPD matrix with spectrum in [1, kappa]")
     tr.add_argument("--dim", type=int)
     tr.add_argument("--func", default="inv",
                     help="inv, invsqrt, identity or exp")
@@ -518,7 +517,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        return args.handler(args)
+        with _one_blas_thread():
+            return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

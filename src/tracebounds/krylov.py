@@ -9,11 +9,7 @@ Clenshaw sweep, poly_times_block.  m Lanczos steps span the same
 polynomial space as an explicit degree-(m-1) polynomial applied to the
 start vector, so both paths report their cost in the common currency of
 matrix-vector products (MVPs).  f(A) Z by Lanczos runs in column chunks
-whose basis stays under _CHUNK_BYTES, whatever the probe count.  A Lanczos
-step is one stack product, formed as (V^T A)^T so that the basis rows it
-reads and the products it returns are contiguous, and two Gram-Schmidt
-passes of the product against the whole basis, with no separate
-three-term subtraction.
+whose basis stays under _CHUNK_BYTES, whatever the probe count.
 """
 
 from __future__ import annotations
@@ -22,15 +18,15 @@ import numpy as np
 
 from .chebyshev import ChebPoly
 from .errors import SpectrumError, UsageError
-from .linalg import SymMatrix, eigh_checked
+from .linalg import _PANEL_ROWS, SymMatrix, eigh_checked, panel_product
 # bench/tracing.py wraps krylov.sym_eigen by name; keep it importable here.
 from .linalg import sym_eigen  # noqa: F401
 
 _BREAKDOWN_RTOL = 1e-12
 
 #: Bound on the Lanczos basis of one column chunk: 8 g m d bytes per column
-#: of every one of the g operators.  wishart.query_game sizes its trial
-#: stacks by it, so a stack chunks each trial's probes as a one-trial run.
+#: of every one of the g operators, the columns rounded up to whole panels
+#: (linalg._PANEL_ROWS), so only a run's last chunk pads its products.
 _CHUNK_BYTES = 2 ** 20
 
 
@@ -48,21 +44,22 @@ def _lanczos_block(matvec, z: np.ndarray, m: int, breakdown_tol: float):
     too, so no three-term subtraction runs first.  beta_j is the norm of
     what is left.  While every column runs and none stops, beta and the
     next basis vector are stored whole; otherwise through the live mask.
-    Every column starts live; one whose residual falls to
-    breakdown_tol stops there (truncated) and is charged only its realized
-    steps.  Returns (q, alpha, beta, steps, znorm): q[t, c, i] is basis
-    vector i of column c of operator t, alpha[t, c] and beta[t, c] hold the
-    diagonal and off-diagonal of its tridiagonal T, steps[t, c] < m marks
-    truncation, and znorm[t, c] is its start norm.  A stopped column keeps
-    zero basis vectors, alpha and beta from then on.
-    The last step stops once alpha[..., m-1] is known: no residual is
-    formed, since no caller reads it.
+    Every column starts live; one whose residual falls to breakdown_tol
+    stops there (truncated) and is charged only its realized steps.
+    Returns (q, alpha, beta, steps, znorm): q[t, c, i] is basis vector i of
+    column c of operator t, alpha[t, c] and beta[t, c] hold the diagonal and
+    off-diagonal of its tridiagonal T, steps[t, c] < m marks truncation, and
+    znorm[t, c] is its start norm.  A stopped column keeps zero basis
+    vectors, alpha and beta from then on.  The last step stops once
+    alpha[..., m-1] is known: no caller reads its residual.
     """
     g, d, c = z.shape
-    znorm = np.linalg.norm(z, axis=1)
+    # Start norms sum contiguous rows: no layout or width changes their bits.
+    rows = np.ascontiguousarray(z.transpose(0, 2, 1))
+    znorm = np.linalg.norm(rows, axis=-1)
     live = np.ones((g, c), dtype=bool)
     q = np.zeros((g, c, m, d))
-    q[:, :, 0] = (z / znorm[:, None, :]).transpose(0, 2, 1)
+    q[:, :, 0] = rows / znorm[..., None]
     alpha = np.zeros((g, c, m))
     beta = np.zeros((g, c, max(m - 1, 0)))
     steps = np.full((g, c), m)
@@ -100,18 +97,18 @@ def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
 
     Each chunk holds the same columns of every operator.  Its projections
     T are cut to the chunk's longest run: a column that stopped after fewer
-    steps s has its T padded past step s with alpha[s-1] * I.  That value
-    lies between the column's smallest and largest Ritz values, so f(T) e_1
-    is the s x s answer, f sees no value outside the s x s range, and the
-    tolerance scale is unchanged.  For f = "inv", T^-1 e_1 is read from the
-    backward pivots of T (see _inv_e1); an operator with a nonpositive
-    pivot in the chunk is not positive definite and, like every operator
-    for any other f, has its T's eigensolved as one stack under the
-    sym_eigen residual contract and f applied to its Ritz values.  Chunks
-    share no state: an operator whose values f rejects with SpectrumError
-    keeps running, and being charged, in later chunks, as in its solo run.
-    errors[t] holds the first such error, and then all of operator t's
-    columns read NaN; it is None for an operator f never rejected.
+    steps s has its T padded past step s with alpha[s-1] * I, a value
+    between its smallest and largest Ritz values, so f(T) e_1 is the s x s
+    answer, f sees no value outside that range and the tolerance scale is
+    unchanged.  For f = "inv", T^-1 e_1 is read from the backward pivots of
+    T (see _inv_e1); an operator with a nonpositive pivot in the chunk is
+    not positive definite and, like every operator for any other f, has
+    its T's eigensolved as one stack under the sym_eigen residual contract
+    and f applied to its Ritz values.  Chunks share no state: an operator
+    whose values f rejects with SpectrumError keeps running, and being
+    charged, in later chunks, as in its solo run.  errors[t] holds the
+    first such error, and then all of operator t's columns read NaN; it is
+    None for an operator f never rejected.
     """
     g, d, k = z.shape
     if np.any(np.linalg.norm(z, axis=1) == 0.0):
@@ -119,7 +116,7 @@ def _fa_block(matvec, z: np.ndarray, m: int, f, breakdown_tol: float):
     out = np.empty((g, d, k))
     errors = [None] * g
     mvps = 0
-    width = max(1, _CHUNK_BYTES // (8 * g * m * d))
+    width = -(-max(1, _CHUNK_BYTES // (8 * g * m * d)) // _PANEL_ROWS) * _PANEL_ROWS
     for c0 in range(0, k, width):
         q, alpha, beta, steps, znorm = _lanczos_block(
             matvec, z[:, :, c0 : c0 + width], m, breakdown_tol)
@@ -199,9 +196,7 @@ def _sym_args(a: SymMatrix, z: np.ndarray, m: int):
         raise UsageError(f"need 1 <= m <= d, got m={m}, d={a.dim}")
     zb = np.asarray(z, dtype=np.float64).reshape(1, a.dim, -1)
     tol = _BREAKDOWN_RTOL * max(1.0, a.max_norm())
-    # (V^T A)^T = A V for symmetric A; the transposed product gives the loop
-    # C-contiguous basis rows.
-    return (lambda v, live: (v.swapaxes(1, 2) @ a.entries).swapaxes(1, 2)), zb, tol
+    return (lambda v, live: panel_product(v.swapaxes(1, 2), a.entries).swapaxes(1, 2)), zb, tol
 
 
 def apply_scalar_function(f, values: np.ndarray) -> np.ndarray:

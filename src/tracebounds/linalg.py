@@ -90,11 +90,10 @@ def sym_eigen(a: SymMatrix) -> EigenDecomposition:
 def _numpy_blas_symbols(templates, names, missing: str):
     """(template, functions): template.format(name) for each of names,
     under the first of templates whose every symbol numpy.linalg's
-    extension module exports.  On Linux the loader finds the symbols of the
-    OpenBLAS it calls there, in numpy builds linked to OpenBLAS, the PyPI
-    wheels included.  Windows (whose lookup does not reach a module's
-    dependencies), Accelerate and MKL builds yield none, and the lookup
-    raises RuntimeError with the reason `missing`."""
+    extension module exports: on Linux, those of the OpenBLAS it calls, in
+    numpy builds linked to OpenBLAS (the PyPI wheels).  Windows (whose
+    lookup does not reach a module's dependencies), Accelerate and MKL
+    builds yield none: RuntimeError with the reason `missing`."""
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     for template in templates:
         try:
@@ -107,7 +106,7 @@ def _numpy_blas_symbols(templates, names, missing: str):
 @functools.cache
 def _blas_thread_control():
     """(get, set) of the thread count of the OpenBLAS behind numpy.linalg;
-    without them every eigensolve raises."""
+    without them every pin raises."""
     _, (get, put) = _numpy_blas_symbols(
         ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
          "openblas_{}_num_threads"), ("get", "set"),
@@ -135,23 +134,40 @@ def _dlasq1():
     return fn, index
 
 
-_BLAS_THREADS_LOCK = threading.Lock()
+_BLAS_THREADS_LOCK = threading.RLock()
+_PINNED_FROM = []  # the counts the pins in force restore, outermost first
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the block with OpenBLAS on one thread, then restore its count.
-    The count is process-wide, so the lock holds other Python threads'
-    eigensolves until it is restored: otherwise one could read the pinned
-    1 as the count to restore."""
+    The count is process-wide: the lock holds other Python threads' pins
+    until it is restored, and a pin inside a pin on one thread nests."""
     get, put = _blas_thread_control()
     with _BLAS_THREADS_LOCK:
-        threads = get()
+        _PINNED_FROM.append(get())
         put(1)
         try:
             yield
         finally:
-            put(threads)
+            put(_PINNED_FROM.pop())
+
+
+_PANEL_ROWS = 8  # the rows one GEMM of panel_product takes
+
+
+def panel_product(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """rows @ a for a ... x c x d stack of rows and a d x d matrix or a
+    stack of them, by one GEMM per panel of _PANEL_ROWS rows, the last
+    zero-padded.  Every GEMM has one shape, so a row's bits depend only on
+    a and that row: a row alone would go through GEMV, and GEMMs of other
+    widths round differently.  For a symmetric a, row v gives (a v)^T."""
+    c, d = rows.shape[-2:]
+    pad = -c % _PANEL_ROWS
+    if pad:
+        rows = np.concatenate((rows, np.zeros(rows.shape[:-2] + (pad, d))), axis=-2)
+    out = rows.reshape(rows.shape[:-2] + (-1, _PANEL_ROWS, d)) @ a[..., None, :, :]
+    return out.reshape(out.shape[:-3] + (-1, d))[..., :c, :]
 
 
 def eigh_checked(m: np.ndarray):
@@ -283,11 +299,11 @@ def bidiagonal_singular_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     It is where LAPACK's dense SVD (gesdd) ends on a bidiagonal input,
     whose reduction reflectors are identities, so the values are those of
     np.linalg.svd of the dense bidiagonal, bit for bit.  The calls run in
-    min(k, OpenBLAS threads) contiguous ranges, the first on the caller and
-    one thread on each other (ctypes releases the GIL); a call touches only
-    its row, so the split changes no value.  Raises EigenConvergenceError
-    for the lowest bidiagonal whose INFO != 0; where gesdd's dbdsqr would
-    finish a stalled dqds (INFO = 2) by QR sweeps, this raises.
+    min(k, OpenBLAS threads outside any pin) contiguous ranges, the first on
+    the caller, one thread on each other (ctypes releases the GIL); a call
+    touches only its row, so the split changes no value.  Raises
+    EigenConvergenceError for the lowest bidiagonal whose INFO != 0, also
+    at INFO = 2, a stalled dqds that gesdd's dbdsqr would finish by QR.
     """
     k, d = a.shape
     # dlasq1 overwrites d with the singular values and e, of length d, with
@@ -297,7 +313,8 @@ def bidiagonal_singular_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     e = np.zeros((k, d))
     e[:, :d - 1] = b
     fn, index = _dlasq1()
-    width = max(1, min(k, _blas_thread_control()[0]()))
+    outer = _PINNED_FROM[:1] or [_blas_thread_control()[0]()]
+    width = max(1, min(k, outer[0]))
     work, infos = np.empty((width, 4 * d)), [index(0) for _ in range(width)]
     n, row, failed, raised, started = index(d), 8 * d, [], [], []
     ps, pe, pw = sigma.ctypes.data, e.ctypes.data, work.ctypes.data
@@ -352,15 +369,13 @@ def spectrum_within(a: SymMatrix, lo: float, hi: float, tau: float) -> bool:
     Cholesky factors both A - (lo - tau) I and (hi + tau) I - A.
 
     An eigenvalue on an endpoint passes for any tau above the factorization's
-    rounding, where cholesky's pivot gate would reject it.  Both calls run on
-    one BLAS thread: from d ~ 224 on the blocked factorization rounds by the
-    thread count, and a yes/no near the tolerance must not.
+    rounding, where cholesky's pivot gate would reject it.  From d ~ 224 on
+    that rounding depends on the BLAS thread count; the CLI pins it to one.
     """
     shift = np.eye(a.dim)
     try:
-        with _one_blas_thread():
-            np.linalg.cholesky(a.entries - (lo - tau) * shift)
-            np.linalg.cholesky((hi + tau) * shift - a.entries)
+        np.linalg.cholesky(a.entries - (lo - tau) * shift)
+        np.linalg.cholesky((hi + tau) * shift - a.entries)
     except np.linalg.LinAlgError:
         return False
     return True

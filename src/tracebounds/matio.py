@@ -2,12 +2,11 @@
 
 Raw format: first line the dimension d, then d*d whitespace-separated
 row-major floats (line breaks anywhere).  Both readers skip a leading
-byte-order mark and reject a byte that is not UTF-8 and a NaN or infinite
-entry, naming its line, as the MatrixMarket reader does a pair (i, j)
-given twice, also as (j, i).  They
-enforce symmetry by averaging M/2 + M^T/2 (linalg.symmetrize) and report
-the maximum asymmetry found; an asymmetry past the largest float is an
-error, reported at the last line.
+byte-order mark and reject, naming its line, a dimension below 1, a byte
+that is not UTF-8 and a NaN or infinite entry, as the MatrixMarket reader
+does a pair (i, j) given twice, also as (j, i).  They enforce symmetry by
+averaging M/2 + M^T/2 (linalg.symmetrize) and report the maximum asymmetry
+found; one past the largest float is an error, reported at the last line.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def parse_matrix_file(path: str) -> tuple[SymMatrix, float]:
     else:
         m = _parse_raw(lines)
     with np.errstate(over="ignore"):
-        asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+        asym = float(np.max(np.abs(m - m.T)))
     if asym == math.inf:
         raise MatrixParseError("asymmetry max |M - M^T| overflows", len(lines))
     mat = symmetrize(m)
@@ -142,6 +141,8 @@ def _parse_matrix_market(lines: list[str]) -> np.ndarray:
         raise MatrixParseError("size line must contain integers", size_no)
     if rows != cols:
         raise MatrixParseError(f"matrix must be square, got {rows}x{cols}", size_no)
+    if rows < 1:
+        raise MatrixParseError("dimension must be >= 1", size_no)
     m = np.zeros((rows, cols))
     given = set()
     for off, ln in enumerate(lines[idx + 1 :], start=size_no + 1):

@@ -26,7 +26,6 @@ from .errors import (
     SpectrumError,
     UsageError,
 )
-from . import krylov
 from .krylov import fa_times_vec_oracle
 from .linalg import (
     SymMatrix,
@@ -35,6 +34,7 @@ from .linalg import (
     cholesky,
     eigvalsh_checked,
     orthonormal_complement,
+    panel_product,
     qr_columns,
     sample_wishart_stack,
     symmetrize,
@@ -48,12 +48,10 @@ from .rng import RngState, rademacher
 #: (1/d) G G^T is 4 (Marchenko-Pastur), so tails are measured from 4(1+t).
 LAMBDA_MAX_REFERENCE = 4.0
 
-#: Bound on one stack of trials: the experiments but the query game, whose
-#: stacks krylov._CHUNK_BYTES bounds, run their trials in order, as many at
-#: a time as fit in _STACK_BYTES (at least one), on one thread.  A trial
-#: takes 8 d^2 bytes as a dense d x d matrix and 8 (2d - 1) bytes as a
-#: bidiagonal: at 256 KiB a d = 64 run of up to 258 trials is one stack of
-#: bidiagonals, and a stack holds 32 dense trials at d = 32.
+#: Bound on one stack of trials, as many as fit (at least one), run in
+#: order: 8 d^2 bytes a dense d x d trial, 8 (2d - 1) a bidiagonal one.  At
+#: 256 KiB a d = 64 run of up to 258 bidiagonal trials is one stack, and a
+#: dense stack holds 32 trials at d = 32 and 8 at d = 64.
 _STACK_BYTES = 2 ** 18
 
 
@@ -236,7 +234,7 @@ def _posterior_samples(d: int, n: int, trials: int, rng: RngState):
     queries = np.eye(d)[:, :n]
     basis = _query_basis(queries, d)
     comp_t = basis[2][n:]
-    stacks = _trial_stacks(trials, 8 * d * d, _STACK_BYTES)
+    stacks = _trial_stacks(trials, 8 * d * d)
     samples = np.empty((5, trials))
     for start, stop in stacks:
         w = sample_wishart_stack(d, [rng.child(0, i) for i in range(start, stop)])
@@ -314,14 +312,13 @@ def _binomial_rows(counts, trials: int, thresholds) -> list[CdfRow]:
     return rows
 
 
-def _trial_stacks(trials: int, trial_bytes: int, stack_bytes: int):
-    """(start, stop) of consecutive stacks of trials, each stack within
-    stack_bytes at trial_bytes per trial.  trials is checked on the call,
-    not on the first step.  Callers pass the bound, so it is read when
-    they run, not when this module is loaded."""
+def _trial_stacks(trials: int, trial_bytes: int):
+    """(start, stop) of consecutive stacks of trials, each within
+    _STACK_BYTES, read on each call, at trial_bytes per trial.  trials is
+    checked on the call, not on the first step."""
     if trials < 1:
         raise UsageError("trials must be >= 1")
-    k = max(1, stack_bytes // trial_bytes)
+    k = max(1, _STACK_BYTES // trial_bytes)
     return ((start, min(start + k, trials)) for start in range(0, trials, k))
 
 
@@ -346,7 +343,7 @@ def _trial_bidiagonals(d: int, trials: int, rng: RngState):
     if d < 1:
         raise UsageError("need d >= 1")
     dofs = _bidiagonal_dofs(d)
-    for start, stop in _trial_stacks(trials, 8 * (2 * d - 1), _STACK_BYTES):
+    for start, stop in _trial_stacks(trials, 8 * (2 * d - 1)):
         chi = np.sqrt(np.stack([rng.child(i).chisquare(dofs)
                                 for i in range(start, stop)]))
         yield chi[:, :d], chi[:, d:]
@@ -483,12 +480,10 @@ class MeteredOracle:
         """W v for a k x d x c stack v, or one d x c block for every trial.
 
         Trial t is charged the columns marked in the k x c mask live[t], or
-        all c when live is None or marks every column; a column that is not
-        live is zeroed before the product, and a mask that marks every
-        column costs no masked copy.  A call that would take any trial past
-        the budget is refused whole, before the product.  W v is formed as
-        (v^T W)^T, equal since W is exactly symmetric, so a Lanczos basis
-        stack is read, and its products come back, as contiguous rows."""
+        all c when live is None or marks every column (then no masked copy
+        is made); a column that is not live is zeroed before the product
+        (linalg.panel_product).  A call that would take any trial past the
+        budget is refused whole, before the product."""
         partial = live is not None and not live.all()
         charge = np.count_nonzero(live, axis=1) if partial else np.shape(v)[-1]
         if np.any(self.count + charge > self.budget):
@@ -496,7 +491,7 @@ class MeteredOracle:
         self.count += charge
         if partial:
             v = np.where(live[:, None, :], v, 0.0)
-        return (np.swapaxes(v, -1, -2) @ self._entries).swapaxes(-1, -2)
+        return panel_product(np.swapaxes(v, -1, -2), self._entries).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -616,21 +611,15 @@ def query_game(
     most ``budget`` times, and score success iff the estimate lands in
     [tr(W^{-p})/C, C tr(W^{-p})] with C = approx_factor.  The true trace
     comes from a values-only eigensolve of W, held to eigvalsh_checked's
-    moment contract, that the algorithm never sees; it, and ExactRecovery's
-    estimate, differ by rounding only from the eigenvector route of earlier
-    versions, and stay deterministic.
+    moment contract, that the algorithm never sees.
 
-    Trials run in stacks within krylov._CHUNK_BYTES, a trial counting the
-    larger of its W and 8 d bytes a query: a stack of more than one trial
-    keeps its Lanczos basis in one chunk, so each trial's probes take the
-    GEMM widths of a run of that trial alone.  Trial i draws W from
-    rng.child(0, i) and gives rng.child(1, i) to the algorithm, whose
-    run_stack(oracle, p, rngs) answers a whole stack: one MeteredOracle
-    over the stack and one generator per trial in, and per trial an
-    estimate, or the SpectrumError that ended that trial, out.  An
+    Trials run in stacks of as many W as fit in _STACK_BYTES.  Trial i
+    draws W from rng.child(0, i) and gives rng.child(1, i) to the
+    algorithm, whose run_stack(oracle, p, rngs) answers a whole stack: one
+    MeteredOracle over the stack and one generator per trial in, and per
+    trial an estimate, or the SpectrumError that ended that trial, out.  An
     algorithm states the most queries it makes as queries(d); one past the
-    budget is a UsageError, and an overflowing true trace a
-    ConditioningError.
+    budget is a UsageError, an overflowing true trace a ConditioningError.
     """
     if d < 1 or trials < 1:
         raise UsageError("need d >= 1 and trials >= 1")
@@ -644,7 +633,7 @@ def query_game(
     if need > budget:
         raise UsageError(f"{algorithm.describe()} needs budget >= {need}, got {budget}")
     records = []
-    for start, stop in _trial_stacks(trials, 8 * d * max(d, need), krylov._CHUNK_BYTES):
+    for start, stop in _trial_stacks(trials, 8 * d * d):
         ids = range(start, stop)
         w = sample_wishart_stack(d, [rng.child(0, i) for i in ids])
         lam = eigvalsh_checked(w)

@@ -343,11 +343,18 @@ def test_output_ignores_thread_environment():
     # The benchmark's invtrace: its 200 dqds calls split over the threads.
     ["wishart", "invtrace", "--d", "64", "--trials", "200", "--format", "csv",
      "--seed", "5"],
+    # The matrix products of these two differ by the thread count unless
+    # the whole subcommand runs on one thread.
+    ["trace", "--gen-spd", "--dim", "300", "--kappa", "16", "--backend",
+     "exact", "--seed", "3", "--probes", "8"],
+    ["wishart", "game", "--d", "450", "--trials", "2", "--budget", "4000",
+     "--seed", "3", "--algo", "hutch", "--nv", "4", "--m", "8"],
 ])
 def test_output_ignores_blas_thread_count(argv, tmp_path):
     # From d ~ 224 on, LAPACK's eigensolve rounds differently on one and on
-    # two OpenBLAS threads; two threads need not mean two cores.  invtrace
-    # runs its dqds calls on as many Python threads as OpenBLAS has.
+    # two OpenBLAS threads, and so do the QR and the products of these
+    # d = 300 and 450 runs; two threads need not mean two cores.  invtrace runs its dqds calls on as
+    # many Python threads as OpenBLAS has outside the CLI's pin.
     write_spd100(tmp_path / "spd100.txt")
     outs = []
     for threads in ("1", "2"):
@@ -358,6 +365,31 @@ def test_output_ignores_blas_thread_count(argv, tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+
+
+def test_invtrace_splits_over_the_threads_outside_the_pin(monkeypatch):
+    # main pins OpenBLAS to one thread; the dqds calls still take their
+    # range count from the count before the pin: two ranges, one worker.
+    get, put = linalg._blas_thread_control()
+    started, counts = [], []
+
+    class Thread(linalg.threading.Thread):
+        def start(self):
+            started.append(self)
+            counts.append(get())
+            super().start()
+
+    monkeypatch.setattr(linalg.threading, "Thread", Thread)
+    before = get()
+    put(2)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run(["wishart", "invtrace", "--d", "8", "--trials", "20",
+                        "--seed", "1"]) == 0
+        assert get() == 2
+    finally:
+        put(before)
+    assert len(started) == 1 and counts == [1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -608,6 +640,19 @@ class TestMatrixFiles:
         assert captured.out == ""
         assert captured.err == "i/o error: line 4: entry (2,1) given twice\n"
 
+    @pytest.mark.parametrize("size", ["0 0 0", "-2 -2 0"])
+    def test_matrix_market_size_below_one_exits_4(self, tmp_path, capsys, size):
+        f = tmp_path / "m.mtx"
+        f.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                     f"{size}\n")
+        with pytest.raises(MatrixParseError, match="line 2: dimension must be >= 1"):
+            parse_matrix_file(f)
+        assert run(["trace", "--matrix", str(f), "--backend", "exact",
+                    "--probes", "4", "--seed", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "i/o error: line 2: dimension must be >= 1\n"
+
     def test_non_finite_entry_exits_4(self, tmp_path, capsys):
         f = tmp_path / "m.raw"
         f.write_text("2\n1 nan\nnan 1\n")
@@ -738,6 +783,15 @@ class TestMatrixFiles:
 
 
 class TestTrace:
+    def test_matrix_and_gen_spd_together_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "m.raw"
+        f.write_text("2\n1 0\n0 1\n")
+        assert run(["trace", "--matrix", str(f), "--gen-spd", "--dim", "8",
+                    "--backend", "exact", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument" in captured.err
+
     def test_gen_spd_json_report(self, tmp_path):
         out = tmp_path / "t.json"
         assert run(["trace", "--gen-spd", "--dim", "16", "--kappa", "4",

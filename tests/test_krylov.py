@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tracebounds import krylov
+from tracebounds import krylov, linalg
 from tracebounds.approx import ApproxTarget, inv_poly, sup_error
 from tracebounds.chebyshev import ChebPoly
 from tracebounds.errors import SpectrumError
@@ -15,6 +15,7 @@ from tracebounds.krylov import (
 )
 from tracebounds.linalg import (
     SymMatrix,
+    panel_product,
     sample_spd_with_spectrum,
     sample_wishart,
     sym_eigen,
@@ -348,6 +349,35 @@ class TestBatchedLanczos:
             assert np.linalg.norm(y[:, c] - yc) <= 1e-12 * np.linalg.norm(yc)
         assert mvps == solo_mvps == k * m
 
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([5, 33, 64, 192, 300]),
+           k=st.integers(min_value=1, max_value=20),
+           m=st.integers(min_value=1, max_value=12),
+           f=st.sampled_from(["inv", "inv_sqrt"]),
+           chunk_bytes=st.integers(min_value=1, max_value=2 ** 21),
+           data=st.data())
+    def test_column_bytes_ignore_chunks_splits_and_order(self, d, k, m, f,
+                                                         chunk_bytes, data):
+        # A column's bytes depend on A, its start vector and m alone: not on
+        # the chunk bound, the other columns of its call, its position or
+        # the layout of z (a fancy-indexed block is column-major).  Gaussian
+        # start vectors, unlike Rademacher ones, have inexact norms.
+        m = min(m, d)
+        perm = data.draw(st.permutations(range(k)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, k - 1))) if k > 1 else [])
+        g = RngState(d * 1000 + k).generator()
+        a = sample_spd_with_spectrum(d, 16.0, g)
+        z = g.standard_normal((d, k))
+        with linalg._one_blas_thread():
+            want, _ = fa_times_vec_lanczos(a, z, m, f)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(krylov, "_CHUNK_BYTES", chunk_bytes)
+                for part in np.split(np.array(perm), cuts):
+                    got, mvps = fa_times_vec_lanczos(a, z[:, part], m, f)
+                    assert mvps == len(part) * m
+                    for j, c in enumerate(part):
+                        assert got[:, j].tobytes() == want[:, c].tobytes()
+
     def test_mixed_breakdown_block(self):
         a = SymMatrix(np.diag([1.0, 2.0, 5.0, 7.0]))
         z = np.array([[1.0, 1.0, 0.0, 0.0],
@@ -411,32 +441,36 @@ def operator_entries(kind, d, rng):
 
 
 def recording(entries, seen):
-    """A stack matvec by the g x d x d entries that appends each (V, live)
-    it receives to seen."""
+    """A stack matvec by the g x d x d entries, through the Lanczos product,
+    that appends each (V, live) it receives to seen."""
     def matvec(v, live):
         seen.append((v.copy(), live.copy()))
-        return entries @ v
+        return product(entries)(v, live)
     return matvec
+
+
+def product(entries):
+    """The stack matvec of the g x d x d entries as a Lanczos run forms it."""
+    return lambda v, live: panel_product(v.swapaxes(1, 2), entries).swapaxes(1, 2)
 
 
 class TestOperatorStack:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from(["spd", "2I", "negative"]),
                     min_size=1, max_size=4),
-           st.integers(min_value=1, max_value=6),
+           st.integers(min_value=1, max_value=20),
            st.integers(min_value=2, max_value=16),
            st.integers(min_value=1, max_value=16),
-           st.integers(min_value=2, max_value=6),
+           st.sampled_from([8, 16]),
            st.sampled_from(["inv", "exp"]),
            st.integers(min_value=0, max_value=10 ** 6))
     # f rejects the negative operator in the first of two chunks; alone, its
-    # four columns run in one chunk.
-    @example(["spd", "negative"], 4, 4, 2, 2, "inv", 0)
+    # twelve columns run in one chunk.
+    @example(["spd", "negative"], 12, 4, 2, 8, "inv", 0)
     def test_each_operator_matches_its_solo_run(self, kinds, c, d, m, width, f, seed):
-        # A chunk of one column goes through GEMV, not GEMM, and rounds
-        # differently; every chunk of the stack holds at least two columns
-        # of each operator, unless there is one column in all.
-        assume(c == 1 or c % width != 1)
+        # Chunks of `width` columns of each operator, against a solo run's
+        # chunks of g * width columns; any chunk width, one column included,
+        # gives a column the same bits.
         m = min(m, d)
         g = len(kinds)
         rng = RngState(seed)
@@ -450,8 +484,7 @@ class TestOperatorStack:
                                                   d, z, m, f)
             for t in range(g):
                 want, steps, (error,) = fa_times_vec_oracle(
-                    lambda v, live, e=entries[t : t + 1]: e @ v,
-                    d, z[t : t + 1], m, f)
+                    product(entries[t : t + 1]), d, z[t : t + 1], m, f)
                 assert y[t].tobytes() == want[0].tobytes()
                 assert type(errors[t]) is type(error)
                 assert sum(int(live[t].sum()) for _, live in seen) == steps

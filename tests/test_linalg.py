@@ -202,6 +202,30 @@ class TestSymEigen:
         finally:
             put(before)
 
+    def test_nested_pins_restore_the_outer_count(self):
+        # The CLI pins a whole subcommand and the eigensolves in it pin
+        # again; a lock that is not reentrant would hang the inner pin.
+        get, put = linalg._blas_thread_control()
+        before, seen = get(), []
+
+        def nested():
+            with linalg._one_blas_thread():
+                with linalg._one_blas_thread():
+                    seen.append((get(), list(linalg._PINNED_FROM)))
+                    eigh_checked(np.eye(3))
+                seen.append((get(), list(linalg._PINNED_FROM)))
+            seen.append((get(), list(linalg._PINNED_FROM)))
+
+        put(2)
+        try:
+            worker = threading.Thread(target=nested, daemon=True)
+            worker.start()
+            worker.join(10)
+            assert not worker.is_alive(), "nested pin deadlocked"
+            assert seen == [(1, [2, 1]), (1, [2]), (2, [])]
+        finally:
+            put(before)
+
     def test_missing_blas_thread_control_fails_loudly(self, monkeypatch):
         # Windows numpy wheels (no symbol lookup through dependencies),
         # Accelerate and MKL builds: the module exports no thread control.

@@ -829,7 +829,8 @@ class TestQueryGame:
         (ExactRecovery(), solo_exact, 64, 64, 1.0),
         # p != 1 takes the eigen route, not the pivot readout.
         (HutchinsonKrylov(8, 32), solo_hutchinson(8, 32), 64, 256, 1.5),
-        # A 512 KiB basis a trial: two trials a stack.
+        # A 512 KiB basis a trial: in a stack of 8 its 16 probes span two
+        # chunks, alone one.
         (HutchinsonKrylov(16, 64), solo_hutchinson(16, 64), 64, 1024, 1.0),
     ], ids=["algorithm0-64-256", "algorithm1-64-32", "algorithm2-64-64",
             "algorithm0-64-256-p1.5", "algorithm4-64-1024"])
@@ -838,13 +839,8 @@ class TestQueryGame:
     def test_stacked_game_matches_one_trial_at_a_time(self, algorithm, solo, d,
                                                      budget, p, stacks, extra):
         # stacks * k + extra trials: 1, k - 1, k, k + 1, 2k + 1 and 4k + 1
-        # around the stack size k (8 for 8 probes, 32 for 1 probe and for
-        # exact, 2 for 16 probes of 64 steps).  A single probe takes other
-        # memory layouts than a block of them.  Stacks sized by W alone
-        # would put 9 trials of 16 probes in one stack and split their
-        # probes over chunks of 3.
-        width = max(d, algorithm.queries(d))
-        k = krylov_module._CHUNK_BYTES // (8 * d * width)
+        # around the stack size k, 8 trials of d = 64 for every algorithm.
+        k = wishart_module._STACK_BYTES // (8 * d * d)
         trials = stacks * k + extra
         res = query_game(d, p, 2.0, algorithm, budget, trials, RngState(92))
         ref = one_trial_at_a_time_game(d, p, 2.0, solo, budget, trials,
@@ -852,19 +848,28 @@ class TestQueryGame:
         assert record_bytes(res.records) == record_bytes(ref)
         assert res.success_count == sum(r.success for r in ref)
 
-    @pytest.mark.parametrize("chunk_bytes", [2 ** 16, 2 ** 18, None])
-    def test_game_stacks_follow_the_lanczos_chunk_bound(self, monkeypatch,
-                                                       chunk_bytes):
-        # The stacks are sized by krylov's chunk bound when the game runs,
-        # so each trial's 8 probes are chunked as in its solo run at any
-        # bound: 9 trials are 9 stacks at 64 KiB (two chunks of 4 probes),
-        # 5 at 256 KiB and 2 at the default 1 MiB.
+    @pytest.mark.parametrize("algorithm, solo, budget", [
+        (HutchinsonKrylov(8, 32), solo_hutchinson(8, 32), 256),
+        (HutchinsonKrylov(1, 32), solo_hutchinson(1, 32), 32),
+        (HutchinsonKrylov(3, 8), solo_hutchinson(3, 8), 24),
+    ], ids=["nv8", "nv1", "nv3"])
+    @pytest.mark.parametrize("chunk_bytes, stack_bytes", [
+        (1, None), (2 ** 16, None), (2 ** 18, None), (2 ** 24, None),
+        (None, 1), (None, 3 * 8 * 64 * 64), (None, 2 ** 24), (1, 1)])
+    def test_game_bytes_ignore_chunk_and_stack_bounds(
+            self, monkeypatch, algorithm, solo, budget, chunk_bytes, stack_bytes):
+        # A chunk bound of one byte admits one column at a time (one panel
+        # of them); one of 16 MiB puts every probe of a stack in one chunk.
+        # A stack bound of one byte runs each trial alone, one of 16 MiB
+        # all 9 trials in one stack.
         if chunk_bytes is not None:
             monkeypatch.setattr(krylov_module, "_CHUNK_BYTES", chunk_bytes)
+        if stack_bytes is not None:
+            monkeypatch.setattr(wishart_module, "_STACK_BYTES", stack_bytes)
         args = (64, 1.0, 2.0)
-        res = query_game(*args, HutchinsonKrylov(8, 32), 256, 9, RngState(95))
-        ref = one_trial_at_a_time_game(*args, solo_hutchinson(8, 32), 256, 9,
-                                       RngState(95))
+        res = query_game(*args, algorithm, budget, 9, RngState(95))
+        monkeypatch.undo()
+        ref = one_trial_at_a_time_game(*args, solo, budget, 9, RngState(95))
         assert record_bytes(res.records) == record_bytes(ref)
 
     def test_spectrum_error_stops_only_its_trial(self, monkeypatch):

@@ -54,6 +54,8 @@ NEG_RAW = "2\n-1000 0\n0 -1000\n"
 LATIN1_RAW = b"3\n4 1 0\n1 3 0.5\n0 0.5 2 \xe9\n"
 # The pair (2,1) given again as (1,2): exit 4.
 TWICE_MTX = MTX.replace("3 3 4\n", "3 3 5\n") + "1 2 7\n"
+# A size line of zero rows: exit 4.
+ZERO_MTX = "%%MatrixMarket matrix coordinate real symmetric\n0 0 0\n"
 # The UTF-8 byte-order mark, put before copies of m.mtx (exit 0) and
 # false.json (exit 3).
 BOM = b"\xef\xbb\xbf"
@@ -195,6 +197,21 @@ INVOCATIONS = [
     *[["trace", "--gen-spd", "--dim", "192", "--kappa", "16", "--func", func,
        "--backend", "lanczos", "--m", "30", "--probes", "64", "--seed", "1"]
       for func in ("inv", "invsqrt")],
+    # Matrix products that round by the BLAS thread count unless the whole
+    # subcommand runs on one thread; run under OPENBLAS_NUM_THREADS=1 and 2.
+    ["trace", "--gen-spd", "--dim", "300", "--kappa", "16", "--backend",
+     "exact", "--seed", "3", "--probes", "8"],
+    *[["trace", "--gen-spd", "--dim", "450", "--kappa", "16", "--probes", "8",
+       "--seed", "3", *backend]
+      for backend in (["--backend", "lanczos", "--m", "20"],
+                      ["--backend", "cheb"])],
+    *[["wishart", "game", "--d", "450", "--trials", "2", "--budget", "4000",
+       "--seed", "3", *algo]
+      for algo in (["--algo", "hutch", "--nv", "4", "--m", "8"],
+                   ["--algo", "exact"])],
+    ["trace", "--matrix", "zero.mtx", "--backend", "exact", "--seed", "1"],
+    # Two matrix sources: exit 2.
+    ["trace", "--matrix", "m.txt", "--gen-spd", "--dim", "8", "--seed", "1"],
 ]
 
 
@@ -244,6 +261,7 @@ def write_inputs(main):
     Path("coeffs2d.json").write_text(json.dumps(COEFFS_2D))
     Path("neginterval.json").write_text(json.dumps(NEG_INTERVAL))
     Path("bigcoeffs.json").write_text(json.dumps(BIG_COEFFS))
+    Path("zero.mtx").write_text(ZERO_MTX)
     Path("bom.mtx").write_bytes(BOM + MTX.encode())
     Path("bomfalse.json").write_bytes(BOM + json.dumps(FALSE_CERT).encode())
     Path("spd100.txt").write_text(spd100_raw())
