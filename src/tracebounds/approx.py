@@ -263,23 +263,27 @@ def _ellipses(target: ApproxTarget):
     Inside it, |x| = h |u + u_0| with h = (kappa - 1) / 2, which is
     smallest at the ellipse's left vertex -(rho + 1/rho) / 2; so |1/x| <=
     1 / (h (u_0 - (rho + 1/rho) / 2)) there, and |x^{-1/2}| its square root.
+    m is inf where that difference rounds to 0, from kappa ~ 1.4e15 on.
     """
     kappa = target.kappa
     h = (kappa - 1.0) / 2.0
     u0 = (kappa + 1.0) / (kappa - 1.0)
     rho0 = u0 + math.sqrt(u0 * u0 - 1.0)
     rho = 1.0 + (rho0 - 1.0) * np.arange(1, 20) / 20.0
-    m = 1.0 / (h * (u0 - (rho + 1.0 / rho) / 2.0))
+    with np.errstate(divide="ignore"):
+        m = 1.0 / (h * (u0 - (rho + 1.0 / rho) / 2.0))
     return rho, (np.sqrt(m) if target.kind == "inv_sqrt" else m)
 
 
 def _interpolant_degree(target: ApproxTarget) -> int:
     """Smallest n >= 1 whose ellipse bound min_rho 4 m rho^-n / (rho - 1)
-    is at most half of delta/scale."""
+    is at most half of delta/scale; CertificateError if no n is finite."""
     rho, m = _ellipses(target)
     half = target.delta / target.scale / 2.0
-    n = np.ceil(np.log(4.0 * m / ((rho - 1.0) * half)) / np.log(rho))
-    return max(1, int(np.min(n)))
+    n = np.min(np.ceil(np.log(4.0 * m / ((rho - 1.0) * half)) / np.log(rho)))
+    if not n < math.inf:
+        raise CertificateError(math.inf, 2.0 * half)
+    return max(1, int(n))
 
 
 def _rounding_bound(degree: int) -> float:

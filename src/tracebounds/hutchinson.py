@@ -20,10 +20,10 @@ import numpy as np
 
 from .approx import ApproxTarget, inv_poly, inv_sqrt_poly
 from .chebyshev import ChebPoly
-from .errors import UsageError
+from .errors import ConditioningError, UsageError
 from .krylov import apply_scalar_function, fa_times_vec_lanczos, poly_times_block
 from .linalg import SymMatrix, sym_eigen
-from .rng import RngState
+from .rng import RngState, rademacher
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,7 @@ class ProbeSpec:
 
     def draw(self, s: int, dim: int) -> np.ndarray:
         g = self.rng.child(s)
-        if self.kind == "rademacher":
-            # rademacher(g, dim) on this fresh stream, byte for byte:
-            # integers(0, 2) takes the top bit of each 32-bit half of the
-            # stream's 64-bit Philox words, low half first.
-            words = g.bit_generator.random_raw((dim + 1) // 2).astype("<u8")
-            bits = words.view("<u4")[:dim] >> 31
-            return bits.astype(np.float64) * 2.0 - 1.0
-        return g.standard_normal(dim)
+        return rademacher(g, dim) if self.kind == "rademacher" else g.standard_normal(dim)
 
 
 @dataclass(frozen=True)
@@ -127,17 +120,30 @@ def _func_name(f) -> str:
     return str(f)
 
 
+def quadratic_forms(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """z_s . w_s for each column s of ... x d x k blocks, summed in row
+    order by one accumulation: a form's bits depend on its column alone,
+    where a sum or an einsum picks its order by the block's width and layout."""
+    return np.cumsum(z * w, axis=-2)[..., -1, :]
+
+
 def hutchinson(a: SymMatrix, backend, probes: ProbeSpec) -> TraceEstimate:
     """Average of z^T g(A) z over the probe spec.
 
     The estimator is unbiased for tr(g(A)); when g approximates f the
-    systematic part is bounded separately by bias_bound.
+    systematic part is bounded separately by bias_bound.  Forms, or their
+    mean or sample stddev, that are not finite raise ConditioningError.
     """
     zblock = np.column_stack([probes.draw(s, a.dim) for s in range(probes.count)])
-    wblock, total_mvps = backend.apply_block(a, zblock)
-    qforms = np.einsum("ij,ij->j", zblock, wblock)
-    value = float(np.mean(qforms))
-    stddev = float(np.std(qforms, ddof=1)) if probes.count > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        wblock, total_mvps = backend.apply_block(a, zblock)
+        qforms = quadratic_forms(zblock, wblock)
+        value = float(np.mean(qforms))
+        stddev = float(np.std(qforms, ddof=1)) if probes.count > 1 else 0.0
+    if not (math.isfinite(value) and math.isfinite(stddev)):
+        bad = np.flatnonzero(~np.isfinite(qforms))
+        what = f"probe {bad[0]}'s quadratic form" if len(bad) else "the forms' mean or stddev"
+        raise ConditioningError(f"{what} is not finite")
     return TraceEstimate(value, qforms, int(total_mvps), backend.describe(), stddev)
 
 

@@ -185,5 +185,9 @@ def as_generator(rng) -> np.random.Generator:
 
 
 def rademacher(g: np.random.Generator, n: int) -> np.ndarray:
-    """Length-n vector of i.i.d. +-1 entries."""
-    return g.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
+    """Length-n vector of i.i.d. +-1 entries: the top bit of each 32-bit half
+    of the next ceil(n/2) raw Philox words, low half first; on a fresh stream,
+    ``g.integers(0, 2, size=n) * 2.0 - 1.0`` bit for bit.  A second call starts
+    a fresh word where integers would go on mid-word, so draw once and split."""
+    halves = g.bit_generator.random_raw((n + 1) // 2).astype("<u8").view("<u4")
+    return (halves[:n] >> 31).astype(np.float64) * 2.0 - 1.0

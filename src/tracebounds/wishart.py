@@ -26,6 +26,7 @@ from .errors import (
     SpectrumError,
     UsageError,
 )
+from .hutchinson import quadratic_forms
 from .krylov import fa_times_vec_oracle
 from .linalg import (
     SymMatrix,
@@ -423,21 +424,12 @@ def inv_trace_tail_experiment(
         raise UsageError("need finite p > 1/2")
     if d < 2:
         raise UsageError("need d >= 2")
-    samples = []
-    kept = []
-    inv_scaled = []
-    j2 = (np.arange(1, d + 1) ** 2) / (d * d)
-    start = 0
-    for a, b in _trial_bidiagonals(d, trials, rng):
-        lam = _bidiagonal_spectra(a, b)
-        keep = np.flatnonzero(lam[:, 0] >= 1e-300)
-        kept.append(start + keep)
-        start += len(lam)
-        lam = lam[keep]
-        with np.errstate(over="ignore"):
-            samples.append(np.sum(lam ** (-p), axis=1))
-        inv_scaled.append(j2 / lam)
-    samples = np.concatenate(samples)
+    lam = np.concatenate([_bidiagonal_spectra(a, b)
+                          for a, b in _trial_bidiagonals(d, trials, rng)])
+    kept = np.flatnonzero(lam[:, 0] >= 1e-300)
+    lam = lam[kept]
+    with np.errstate(over="ignore"):
+        samples = np.sum(lam ** (-p), axis=1)
     dropped = trials - len(samples)
     if not len(samples):
         raise ConditioningError(
@@ -450,13 +442,11 @@ def inv_trace_tail_experiment(
         raise ConditioningError(f"d^(2p) overflows at d={d}, p={p:g}") from None
     if not np.isfinite(samples).all():
         raise ConditioningError(f"tr(W^-p) overflows at d={d}, p={p:g}")
-    inv_scaled = np.concatenate(inv_scaled)
-    quantiles = {
-        q: float(np.quantile(samples, q)) for q in (0.5, 0.9, 0.99)
-    }
-    per_index = np.quantile(inv_scaled, 0.99, axis=0)
+    quantiles = {q: float(np.quantile(samples, q)) for q in (0.5, 0.9, 0.99)}
+    j2 = (np.arange(1, d + 1) ** 2) / (d * d)
+    per_index = np.quantile(j2 / lam, 0.99, axis=0)
     return InvTraceReport(d, float(p), trials, dropped, quantiles, per_index,
-                          samples, np.concatenate(kept))
+                          samples, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +533,8 @@ class HutchinsonKrylov:
 
     def run_stack(self, oracle, p: float, rngs) -> list:
         """One Lanczos run over every trial's probes: trial t's n_probes
-        columns are block t of the oracle's stack at each step."""
+        columns, one rademacher draw of its stream with probe s in column s,
+        are block t of the oracle's stack at each step."""
         d = oracle.dim
         nv = self.n_probes
 
@@ -553,21 +544,14 @@ class HutchinsonKrylov:
                 raise SpectrumError(smallest)
             return vals ** (-p)
 
-        # Trial t's block z[t] comes from one draw of its stream with probe
-        # s in column s: the same vectors as n_probes consecutive
-        # rademacher(g, d) draws.
-        z = np.stack([rademacher(g, nv * d).reshape(nv, d) for g in rngs])
-        z = z.transpose(0, 2, 1)
+        z = np.stack([rademacher(g, nv * d).reshape(nv, d).T for g in rngs])
         # At p = 1 the "inv" tag reads T^-1 e_1 from T's pivots, with no
         # eigensolve; its rejections name the same smallest Ritz value.
         y, _, errors = fa_times_vec_oracle(oracle.matvec, d, z, self.m,
                                            "inv" if p == 1 else f)
-        out = []
-        for zt, yt, error in zip(z, y, errors):
-            qforms = np.einsum("ij,ij->j", zt, yt)
-            out.append(float(np.mean(qforms)) if error is None
-                       else SpectrumError(error.value))
-        return out
+        estimates = quadratic_forms(z, y).mean(axis=-1).tolist()
+        return [e if error is None else SpectrumError(error.value)
+                for e, error in zip(estimates, errors)]
 
     def describe(self) -> str:
         return f"hutchinson_krylov(N_v={self.n_probes}, m={self.m})"
@@ -638,14 +622,15 @@ def query_game(
         w = sample_wishart_stack(d, [rng.child(0, i) for i in ids])
         lam = eigvalsh_checked(w)
         with np.errstate(over="ignore"):
-            true = [float(np.sum(np.maximum(v, 1e-300) ** (-p))) for v in lam]
-        for i, true_tr in zip(ids, true):
-            if not math.isfinite(true_tr):
-                raise ConditioningError(
-                    f"trial {i}: true trace tr(W^-p) overflows at p={p:g}")
+            true = np.sum(np.maximum(lam, 1e-300) ** (-p), axis=-1)
+        overflow = np.flatnonzero(~np.isfinite(true))
+        if len(overflow):
+            raise ConditioningError(f"trial {start + overflow[0]}: true trace "
+                                    f"tr(W^-p) overflows at p={p:g}")
         oracle = MeteredOracle(w, budget)
         outcomes = algorithm.run_stack(oracle, p, [rng.child(1, i) for i in ids])
-        for i, true_tr, used, outcome in zip(ids, true, oracle.count.tolist(), outcomes):
+        for i, true_tr, used, outcome in zip(ids, true.tolist(), oracle.count.tolist(),
+                                             outcomes):
             error = str(outcome) if isinstance(outcome, SpectrumError) else None
             estimate = math.nan if error is not None else outcome
             success = true_tr / approx_factor <= estimate <= approx_factor * true_tr

@@ -525,6 +525,71 @@ def test_overflowing_trace_exits_3(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("kappa", ["1e16", "1e100", "1e308"])
+@pytest.mark.parametrize("argv", [
+    ["poly", "build", "--func", "inv", "--delta", "0.1"],
+    ["poly", "build", "--func", "invsqrt", "--delta", "0.1"],
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "cheb", "--seed", "1"],
+])
+def test_kappa_past_every_ellipse_is_a_certificate_failure(argv, kappa, capsys):
+    # From kappa ~ 1e16 on, (kappa + 1) / (kappa - 1) rounds to 1, so every
+    # Bernstein ellipse degenerates and no degree is finite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--kappa", kappa]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("certificate failure: accuracy certificate "
+                                   "failed: achieved inf > bound ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--dim", "4", "--kappa", "1e3", "--backend", "lanczos", "--m", "4"],
+     "probe 0's quadratic form is not finite"),
+    (["--dim", "8", "--kappa", "1e300", "--backend", "exact", "--probes", "2"],
+     "probe 0's quadratic form is not finite"),
+    # Forms near 1e304 are finite; their sample stddev is not.
+    (["--dim", "2", "--kappa", "700", "--backend", "exact", "--probes", "3"],
+     "the forms' mean or stddev is not finite"),
+])
+def test_overflowing_quadratic_form_exits_3(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["trace", "--gen-spd", "--func", "exp", *argv,
+                    "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(min_value=2, max_value=12),
+       kappa=st.sampled_from(["2", "100", "700", "1e3", "1e300"]),
+       backend=st.sampled_from([["exact"], ["lanczos", "--m", "1"],
+                                ["lanczos", "--m", "2"]]),
+       probes=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_trace_prints_strict_json_or_nothing(d, kappa, backend, probes, seed):
+    # exp overflows on spectra past ~709, and the forms' sample stddev
+    # already near 1e154; either exits 3 with nothing on stdout, never a
+    # report holding NaN or Infinity.
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["trace", "--gen-spd", "--dim", str(d), "--kappa", kappa,
+                    "--func", "exp", "--backend", *backend,
+                    "--probes", str(probes), "--seed", str(seed)])
+    assert code in (0, 3)
+    if code == 3:
+        assert out.getvalue() == ""
+    else:
+        rep = json.loads(out.getvalue(), parse_constant=reject)
+        assert math.isfinite(rep["estimate"])
+
+
 def test_invtrace_keeps_nearly_singular_trial(capsys):
     # The dense sampler's trial 77 of this seed had an eigvalsh lambda_min
     # below 0 (cond(G) = 1.7e8).  Bidiagonal singular values keep

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracebounds import linalg
 from tracebounds.approx import ApproxTarget, inv_poly
 from tracebounds.errors import UsageError
 from tracebounds.hutchinson import (
@@ -14,20 +17,51 @@ from tracebounds.hutchinson import (
     build_target_poly,
     estimate_tr_f,
     hutchinson,
+    quadratic_forms,
 )
 from tracebounds.linalg import SymMatrix, sample_spd_with_spectrum, sym_eigen
-from tracebounds.rng import RngState, rademacher
+from tracebounds.rng import RngState
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 191, 192, 513])
 @pytest.mark.parametrize("s", [0, 1, 63, 64, 65, 130])
 def test_rademacher_probes_are_rademacher_draws(n, s):
-    # ProbeSpec reads the signs from the stream's raw Philox words; ids 63
-    # and 64 sit on either side of the first 64-id key block.
+    # ProbeSpec reads the signs from the stream's raw Philox words; on a
+    # fresh stream they are numpy's integers(0, 2) draws.  Ids 63 and 64
+    # sit on either side of the first 64-id key block.
     for seed in (0, 12, 2 ** 70 + 3):
         spec = ProbeSpec("rademacher", 1, RngState(seed, 4))
-        want = rademacher(RngState(seed, 4).child(s), n)
+        want = RngState(seed, 4).child(s).integers(0, 2, size=n) * 2.0 - 1.0
         assert spec.draw(s, n).tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([5, 33, 64, 192]),
+       k=st.integers(min_value=1, max_value=12),
+       m=st.integers(min_value=1, max_value=12),
+       f=st.sampled_from(["inv", "inv_sqrt"]),
+       kind=st.sampled_from(["rademacher", "gaussian"]),
+       data=st.data())
+def test_lanczos_form_bytes_ignore_probe_count_split_and_order(d, k, m, f, kind,
+                                                               data):
+    # A probe's quadratic form depends on A, the probe and m alone: not on
+    # the probe count, the other probes of its block or its column.
+    m = min(m, d)
+    a = sample_spd_with_spectrum(d, 16.0, RngState(d * 100 + k).generator())
+    backend = LanczosBackend(f, m)
+    spec = ProbeSpec(kind, k, RngState(k, 3))
+    count = data.draw(st.integers(min_value=1, max_value=k))
+    perm = data.draw(st.permutations(range(k)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, k - 1))) if k > 1 else [])
+    z = np.column_stack([spec.draw(s, d) for s in range(k)])
+    with linalg._one_blas_thread():
+        want = hutchinson(a, backend, spec).quadratic_forms
+        fewer = ProbeSpec(kind, count, spec.rng)
+        got = hutchinson(a, backend, fewer).quadratic_forms
+        assert got.tobytes() == want[:count].tobytes()
+        for part in np.split(np.array(perm), cuts):
+            y, _ = backend.apply_block(a, z[:, part])
+            assert quadratic_forms(z[:, part], y).tobytes() == want[part].tobytes()
 
 
 def exhaustive_rademacher_mean(a, backend):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from tracebounds.hutchinson import quadratic_forms
 from tracebounds.krylov import fa_times_vec_oracle
 
 import tracebounds.krylov as krylov_module
@@ -583,12 +584,14 @@ class TestInvTraceTail:
 
 
 def per_probe_hutchinson_krylov(oracle, p, g, n_probes, m):
-    """Reference: HutchinsonKrylov on a one-trial oracle with one rademacher
-    draw and one Lanczos run per probe, where it draws all probes at once."""
+    """Reference: HutchinsonKrylov on a one-trial oracle with one Lanczos
+    run per probe, where it runs all probes at once.  The probes come from
+    one rademacher draw split into rows, as in HutchinsonKrylov: a second
+    rademacher call on g starts at a fresh Philox word, so at odd d
+    n_probes calls would give other probes."""
     d = oracle.dim
     qforms = np.empty(n_probes)
-    for s in range(n_probes):
-        z = rademacher(g, d)
+    for s, z in enumerate(rademacher(g, n_probes * d).reshape(n_probes, d)):
         y, _, _ = fa_times_vec_oracle(oracle.matvec, d, z[None], m,
                                       lambda v: v ** (-p))
         qforms[s] = z @ y[0]
@@ -641,7 +644,7 @@ def solo_hutchinson(nv, m):
                                              "inv" if p == 1 else f)
         if error is not None:
             raise SpectrumError(error.value)
-        return float(np.mean(np.einsum("ij,ij->j", z, y[0])))
+        return float(np.mean(quadratic_forms(z, y[0])))
     return solo
 
 

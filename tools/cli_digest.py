@@ -212,6 +212,21 @@ INVOCATIONS = [
     ["trace", "--matrix", "zero.mtx", "--backend", "exact", "--seed", "1"],
     # Two matrix sources: exit 2.
     ["trace", "--matrix", "m.txt", "--gen-spd", "--dim", "8", "--seed", "1"],
+    # One probe, or one probe a trial: a Lanczos form sums as in a block.
+    *[["trace", "--gen-spd", "--dim", "192", "--kappa", "16", "--func", func,
+       "--backend", "lanczos", "--m", "20", "--probes", "1", "--seed", "4"]
+      for func in ("inv", "invsqrt")],
+    ["wishart", "game", "--d", "64", "--algo", "hutch", "--nv", "1", "--m",
+     "32", "--budget", "32", "--trials", "20", "--seed", "9"],
+    # From kappa ~ 1e16 on no ellipse degree is finite: exit 3.
+    ["poly", "build", "--func", "inv", "--kappa", "1e16", "--delta", "0.1"],
+    ["trace", "--gen-spd", "--dim", "8", "--backend", "cheb", "--kappa",
+     "1e17", "--seed", "1"],
+    # exp overflows on the spectrum, so a form is not finite: exit 3.
+    ["trace", "--gen-spd", "--dim", "4", "--kappa", "1e3", "--func", "exp",
+     "--backend", "lanczos", "--m", "4", "--seed", "1"],
+    ["trace", "--gen-spd", "--dim", "8", "--kappa", "1e300", "--backend",
+     "exact", "--func", "exp", "--probes", "2", "--seed", "1"],
 ]
 
 
