@@ -275,14 +275,27 @@ def _ellipses(target: ApproxTarget):
     return rho, (np.sqrt(m) if target.kind == "inv_sqrt" else m)
 
 
+#: The highest interpolant degree a certified build goes to.  A degree-n
+#: build's grid gate holds a few hundred bytes for each of its max(4096, 10 n)
+#: points (degree 57,733 peaked at 210 MB), so a larger n is refused before
+#: anything is allocated.  An explicit grid size (poly build/error --grid) is
+#: the caller's own request and is not capped.
+MAX_DEGREE = 2 ** 16
+
+
 def _interpolant_degree(target: ApproxTarget) -> int:
     """Smallest n >= 1 whose ellipse bound min_rho 4 m rho^-n / (rho - 1)
-    is at most half of delta/scale; CertificateError if no n is finite."""
+    is at most half of delta/scale.  CertificateError if no n is finite, or
+    if n passes MAX_DEGREE, achieved then being sup_error_bound at MAX_DEGREE."""
     rho, m = _ellipses(target)
     half = target.delta / target.scale / 2.0
     n = np.min(np.ceil(np.log(4.0 * m / ((rho - 1.0) * half)) / np.log(rho)))
     if not n < math.inf:
         raise CertificateError(math.inf, 2.0 * half)
+    if n > MAX_DEGREE:
+        raise CertificateError(
+            sup_error_bound(target, MAX_DEGREE), 2.0 * half,
+            f"certified degree {int(n)} exceeds the ceiling MAX_DEGREE = {MAX_DEGREE}")
     return max(1, int(n))
 
 

@@ -52,12 +52,11 @@ class CertificateError(TraceBoundsError):
     This signals a construction bug, never an accepted outcome.
     """
 
-    def __init__(self, achieved, bound):
+    def __init__(self, achieved, bound, reason=None):
         self.achieved = achieved
         self.bound = bound
-        super().__init__(
-            f"accuracy certificate failed: achieved {achieved:g} > bound {bound:g}"
-        )
+        super().__init__(reason or (
+            f"accuracy certificate failed: achieved {achieved:g} > bound {bound:g}"))
 
 
 class ConditioningError(TraceBoundsError):

@@ -30,8 +30,8 @@ from .rng import RngState, rademacher
 class ProbeSpec:
     """Probe distribution, count and RNG for a Hutchinson run.
 
-    Probe s draws from rng.child(s), so the probes do not depend on the
-    order in which they are drawn.
+    Probe s draws from rng.child(s), bit for bit, through rng.draws, so the
+    probes do not depend on the order in which they are drawn.
     """
 
     kind: str
@@ -44,9 +44,11 @@ class ProbeSpec:
         if self.count < 1:
             raise UsageError("probe count must be >= 1")
 
-    def draw(self, s: int, dim: int) -> np.ndarray:
-        g = self.rng.child(s)
-        return rademacher(g, dim) if self.kind == "rademacher" else g.standard_normal(dim)
+    def draw(self, dim: int) -> np.ndarray:
+        """The dim x count probe block, probe s in column s."""
+        law = ((lambda g: rademacher(g, dim)) if self.kind == "rademacher"
+               else (lambda g: g.standard_normal(dim)))
+        return np.column_stack(self.rng.draws(range(self.count), law))
 
 
 @dataclass(frozen=True)
@@ -134,7 +136,7 @@ def hutchinson(a: SymMatrix, backend, probes: ProbeSpec) -> TraceEstimate:
     systematic part is bounded separately by bias_bound.  Forms, or their
     mean or sample stddev, that are not finite raise ConditioningError.
     """
-    zblock = np.column_stack([probes.draw(s, a.dim) for s in range(probes.count)])
+    zblock = probes.draw(a.dim)
     with np.errstate(over="ignore", invalid="ignore"):
         wblock, total_mvps = backend.apply_block(a, zblock)
         qforms = quadratic_forms(zblock, wblock)

@@ -226,17 +226,23 @@ def sample_gaussian_matrix(rows: int, cols: int, rng) -> np.ndarray:
     return as_generator(rng).standard_normal((rows, cols))
 
 
-def sample_wishart_stack(d: int, rngs) -> np.ndarray:
-    """k Wishart(d) draws at once: the k x d x d stack W with
-    W[i] = G[i] G[i]^T / d and G[i] drawn from rngs[i].
+def sample_wishart_stack(d: int, rng, ids, *prefix: int) -> np.ndarray:
+    """Wishart(d) draws for the trials ids at once: the k x d x d stack W
+    with W[t] = G[t] G[t]^T / d and G[t] drawn from the RngState stream
+    rng.child(*prefix, ids[t]), through rng.draws."""
+    draw = functools.partial(sample_gaussian_matrix, d, d)
+    return _gram_stack(np.stack(rng.draws(ids, draw, *prefix)))
+
+
+def _gram_stack(g: np.ndarray) -> np.ndarray:
+    """G G^T / d for a k x d x d stack G.
 
     G G^T comes out exactly symmetric (BLAS forms one triangle and mirrors
     it), so no matrix is averaged or scanned; one comparison per stack
     checks that this holds.
     """
-    g = np.stack([sample_gaussian_matrix(d, d, rng) for rng in rngs])
     w = g @ g.swapaxes(1, 2)
-    w /= d
+    w /= g.shape[-1]
     if not np.array_equal(w, w.swapaxes(1, 2)):
         raise ArithmeticError("G G^T is not exactly symmetric")
     return w
@@ -244,7 +250,7 @@ def sample_wishart_stack(d: int, rngs) -> np.ndarray:
 
 def sample_wishart(d: int, rng) -> SymMatrix:
     """Draw W = (1/d) G G^T with G a d x d standard Gaussian matrix."""
-    return SymMatrix(sample_wishart_stack(d, [rng])[0])
+    return SymMatrix(_gram_stack(sample_gaussian_matrix(d, d, rng)[None])[0])
 
 
 def bidiagonal_counts(a: np.ndarray, b: np.ndarray, shifts) -> np.ndarray:

@@ -20,6 +20,12 @@ versions; the tests check the keys against ``SeedSequence`` itself.  One
 consequence: the ``bit_generator.seed_seq`` of a child stream is a
 read-only key holder, not a ``SeedSequence``, so ``Generator.spawn`` on it
 raises ``TypeError``.
+
+Per-trial and per-probe streams are drawn through ``draws(ids, draw,
+*prefix)``: element ``i`` is ``draw(child(*prefix, i))`` bit for bit, but one
+generator serves the whole call, its Philox reset to each id's cached key,
+since a reset costs less than half of building a ``Generator``.  ``child()``
+stays for single streams.
 """
 
 from __future__ import annotations
@@ -65,6 +71,33 @@ class RngState:
         seed, *prefix, last = map(_entropy_int, (self.seed, self.stream, *path))
         keys = _key_block(seed, tuple(prefix), last // _BLOCK)
         return np.random.Generator(np.random.Philox(_PhiloxKey(keys[last % _BLOCK])))
+
+    def draws(self, ids, draw, *prefix: int) -> list:
+        """``[draw(self.child(*prefix, i)) for i in ids]``, bit for bit, from
+        one generator.
+
+        ``child()`` builds it for the first id; for each later id its Philox
+        is put back to the start of that id's stream: counter 0, the id's
+        cached key, an empty buffer (``buffer_pos`` 4) and no pending 32-bit
+        half word.  So ``draw`` must take what it needs from the generator it
+        is handed and keep no reference to it, as the next id reuses it.
+        """
+        ids = list(ids)
+        if not ids:
+            return []
+        g = self.child(*prefix, ids[0])
+        out = [draw(g)]
+        seed, *head = map(_entropy_int, (self.seed, self.stream, *prefix))
+        head = tuple(head)
+        zeros = np.zeros(4, dtype=np.uint64)
+        counter_key = {"counter": zeros, "key": None}
+        state = {"bit_generator": "Philox", "state": counter_key, "buffer": zeros,
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for i in map(_entropy_int, ids[1:]):
+            counter_key["key"] = _key_block(seed, head, i // _BLOCK)[i % _BLOCK]
+            g.bit_generator.state = state
+            out.append(draw(g))
+        return out
 
 
 def _entropy_int(x) -> int:

@@ -32,6 +32,7 @@ from .linalg import (
     cholesky,
     sample_spd_with_spectrum,
     sample_wishart,
+    sample_wishart_stack,
     sym_eigen,
 )
 from .rng import RngState
@@ -56,11 +57,8 @@ def check_eigen_reconstruction():
 
 
 def check_cholesky_round_trip():
-    rng = RngState(102)
-    for i in range(5):
-        g = rng.child(i)
-        d = 6
-        low = np.tril(g.standard_normal((d, d)))
+    for m in RngState(102).draws(range(5), lambda g: g.standard_normal((6, 6))):
+        low = np.tril(m)
         np.fill_diagonal(low, np.abs(np.diag(low)) + 0.5)
         s = SymMatrix(low @ low.T)
         low2 = cholesky(s)
@@ -68,10 +66,8 @@ def check_cholesky_round_trip():
 
 
 def check_wishart_psd():
-    rng = RngState(103)
-    for i in range(10):
-        w = sample_wishart(6, rng.child(i))
-        assert np.linalg.eigvalsh(w.entries)[0] >= -1e-10
+    for w in sample_wishart_stack(6, RngState(103), range(10)):
+        assert np.linalg.eigvalsh(w)[0] >= -1e-10
 
 
 def check_monomial_certificates():
@@ -143,9 +139,9 @@ def check_hutchinson_exhaustive():
 
 def check_posterior_identity():
     rng = RngState(107)
-    for i in range(20):
-        w = sample_wishart(10, rng.child(0, i))
-        q = rng.child(1, i).standard_normal((10, 3))
+    ws = sample_wishart_stack(10, rng, range(20), 0)
+    qs = rng.draws(range(20), lambda g: g.standard_normal((10, 3)), 1)
+    for w, q in zip(map(SymMatrix, ws), qs):
         dec = posterior_decompose(w, make_transcript(w, q))
         assert dec.block_residual(w) <= 1e-8 * w.max_norm()
         lmin_w = np.linalg.eigvalsh(w.entries)[0]
@@ -182,6 +178,7 @@ def check_wishart_batched_trials():
     rng = RngState(109)
     got = _posterior_samples(d, n, trials, rng)
     scale, queries = d / (d - n), np.eye(d)[:, :n]
+    # The reference draws each trial's own child streams, not rng.draws.
     for i in range(trials):
         w = sample_wishart(d, rng.child(0, i))
         dec = posterior_decompose(w, make_transcript(w, queries))

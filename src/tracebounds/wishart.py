@@ -227,8 +227,9 @@ def _posterior_samples(d: int, n: int, trials: int, rng: RngState):
     tr and lambda_min (d-n)^2 of the fresh Wishart(d-n) reference.
 
     Trial i draws W from rng.child(0, i) and the reference from
-    rng.child(1, i).  The query basis is built once; each stack of trials
-    then runs every step, posterior_decompose's included, as one call.
+    rng.child(1, i), bit for bit, through rng.draws.  The query basis is
+    built once; each stack of trials then runs every step,
+    posterior_decompose's included, as one call.
     """
     dn = d - n
     scale = d / dn
@@ -238,12 +239,12 @@ def _posterior_samples(d: int, n: int, trials: int, rng: RngState):
     stacks = _trial_stacks(trials, 8 * d * d)
     samples = np.empty((5, trials))
     for start, stop in stacks:
-        w = sample_wishart_stack(d, [rng.child(0, i) for i in range(start, stop)])
+        w = sample_wishart_stack(d, rng, range(start, stop), 0)
         _, y2 = _response_blocks(basis, w @ queries)
         compressed = comp_t @ w @ comp_t.T
         wt = compressed - y2 @ _t(y2)
         wt = scale * ((wt + _t(wt)) / 2.0)
-        ref = sample_wishart_stack(dn, [rng.child(1, i) for i in range(start, stop)])
+        ref = sample_wishart_stack(dn, rng, range(start, stop), 1)
         samples[:, start:stop] = (
             np.trace(wt, axis1=1, axis2=2),
             np.linalg.eigvalsh(wt)[:, 0] * dn * dn,
@@ -338,15 +339,15 @@ def _trial_bidiagonals(d: int, trials: int, rng: RngState):
     a_i ~ chi_(d+1-i) and b_i ~ chi_(d-i), all independent (Dumitriu &
     Edelman, J. Math. Phys. 2002: B = U G V with U, V orthogonal, so
     G G^T and B B^T share their spectrum in law).  Trial i draws its
-    2d - 1 variates from rng.child(i) in one chisquare call, in the order
-    of _bidiagonal_dofs.
+    2d - 1 variates from rng.child(i) (through rng.draws) in one chisquare
+    call, in the order of _bidiagonal_dofs.
     """
     if d < 1:
         raise UsageError("need d >= 1")
     dofs = _bidiagonal_dofs(d)
     for start, stop in _trial_stacks(trials, 8 * (2 * d - 1)):
-        chi = np.sqrt(np.stack([rng.child(i).chisquare(dofs)
-                                for i in range(start, stop)]))
+        chi = np.sqrt(np.stack(rng.draws(range(start, stop),
+                                         lambda g: g.chisquare(dofs))))
         yield chi[:, :d], chi[:, d:]
 
 
@@ -491,7 +492,7 @@ class ExactRecovery:
     def queries(self, d: int) -> int:
         return d
 
-    def run_stack(self, oracle, p: float, rngs) -> list:
+    def run_stack(self, oracle, p: float, draws) -> list:
         w = oracle.matvec(np.eye(oracle.dim))
         lam = eigvalsh_checked((w + _t(w)) / 2.0)
         return [SpectrumError(float(v[0])) if v[0] <= 0 else float(np.sum(v ** (-p)))
@@ -510,8 +511,8 @@ class ConstantGuess:
     def queries(self, d: int) -> int:
         return 0
 
-    def run_stack(self, oracle, p: float, rngs) -> list:
-        return [self.value] * len(rngs)
+    def run_stack(self, oracle, p: float, draws) -> list:
+        return [self.value] * len(oracle.count)
 
     def describe(self) -> str:
         return f"constant_guess({self.value:g})"
@@ -531,7 +532,7 @@ class HutchinsonKrylov:
     def queries(self, d: int) -> int:
         return self.n_probes * self.m
 
-    def run_stack(self, oracle, p: float, rngs) -> list:
+    def run_stack(self, oracle, p: float, draws) -> list:
         """One Lanczos run over every trial's probes: trial t's n_probes
         columns, one rademacher draw of its stream with probe s in column s,
         are block t of the oracle's stack at each step."""
@@ -544,7 +545,7 @@ class HutchinsonKrylov:
                 raise SpectrumError(smallest)
             return vals ** (-p)
 
-        z = np.stack([rademacher(g, nv * d).reshape(nv, d).T for g in rngs])
+        z = np.stack(draws(lambda g: rademacher(g, nv * d).reshape(nv, d).T))
         # At p = 1 the "inv" tag reads T^-1 e_1 from T's pivots, with no
         # eigensolve; its rejections name the same smallest Ritz value.
         y, _, errors = fa_times_vec_oracle(oracle.matvec, d, z, self.m,
@@ -599,9 +600,11 @@ def query_game(
 
     Trials run in stacks of as many W as fit in _STACK_BYTES.  Trial i
     draws W from rng.child(0, i) and gives rng.child(1, i) to the
-    algorithm, whose run_stack(oracle, p, rngs) answers a whole stack: one
-    MeteredOracle over the stack and one generator per trial in, and per
-    trial an estimate, or the SpectrumError that ended that trial, out.  An
+    algorithm, both bit for bit through rng.draws.  The algorithm's
+    run_stack(oracle, p, draws) answers a whole stack: one MeteredOracle
+    over the stack and draws in, where draws(law) is the list of law(g)
+    over the trials' streams g in stack order, and per trial an estimate,
+    or the SpectrumError that ended that trial, out.  An
     algorithm states the most queries it makes as queries(d); one past the
     budget is a UsageError, an overflowing true trace a ConditioningError.
     """
@@ -619,7 +622,7 @@ def query_game(
     records = []
     for start, stop in _trial_stacks(trials, 8 * d * d):
         ids = range(start, stop)
-        w = sample_wishart_stack(d, [rng.child(0, i) for i in ids])
+        w = sample_wishart_stack(d, rng, ids, 0)
         lam = eigvalsh_checked(w)
         with np.errstate(over="ignore"):
             true = np.sum(np.maximum(lam, 1e-300) ** (-p), axis=-1)
@@ -628,7 +631,7 @@ def query_game(
             raise ConditioningError(f"trial {start + overflow[0]}: true trace "
                                     f"tr(W^-p) overflows at p={p:g}")
         oracle = MeteredOracle(w, budget)
-        outcomes = algorithm.run_stack(oracle, p, [rng.child(1, i) for i in ids])
+        outcomes = algorithm.run_stack(oracle, p, lambda law: rng.draws(ids, law, 1))
         for i, true_tr, used, outcome in zip(ids, true.tolist(), oracle.count.tolist(),
                                              outcomes):
             error = str(outcome) if isinstance(outcome, SpectrumError) else None

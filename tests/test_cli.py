@@ -24,7 +24,14 @@ import tracebounds.linalg as linalg
 import tracebounds.matio as matio
 import tracebounds.wishart as wishart_module
 from conftest import make_trials_singular
-from tracebounds.approx import ApproxTarget, _grid_sup_error, series_poly, sup_error
+from tracebounds.approx import (
+    MAX_DEGREE,
+    ApproxTarget,
+    _grid_sup_error,
+    _interpolant_degree,
+    series_poly,
+    sup_error,
+)
 from tracebounds.chebyshev import ChebPoly
 from tracebounds.cli import main
 from tracebounds.errors import CertificateError, MatrixParseError
@@ -542,6 +549,66 @@ def test_kappa_past_every_ellipse_is_a_certificate_failure(argv, kappa, capsys):
     assert captured.err.startswith("certificate failure: accuracy certificate "
                                    "failed: achieved inf > bound ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, degree", [
+    (["poly", "build", "--func", "invsqrt", "--kappa", "1e8"], 122762),
+    (["poly", "build", "--func", "invsqrt", "--kappa", "1e10"], 1469998),
+    (["poly", "build", "--func", "invsqrt", "--kappa", "1e12"], 17124016),
+    (["poly", "build", "--func", "inv", "--kappa", "1e8"], 177363),
+    (["trace", "--gen-spd", "--dim", "8", "--backend", "cheb", "--kappa", "1e8",
+      "--seed", "1"], 177363),
+])
+def test_degree_past_the_ceiling_is_refused_before_allocating(argv, degree):
+    # Each build would take hundreds of MB to tens of GB; it exits 3 with
+    # empty stdout from a process that stays small.
+    script = """
+import resource, sys
+from tracebounds.cli import main
+code = main(sys.argv[1:])
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(f"maxrss_kb {rss}", file=sys.stderr)
+sys.exit(code)
+"""
+    proc = subprocess.run([sys.executable, "-c", script, *argv, "--delta", "0.1"],
+                          env=src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    message, rss = proc.stderr.splitlines()
+    assert message == (f"certificate failure: certified degree {degree} exceeds "
+                       f"the ceiling MAX_DEGREE = {MAX_DEGREE}")
+    assert int(rss.split()[1]) < 150 * 1024
+
+
+@pytest.mark.parametrize("kind", ["inv", "inv_sqrt"])
+def test_every_certified_degree_is_under_the_ceiling(kind):
+    for kappa in np.geomspace(2.0, 1e17, 120):
+        for delta in (0.4, 0.1, 1e-3, 1e-8):
+            try:
+                n = _interpolant_degree(ApproxTarget(kind, kappa=kappa, delta=delta))
+            except CertificateError:
+                continue
+            assert 1 <= n <= MAX_DEGREE
+
+
+def test_the_degree_ceiling_is_inclusive():
+    # The ceiling is inclusive: the largest kappa whose invsqrt degree at
+    # delta = 0.1 is at most MAX_DEGREE certifies, one step past it refuses.
+    def target(kappa):
+        return ApproxTarget("inv_sqrt", kappa=kappa, delta=0.1)
+
+    lo, hi = 2.5e7, 1e8
+    for _ in range(60):
+        mid = (lo + hi) / 2.0
+        try:
+            _interpolant_degree(target(mid))
+            lo = mid
+        except CertificateError:
+            hi = mid
+    assert _interpolant_degree(target(lo)) == MAX_DEGREE
+    with pytest.raises(CertificateError, match="exceeds the ceiling") as info:
+        _interpolant_degree(target(hi))
+    assert info.value.achieved > info.value.bound / 2.0
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -372,8 +372,8 @@ class TestEigvalshChecked:
     def test_nan_trial_makes_game_exit_3(self, monkeypatch, capsys):
         real = wishart.sample_wishart_stack
 
-        def stack_with_nan(d, rngs):
-            w = real(d, rngs)
+        def stack_with_nan(d, rng, ids, *prefix):
+            w = real(d, rng, ids, *prefix)
             w[-1, 0, 0] = np.nan
             return w
 
@@ -533,12 +533,12 @@ class TestSampling:
         assert abs(np.mean(traces) - 8.0) <= 0.16  # within 2% of d
 
     def test_wishart_stack_is_per_draw_sampler(self):
-        rngs = [RngState(15, i) for i in range(4)]
-        w = sample_wishart_stack(6, rngs)
+        w = sample_wishart_stack(6, RngState(15), range(4))
         assert w.shape == (4, 6, 6)
-        for i, rng in enumerate(rngs):
-            np.testing.assert_array_equal(w[i], sample_wishart(6, rng).entries)
-            g = sample_gaussian_matrix(6, 6, rng)
+        for i in range(4):
+            np.testing.assert_array_equal(
+                w[i], sample_wishart(6, RngState(15).child(i)).entries)
+            g = sample_gaussian_matrix(6, 6, RngState(15).child(i))
             np.testing.assert_array_equal(w[i], g @ g.T / 6)
         np.testing.assert_array_equal(w, np.swapaxes(w, 1, 2))
 

@@ -225,8 +225,8 @@ class TestPosteriorDistribution:
         # Trial 5's revealed 2 x 2 block has equal rows (pivot 2 fails),
         # trial 7's a zero first row (pivot 1 fails); both share the first
         # stack of 8 at d = 32, and the lower trial index decides.
-        def rigged(d, rngs):
-            w = sample_wishart_stack(d, rngs)
+        def rigged(d, rng, ids, *prefix):
+            w = sample_wishart_stack(d, rng, ids, *prefix)
             if d == 32 and 5 in singular:
                 w[5, 1], w[5, :, 1] = w[5, 0], w[5, :, 0]
             if d == 32 and 7 in singular:
@@ -349,7 +349,7 @@ def dense_spectra(d, trials, rng):
     in stacks of 64 trials."""
     return np.concatenate([
         np.linalg.eigvalsh(sample_wishart_stack(
-            d, [rng.child(i) for i in range(start, min(start + 64, trials))]))
+            d, rng, range(start, min(start + 64, trials))))
         for start in range(0, trials, 64)])
 
 
@@ -604,7 +604,7 @@ def one_trial_at_a_time_game(d, p, c, solo, budget, trials, rng):
     run per trial.  Returns the records."""
     records = []
     for i in range(trials):
-        w = wishart_module.sample_wishart_stack(d, [rng.child(0, i)])
+        w = wishart_module.sample_wishart_stack(d, rng, [i], 0)
         lam = eigvalsh_checked(w[0])
         true_tr = float(np.sum(np.maximum(lam, 1e-300) ** (-p)))
         oracle = MeteredOracle(w, budget)
@@ -660,12 +660,12 @@ def patch_trials(monkeypatch, matrices):
     real = sample_wishart_stack
     seen = [0]
 
-    def stack(d, rngs):
-        w = real(d, rngs)
-        for t in range(len(rngs)):
+    def stack(d, rng, ids, *prefix):
+        w = real(d, rng, ids, *prefix)
+        for t in range(len(ids)):
             if seen[0] + t in matrices:
                 w[t] = matrices[seen[0] + t]
-        seen[0] += len(rngs)
+        seen[0] += len(ids)
         return w
 
     monkeypatch.setattr(wishart_module, "sample_wishart_stack", stack)
@@ -673,7 +673,7 @@ def patch_trials(monkeypatch, matrices):
 
 class TestQueryGame:
     def test_metered_oracle_enforces_budget(self):
-        w = sample_wishart_stack(4, [RngState(80).child(i) for i in range(2)])
+        w = sample_wishart_stack(4, RngState(80), range(2))
         oracle = MeteredOracle(w, 2)
         oracle.matvec(np.ones((2, 4, 1)))
         oracle.matvec(np.ones((2, 4, 1)))
@@ -682,7 +682,7 @@ class TestQueryGame:
         assert oracle.count.tolist() == [2, 2]
 
     def test_metered_oracle_charges_blocks(self):
-        w = sample_wishart_stack(4, [RngState(80).child(i) for i in range(2)])
+        w = sample_wishart_stack(4, RngState(80), range(2))
         oracle = MeteredOracle(w, 5)
         block = np.ones((2, 4, 3))
         np.testing.assert_array_equal(oracle.matvec(block), w @ block)
@@ -694,7 +694,7 @@ class TestQueryGame:
         assert oracle.count.tolist() == [5, 5]
 
     def test_metered_oracle_charges_live_columns(self):
-        w = sample_wishart_stack(4, [RngState(80).child(i) for i in range(2)])
+        w = sample_wishart_stack(4, RngState(80), range(2))
         oracle = MeteredOracle(w, 3)
         v = RngState(81).generator().standard_normal((2, 4, 3))
         live = np.array([[True, False, True], [False, False, False]])
@@ -713,7 +713,7 @@ class TestQueryGame:
         assert oracle.count.tolist() == [3, 3]
 
     def test_metered_oracle_all_live_mask_is_no_mask(self):
-        w = sample_wishart_stack(4, [RngState(80).child(i) for i in range(2)])
+        w = sample_wishart_stack(4, RngState(80), range(2))
         v = RngState(81).generator().standard_normal((2, 4, 3))
         masked, unmasked = MeteredOracle(w, 6), MeteredOracle(w, 6)
         y = masked.matvec(v, np.ones((2, 3), dtype=bool))
@@ -791,7 +791,8 @@ class TestQueryGame:
         for i in range(3):
             w = sample_spd_with_spectrum(d, 16.0, rng.child(0, i))
             oracle = MeteredOracle(w.entries[None], nv * m)
-            got, = HutchinsonKrylov(nv, m).run_stack(oracle, 1.5, [rng.child(1, i)])
+            got, = HutchinsonKrylov(nv, m).run_stack(
+                oracle, 1.5, lambda law: rng.draws([i], law, 1))
             assert oracle.count.tolist() == [nv * m]
             ref_oracle = MeteredOracle(w.entries[None], nv * m)
             want = per_probe_hutchinson_krylov(ref_oracle, 1.5, rng.child(1, i),
@@ -820,7 +821,7 @@ class TestQueryGame:
         # charged before the eigensolve raises.
         lam = np.array([-1.0, -2.0, -3.0, -4.0, -5.0, 6.0])
         monkeypatch.setattr(wishart_module, "sample_wishart_stack",
-                            lambda d, rngs: np.stack([np.diag(lam)] * len(rngs)))
+                            lambda d, rng, ids, *prefix: np.stack([np.diag(lam)] * len(ids)))
         res = query_game(6, 1.0, 2.0, HutchinsonKrylov(3, 2), budget=6,
                          trials=2, rng=RngState(89))
         assert [r.queries_used for r in res.records] == [6, 6]

@@ -163,6 +163,12 @@ INVOCATIONS = [
      "--seed", "340282366920938463463374607431768211457"],
     ["trace", "--gen-spd", "--dim", "24", "--backend", "exact", "--probes",
      "70", "--seed", "18446744073709551621"],
+    # Gaussian probes and game trials 0..129 and 0..69: one generator per
+    # stack, reset past the first 64-id key block.
+    ["trace", "--gen-spd", "--dim", "16", "--probes", "130", "--probe-kind",
+     "gaussian", "--backend", "exact", "--seed", "4"],
+    ["wishart", "game", "--d", "8", "--algo", "hutch", "--nv", "2", "--m", "4",
+     "--budget", "8", "--trials", "70", "--seed", "3"],
     # A degree-277 interpolant; its FFT and grid gate run on any thread count.
     ["poly", "build", "--func", "invsqrt", "--kappa", "1024", "--delta", "0.001"],
     # Degree 1652, where the grid gate's rounding matters most: an FFT's
